@@ -123,10 +123,14 @@ class ExperimentConfig:
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
         if self.trials is not None and self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        for name in ("alpha", "beta", "s", "sigma", "truncation", "bandwidth"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.lambda_grid is not None:
             self.lambda_grid = [float(v) for v in self.lambda_grid]
-            if any(v <= 0 for v in self.lambda_grid):
-                raise ValidationError("lambda_grid entries must be > 0")
+            if not all(0 < v < math.inf for v in self.lambda_grid):
+                raise ValidationError("lambda_grid entries must be finite and > 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -152,13 +156,12 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Config echo plus long-format metric rows; files exclude wall times so
-    identical configs reproduce identical bytes."""
+    """Config echo plus long-format metric rows; identical configs reproduce
+    identical bytes."""
 
     config: dict
     rows: list
     columns: tuple = _COLUMNS
-    timings: dict | None = None
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -172,14 +175,11 @@ class ExperimentResult:
         return buf.getvalue()
 
     def to_json_text(self) -> str:
-        clean = [
-            {k: _jsonable(v) for k, v in row.items() if v is not None}
-            for row in self.rows
-        ]
-        return (
-            json.dumps({"config": self.config, "rows": clean}, indent=2, sort_keys=True)
-            + "\n"
-        )
+        """Strict RFC 8259 JSON: non-finite floats are written as their repr
+        strings ("inf", "nan"), as `diagnose` does."""
+        rows = [{k: v for k, v in row.items() if v is not None} for row in self.rows]
+        doc = _jsonable({"config": self.config, "rows": rows})
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def render(self, format: str = "csv") -> str:
         if format == "csv":
@@ -203,8 +203,14 @@ def _fmt(value) -> str:
 
 
 def _jsonable(value):
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
     return value
 
 
@@ -274,12 +280,9 @@ def run_table1(config: ExperimentConfig, threads: int | None = None) -> Experime
             })
         return rows
 
-    start = time.perf_counter()
     rows = _map_cells(work, cells, threads)
     echo = _echo(config, trials=trials)
-    return ExperimentResult(
-        config=echo, rows=rows, timings={"total": time.perf_counter() - start}
-    )
+    return ExperimentResult(config=echo, rows=rows)
 
 
 def run_table2(config: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
@@ -328,12 +331,9 @@ def run_table2(config: ExperimentConfig, threads: int | None = None) -> Experime
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 
-    start = time.perf_counter()
     rows = _map_cells(work, cells, threads)
     echo = _echo(config, trials=trials)
-    return ExperimentResult(
-        config=echo, rows=rows, timings={"total": time.perf_counter() - start}
-    )
+    return ExperimentResult(config=echo, rows=rows)
 
 
 def run_table3(config: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
@@ -394,15 +394,12 @@ def run_table3(config: ExperimentConfig, threads: int | None = None) -> Experime
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 
-    start = time.perf_counter()
     rows = _map_cells(work, cells, threads)
     echo = _echo(
         config, trials=trials, n=n, alpha=alpha, beta=beta,
         lambda_grid=[float(g) for g in grid],
     )
-    return ExperimentResult(
-        config=echo, rows=rows, timings={"total": time.perf_counter() - start}
-    )
+    return ExperimentResult(config=echo, rows=rows)
 
 
 def run_table4(config: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
@@ -450,12 +447,9 @@ def run_table4(config: ExperimentConfig, threads: int | None = None) -> Experime
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 
-    start = time.perf_counter()
     rows = _map_cells(work, cells, threads)
     echo = _echo(config, trials=trials, N=N, sigma=sigma)
-    return ExperimentResult(
-        config=echo, rows=rows, timings={"total": time.perf_counter() - start}
-    )
+    return ExperimentResult(config=echo, rows=rows)
 
 
 def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:
@@ -468,7 +462,6 @@ def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:
     variant = config.variant if config.variant is not None else EXAMPLE3
     master = config.seed
     rows = []
-    start = time.perf_counter()
     for t in range(trials):
         labels = ("lfr-sim", f"s={s}", n, t)
         problem = simulate_problem(
@@ -487,9 +480,7 @@ def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:
         rows.append(base | {"metric": "cumulative_kappa",
                             "value": model.cumulative_kappa})
     echo = _echo(config, trials=trials, n=n, N=N, s=s, sigma=sigma, variant=variant)
-    return ExperimentResult(
-        config=echo, rows=rows, timings={"total": time.perf_counter() - start}
-    )
+    return ExperimentResult(config=echo, rows=rows)
 
 
 def run_timeseries(config: ExperimentConfig):
@@ -500,11 +491,9 @@ def run_timeseries(config: ExperimentConfig):
     _require(config, "covid")
     if config.csv is None:
         raise ValidationError("covid experiment requires a csv input path")
-    start = time.perf_counter()
     dataset = load_series_csv(
         config.csv, location=config.location, start=config.start, end=config.end
     )
-    load_time = time.perf_counter() - start
     n = config.n if config.n is not None else 340
     N = config.N if config.N is not None else 40
     alpha = config.alpha if config.alpha is not None else -0.5
@@ -535,12 +524,8 @@ def run_timeseries(config: ExperimentConfig):
             "ransac_failures": result.ransac.n_failed,
         },
     )
-    timings = {"load": load_time, "total": time.perf_counter() - start}
     return (
-        ExperimentResult(
-            config=echo, rows=rows, columns=("day", "observed", "fitted"),
-            timings=timings,
-        ),
+        ExperimentResult(config=echo, rows=rows, columns=("day", "observed", "fitted")),
         result,
     )
 

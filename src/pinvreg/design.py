@@ -177,7 +177,7 @@ def theory_bounds(
 
 @dataclass(frozen=True)
 class McSummary:
-    """Per-trial Gram spectra of repeated random designs, sorted for aggregation."""
+    """Per-trial Gram condition numbers of repeated random designs, sorted."""
 
     params: JacobiParams
     n: int
@@ -185,8 +185,6 @@ class McSummary:
     trials: int
     sampling: str
     kappas: np.ndarray        # finite trials only, ascending
-    lambda_mins: np.ndarray   # ascending
-    lambda_maxs: np.ndarray   # ascending
     n_singular: int
     seed: tuple = field(default=())
 
@@ -207,7 +205,7 @@ def mc_condition_number(
     transform: str | None = None,
     master_seed=0,
 ) -> McSummary:
-    """Monte Carlo over random designs; per-trial kappa2(A_N) and extremal eigenvalues.
+    """Monte Carlo over random designs; per-trial kappa2(A_N).
 
     transform=None samples the Beta law directly; transform="standard_normal"
     draws standard normals and maps them through the exact-CDF Beta transform.
@@ -218,7 +216,7 @@ def mc_condition_number(
     if transform not in (None, "standard_normal"):
         raise ValueError(f"unknown transform {transform!r}")
     basis = JacobiBasis(params, degree_max)
-    kappas, lmins, lmaxs = [], [], []
+    kappas = []
     n_singular = 0
     tag = "direct" if transform is None else transform
     for t in range(trials):
@@ -233,8 +231,6 @@ def mc_condition_number(
             n_singular += 1
             continue
         kappas.append(report.kappa2)
-        lmins.append(report.lambda_min)
-        lmaxs.append(report.lambda_max)
     return McSummary(
         params=params,
         n=n,
@@ -242,8 +238,6 @@ def mc_condition_number(
         trials=trials,
         sampling=tag,
         kappas=np.sort(np.array(kappas)),
-        lambda_mins=np.sort(np.array(lmins)),
-        lambda_maxs=np.sort(np.array(lmaxs)),
         n_singular=n_singular,
         seed=derive_seed(master_seed, f"mc-{tag}"),
     )

@@ -142,12 +142,13 @@ class JacobiBasis:
         return self.degree_max + 1
 
     def _to_symmetric(self, x: np.ndarray) -> np.ndarray:
+        # each test is written so that NaN fails it as well
         if self.domain == UNIT:
-            if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-                raise ValueError("sample point outside [0, 1]")
+            if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):
+                raise ValueError("sample point outside [0, 1] or not finite")
             return 2.0 * x - 1.0
-        if np.any(np.abs(x) > 1.0 + 1e-12):
-            raise ValueError("sample point outside [-1, 1]")
+        if not np.all(np.abs(x) <= 1.0 + 1e-12):
+            raise ValueError("sample point outside [-1, 1] or not finite")
         return x
 
     def table(self, x) -> np.ndarray:

@@ -29,17 +29,13 @@ DEFAULT_LAMBDA_GRID = tuple(np.logspace(-9.0, 0.0, 12))
 def sinc_kernel(x, y, c: float = 10.0) -> np.ndarray:
     """K(x, y) = sin(c (x - y)) / (pi (x - y)), broadcast over inputs.
 
-    Near the diagonal the ratio is evaluated by its quadratic Taylor
-    polynomial (c/pi)(1 - (c d)^2 / 6) to avoid 0/0.
+    Written as (c/pi) sinc(c (x - y) / pi) with numpy's normalized sinc,
+    which takes the diagonal limit c/pi exactly.
     """
     if c <= 0:
         raise ValueError(f"bandwidth c must be > 0, got {c}")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    small = np.abs(d) < 1e-12
-    safe = np.where(small, 1.0, d)
-    out = np.sin(c * safe) / (math.pi * safe)
-    taylor = (c / math.pi) * (1.0 - (c * d) ** 2 / 6.0)
-    return np.where(small, taylor, out)
+    return (c / math.pi) * np.sinc(c * d / math.pi)
 
 
 @dataclass
@@ -55,16 +51,11 @@ class KrrModel:
         return K @ self.weights
 
 
-def krr_fit(x, y, ridge: float, bandwidth: float = 10.0) -> KrrModel:
-    """Solve (K/n + ridge I) w = y / n by Cholesky factorization."""
-    x = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _ridge_solve(K: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    """Weights w solving (K/n + ridge I) w = y / n by Cholesky factorization."""
     if ridge <= 0:
         raise ValueError(f"ridge must be > 0, got {ridge}")
-    n = len(x)
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    K = sinc_kernel(x[:, None], x[None, :], bandwidth)
+    n = len(y)
     G = K / n + ridge * np.eye(n)
     try:
         factor = cho_factor(G, lower=True)
@@ -72,7 +63,22 @@ def krr_fit(x, y, ridge: float, bandwidth: float = 10.0) -> KrrModel:
         raise RegularizationError(
             f"regularized kernel Gram not positive definite at ridge={ridge:g}"
         ) from exc
-    weights = cho_solve(factor, y / n)
+    return cho_solve(factor, y / n)
+
+
+def _check_xy(x, y):
+    x = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (len(x),):
+        raise ValueError(f"y has shape {y.shape}, expected ({len(x)},)")
+    return x, y
+
+
+def krr_fit(x, y, ridge: float, bandwidth: float = 10.0) -> KrrModel:
+    """Solve (K/n + ridge I) w = y / n by Cholesky factorization."""
+    x, y = _check_xy(x, y)
+    K = sinc_kernel(x[:, None], x[None, :], bandwidth)
+    weights = _ridge_solve(K, y, ridge)
     return KrrModel(anchors=x, weights=weights, bandwidth=bandwidth, ridge=ridge)
 
 
@@ -93,14 +99,16 @@ def cross_validate(
 ) -> CvResult:
     """k-fold cross-validation over a ridge grid; ties go to the larger ridge.
 
-    Folds are a seeded shuffle split into `folds` nearly equal parts. The
-    returned model is refit on all data at the selected ridge.
+    Folds are a seeded shuffle split into `folds` nearly equal parts. The n x n
+    kernel is built once per call; each fold fits and predicts from slices of
+    it, and the returned model is refit on all data at the selected ridge from
+    the same kernel.
     """
-    x = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _check_xy(x, y)
     n = len(x)
     if not 2 <= folds <= n:
         raise ValueError(f"folds must be in [2, {n}], got {folds}")
+    K = sinc_kernel(x[:, None], x[None, :], bandwidth)
     perm = derive_rng(seed, "cv-folds").permutation(n)
     parts = np.array_split(perm, folds)
     errors = {}
@@ -110,12 +118,15 @@ def cross_validate(
             test = parts[k]
             train = np.concatenate([parts[j] for j in range(folds) if j != k])
             try:
-                model = krr_fit(x[train], y[train], ridge, bandwidth)
+                w = _ridge_solve(K[np.ix_(train, train)], y[train], ridge)
             except RegularizationError:
                 fold_mse.append(math.inf)
                 continue
-            fold_mse.append(float(np.mean((model.predict(x[test]) - y[test]) ** 2)))
+            fold_mse.append(float(np.mean((K[np.ix_(test, train)] @ w - y[test]) ** 2)))
         errors[float(ridge)] = float(np.mean(fold_mse))
     # minimal error; among ties prefer the strongest regularization
     best = max(sorted(errors), key=lambda r: (-errors[r], r))
-    return CvResult(ridge=best, cv_errors=errors, model=krr_fit(x, y, best, bandwidth))
+    model = KrrModel(
+        anchors=x, weights=_ridge_solve(K, y, best), bandwidth=bandwidth, ridge=best
+    )
+    return CvResult(ridge=best, cv_errors=errors, model=model)

@@ -356,8 +356,14 @@ def model_from_dict(d: dict) -> NpregModel:
     basis = JacobiBasis(
         JacobiParams(d["alpha"], d["beta"]), d["degree_max"], d["domain"]
     )
+    coeffs = np.array(d["coeffs"], dtype=float)
+    if coeffs.shape != (basis.size,) or not np.all(np.isfinite(coeffs)):
+        raise ValueError(
+            f"coeffs must be {basis.size} finite values (degree_max + 1), "
+            f"got shape {coeffs.shape}"
+        )
     return NpregModel(
-        coeffs=np.array(d["coeffs"], dtype=float),
+        coeffs=coeffs,
         basis=basis,
         truncation_level=d.get("truncation_level"),
         n_samples=d.get("n_samples", 0),
@@ -365,9 +371,11 @@ def model_from_dict(d: dict) -> NpregModel:
 
 
 def save_model(model: NpregModel, path) -> None:
+    """Write the model as strict JSON; a non-finite value raises ValueError
+    before the file is opened."""
+    text = json.dumps(model_to_dict(model), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> NpregModel:

@@ -8,6 +8,7 @@ consensus loop.
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,8 @@ def load_series_csv(
     """Read (date, location, new_cases) rows; empty values count as 0.
 
     Extra columns are ignored, the header is required, dates must be strictly
-    increasing after filtering, and values must be >= 0. Errors carry the
-    offending 1-based line number.
+    increasing after filtering, and values must be finite and >= 0. Errors
+    carry the offending 1-based line number.
     """
     try:
         lo = datetime.date.fromisoformat(start) if start is not None else None
@@ -110,6 +111,8 @@ def load_series_csv(
                     value = float(raw)
                 except ValueError:
                     raise DataError(f"bad value {raw!r}", line=line) from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {raw!r}", line=line)
             if value < 0:
                 raise DataError(f"negative value {value}", line=line)
             if prev is not None and date <= prev[0]:

@@ -64,8 +64,15 @@ class TestExperimentConfig:
     def test_lambda_grid_validated_and_cast(self):
         cfg = ExperimentConfig(experiment="table3", lambda_grid=[1, 0.1])
         assert cfg.lambda_grid == [1.0, 0.1]
-        with pytest.raises(ValidationError, match="lambda_grid"):
-            ExperimentConfig(experiment="table3", lambda_grid=[0.0])
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="lambda_grid"):
+                ExperimentConfig(experiment="table3", lambda_grid=[1e-3, bad])
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "s", "sigma", "truncation", "bandwidth"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_knobs(self, name, bad):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            ExperimentConfig(experiment="table3", **{name: bad})
 
     def test_merged_skips_none(self):
         cfg = ExperimentConfig(experiment="table1", N=5, seed=3)

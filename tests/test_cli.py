@@ -69,6 +69,21 @@ class TestBenchmarkCommands:
         assert set(doc) == {"config", "rows"}
         assert any(r["metric"] == "e2" for r in doc["rows"])
 
+    def test_json_is_strict_with_non_finite_values(self, tmp_path):
+        # a singular-only cell has an infinite mean kappa
+        out = tmp_path / "t1.json"
+        code = main(["table1", "--alpha", "3", "--N", "30", "--n", "31",
+                     "--trials", "2", "--format", "json", "--out", str(out)])
+        assert code == 0
+
+        def reject(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        values = {r["metric"]: r["value"] for r in doc["rows"]}
+        assert values["mean_kappa2_direct"] == "inf"
+        assert values["singular_trials_direct"] == 2.0
+
     def test_simulate_lfr_smoke(self, capsys):
         code = main(["simulate-lfr", "--n", "120", "--N", "16", "--trials", "1"])
         assert code == 0
@@ -171,6 +186,18 @@ class TestErrorPaths:
         doc = json.loads(err)
         assert doc["error"] == "ValidationError"
         assert "Nowhere" in doc["message"]
+
+    def test_non_finite_truncation_exits_one_before_writing(
+        self, tmp_path, series_csv, capsys
+    ):
+        out = tmp_path / "fit.csv"
+        code = main(["fit-series", "--csv", str(series_csv), "--n", "30",
+                     "--N", "4", "--truncation", "inf", "--out", str(out)])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ValidationError"
+        assert "truncation" in doc["message"]
+        assert list(tmp_path.iterdir()) == [series_csv]
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -160,6 +160,13 @@ class TestUnitDomain:
         with pytest.raises(ValueError, match="outside"):
             sym.table(np.array([1.5]))
 
+    @pytest.mark.parametrize("domain", [SYMMETRIC, UNIT])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, domain, bad):
+        basis = JacobiBasis(JacobiParams(0.0, 0.0), 3, domain=domain)
+        with pytest.raises(ValueError, match="not finite"):
+            basis.table(np.array([0.5, bad]))
+
     def test_eval_k_degree_check(self):
         basis = JacobiBasis(JacobiParams(0.0, 0.0), 3)
         with pytest.raises(ValueError, match="degree"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pinvreg.krr
 from pinvreg.errors import RegularizationError
 from pinvreg.jacobi import JacobiParams
 from pinvreg.krr import (
@@ -14,7 +15,7 @@ from pinvreg.krr import (
     krr_fit,
     sinc_kernel,
 )
-from pinvreg.sampling import sample_beta_on_I
+from pinvreg.sampling import derive_rng, sample_beta_on_I
 
 
 class TestSincKernel:
@@ -34,8 +35,9 @@ class TestSincKernel:
             math.sin(10.0 * d) / (math.pi * d), rel=1e-14
         )
 
-    def test_taylor_patch_is_continuous(self):
-        # values just inside and outside the switch agree to high order
+    def test_continuous_near_diagonal(self):
+        # values either side of a tiny offset agree with each other and the limit
+        assert sinc_kernel(1e-300, 0.0, 25.0) == pytest.approx(25.0 / math.pi)
         left = sinc_kernel(1e-12 * 0.99, 0.0, 25.0)
         right = sinc_kernel(1e-12 * 1.01, 0.0, 25.0)
         assert left == pytest.approx(right, rel=1e-12)
@@ -127,6 +129,51 @@ class TestCrossValidate:
         y = np.sin(x)
         res = cross_validate(x, y, grid=(1e-6, 1e-3), seed=2)
         assert set(res.cv_errors) == {1e-6, 1e-3}
+
+    def test_matches_per_fold_krr_fit_loop(self):
+        # reference: one krr_fit per (ridge, fold) pair, each rebuilding its kernel
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1, 1, 47)
+        y = np.sin(4 * x) + 0.1 * rng.standard_normal(47)
+        grid, folds, c = (1e-8, 1e-5, 1e-3, 1e-1), 4, 12.0
+        res = cross_validate(x, y, grid=grid, folds=folds, bandwidth=c, seed=3)
+        parts = np.array_split(derive_rng(3, "cv-folds").permutation(47), folds)
+        expected = {}
+        for ridge in grid:
+            mse = []
+            for k in range(folds):
+                test = parts[k]
+                train = np.concatenate([parts[j] for j in range(folds) if j != k])
+                model = krr_fit(x[train], y[train], ridge, c)
+                mse.append(np.mean((model.predict(x[test]) - y[test]) ** 2))
+            expected[ridge] = float(np.mean(mse))
+        assert set(res.cv_errors) == set(expected)
+        for ridge in grid:
+            assert res.cv_errors[ridge] == pytest.approx(expected[ridge], rel=1e-12)
+        assert res.ridge == min(expected, key=expected.get)
+
+    def test_builds_kernel_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sinc_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(pinvreg.krr, "sinc_kernel", counting)
+        x = np.linspace(-1, 1, 40)
+        cross_validate(x, np.cos(3 * x), seed=5)
+        assert len(calls) == 1
+
+    def test_rejects_nonpositive_ridge_in_grid(self):
+        x = np.linspace(-1, 1, 20)
+        for bad in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="ridge"):
+                cross_validate(x, np.sin(x), grid=(bad, 1e-3))
+
+    def test_y_length_validation(self):
+        x = np.linspace(-1, 1, 20)
+        with pytest.raises(ValueError, match="shape"):
+            cross_validate(x, np.zeros(19))
 
     def test_refit_uses_all_data(self):
         rng = np.random.default_rng(12)

@@ -112,6 +112,22 @@ class TestSerialization:
         back = model_from_dict(d)
         assert back.truncation_level is None and back.n_samples == 0
 
+    @pytest.mark.parametrize("coeffs", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 0.0]])
+    def test_rejects_bad_coeffs_at_load(self, coeffs):
+        d = {"alpha": 0.0, "beta": 0.0, "degree_max": 2, "domain": "symmetric",
+             "coeffs": coeffs}
+        with pytest.raises(ValueError, match="coeffs"):
+            model_from_dict(d)
+
+    def test_save_is_strict_json(self, tmp_path):
+        basis = JacobiBasis(PARAMS, 2)
+        s = sample_beta_on_I(PARAMS, 20, seed=6)
+        model = fit_points(basis, s, s.points, truncation_level=math.inf)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError):
+            save_model(model, path)
+        assert not path.exists()
+
 
 class TestRansac:
     def test_rejects_sparse_outliers(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import betaincinv
+from scipy.special import betainc
 
 from pinvreg.errors import ValidationError
 from pinvreg.jacobi import JacobiParams
@@ -130,12 +130,14 @@ class TestQuantiles:
         numeric = inverse_beta_cdf(params, t, method="numeric")
         assert np.max(np.abs(closed - numeric)) < 1e-10
 
-    def test_numeric_matches_scipy(self):
-        for a, b in [(0.0, 0.0), (0.5, -0.5), (0.3, 0.4)]:
-            params = JacobiParams(a, b)
-            t = np.linspace(0.05, 0.95, 19)
-            x = inverse_beta_cdf(params, t, method="numeric")
-            assert_allclose(x, betaincinv(a + 1.0, b + 1.0, t), atol=1e-10)
+    def test_numeric_round_trips_through_cdf(self):
+        # the quantile inverts the regularized incomplete Beta function
+        t = np.linspace(0.01, 0.99, 49)
+        for a, b in [(0.0, 0.0), (0.5, -0.5), (-0.5, 0.5), (0.3, 0.4), (-0.5, -0.5),
+                     (3.0, 1.5)]:
+            x = inverse_beta_cdf(JacobiParams(a, b), t, method="numeric")
+            assert np.all((x > 0.0) & (x < 1.0)) and np.all(np.diff(x) > 0)
+            assert_allclose(betainc(a + 1.0, b + 1.0, x), t, rtol=0, atol=1e-12)
 
     def test_endpoints_exact(self):
         x = inverse_beta_cdf(JacobiParams(0.5, 0.0), np.array([0.0, 1.0]))

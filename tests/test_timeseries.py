@@ -112,6 +112,15 @@ class TestLoadSeriesCsv:
             load_series_csv(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, raw):
+        path = write_rows(tmp_path / "a.csv", [
+            [iso(0), "X", "1"], [iso(1), "X", "2"], [iso(2), "X", raw],
+        ])
+        with pytest.raises(DataError, match="non-finite") as err:
+            load_series_csv(path)
+        assert err.value.line == 4
+
     def test_negative_value_rejected(self, tmp_path):
         path = write_rows(tmp_path / "a.csv", [[iso(0), "X", "-4"]])
         with pytest.raises(DataError, match="negative") as err:

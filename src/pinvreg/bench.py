@@ -3,17 +3,16 @@ functional-regression error tables, and the time-series pipeline, all emitted
 as config-stamped CSV or JSON files.
 
 Every runner is a pure function of (config, seed): rows are reproduced
-byte-identically across reruns and thread counts. Threads only spread
-independent cells over a pool; each cell owns a derived seed and results are
-assembled in sweep order.
+byte-identically across reruns. Each cell of a sweep owns a derived seed, and
+rows are assembled in sweep order.
 """
 
 import csv
 import io
 import json
 import math
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -87,6 +86,9 @@ _COLUMNS = (
     "seed",
 )
 
+_INT_KEYS = ("N", "n", "trials", "seed", "ransac_iterations", "ransac_subset")
+_REAL_KEYS = ("alpha", "beta", "s", "sigma", "truncation", "bandwidth")
+
 
 @dataclass
 class ExperimentConfig:
@@ -121,12 +123,18 @@ class ExperimentConfig:
             )
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
+        for name in _INT_KEYS + _REAL_KEYS:
+            value = getattr(self, name)
+            if value is None and name != "seed":
+                continue
+            kind = numbers.Integral if name in _INT_KEYS else numbers.Real
+            # bool is an int subclass, so it is rejected by name
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValidationError(f"{name} must be {kind.__name__.lower()}: {value!r}")
+            if not -math.inf < value < math.inf:   # no float() overflow on huge ints
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.trials is not None and self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        for name in ("alpha", "beta", "s", "sigma", "truncation", "bandwidth"):
-            value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
         if self.lambda_grid is not None:
             self.lambda_grid = [float(v) for v in self.lambda_grid]
             if not all(0 < v < math.inf for v in self.lambda_grid):
@@ -214,15 +222,6 @@ def _jsonable(value):
     return value
 
 
-def _map_cells(work, cells, threads):
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, cells))
-    else:
-        chunks = [work(cell) for cell in cells]
-    return [row for chunk in chunks for row in chunk]
-
-
 def _lineage(*parts) -> str:
     return "/".join(str(p) for p in parts)
 
@@ -242,7 +241,7 @@ def _require(config: ExperimentConfig, experiment: str) -> None:
         )
 
 
-def run_table1(config: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
+def run_table1(config: ExperimentConfig) -> ExperimentResult:
     """Mean condition number of the random Gram, direct Beta sampling vs the
     standard-normal CDF-transformed sampling, over the (alpha, N, n) grid."""
     _require(config, "table1")
@@ -280,12 +279,12 @@ def run_table1(config: ExperimentConfig, threads: int | None = None) -> Experime
             })
         return rows
 
-    rows = _map_cells(work, cells, threads)
+    rows = [row for cell in cells for row in work(cell)]
     echo = _echo(config, trials=trials)
     return ExperimentResult(config=echo, rows=rows)
 
 
-def run_table2(config: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
+def run_table2(config: ExperimentConfig) -> ExperimentResult:
     """Mean cumulative block condition number for xi_j = j^(-s) designs,
     against the 2^s 1.72 log(N) / (0.63 log 2) ceiling."""
     _require(config, "table2")
@@ -331,12 +330,12 @@ def run_table2(config: ExperimentConfig, threads: int | None = None) -> Experime
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 
-    rows = _map_cells(work, cells, threads)
+    rows = [row for cell in cells for row in work(cell)]
     echo = _echo(config, trials=trials)
     return ExperimentResult(config=echo, rows=rows)
 
 
-def run_table3(config: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
+def run_table3(config: ExperimentConfig) -> ExperimentResult:
     """Weighted-L2 MSE of the polynomial estimator vs sinc-kernel ridge
     regression on Weierstrass targets, over (sigma, s, N) with c = N."""
     _require(config, "table3")
@@ -361,6 +360,7 @@ def run_table3(config: ExperimentConfig, threads: int | None = None) -> Experime
         c = config.bandwidth if config.bandwidth is not None else float(N)
         basis = JacobiBasis(params, N)
         rule = basis.quadrature(N + 12)
+        node_table = basis.table(rule.nodes)
         f = lambda x: weierstrass(s, x)
         f_nodes = f(rule.nodes)
         labels = ("table3", f"sigma={sigma}", f"s={s}", N)
@@ -376,7 +376,7 @@ def run_table3(config: ExperimentConfig, threads: int | None = None) -> Experime
             except StabilityError:
                 n_singular += 1
                 continue
-            fhat_nodes = basis.table(rule.nodes) @ model.coeffs
+            fhat_nodes = node_table @ model.coeffs
             mse_np.append(omega_norm(f_nodes - fhat_nodes, rule) ** 2)
             cv = cross_validate(
                 samples.points, y, grid=grid, bandwidth=c,
@@ -394,7 +394,7 @@ def run_table3(config: ExperimentConfig, threads: int | None = None) -> Experime
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 
-    rows = _map_cells(work, cells, threads)
+    rows = [row for cell in cells for row in work(cell)]
     echo = _echo(
         config, trials=trials, n=n, alpha=alpha, beta=beta,
         lambda_grid=[float(g) for g in grid],
@@ -402,7 +402,7 @@ def run_table3(config: ExperimentConfig, threads: int | None = None) -> Experime
     return ExperimentResult(config=echo, rows=rows)
 
 
-def run_table4(config: ExperimentConfig, threads: int | None = None) -> ExperimentResult:
+def run_table4(config: ExperimentConfig) -> ExperimentResult:
     """Functional-regression prediction/estimation errors E0 and E2 for the
     alternating quadratic-decay slope, over (s, n) at N = 50, sigma = 0.5."""
     _require(config, "table4")
@@ -447,7 +447,7 @@ def run_table4(config: ExperimentConfig, threads: int | None = None) -> Experime
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 
-    rows = _map_cells(work, cells, threads)
+    rows = [row for cell in cells for row in work(cell)]
     echo = _echo(config, trials=trials, N=N, sigma=sigma)
     return ExperimentResult(config=echo, rows=rows)
 

@@ -72,7 +72,6 @@ def _add_common(p) -> None:
     p.add_argument("--out", type=str, help="output file path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="output format")
     p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
-    p.add_argument("--threads", type=int, help="worker threads (results identical)")
 
 
 def _add_sweep_overrides(p) -> None:
@@ -205,11 +204,10 @@ def _run_diagnose(args, config) -> int:
 
 def _dispatch(args) -> int:
     config = _build_config(args)
-    threads = getattr(args, "threads", None)
     command = args.command
     if command in ("table1", "table2", "table3", "table4"):
         runner = getattr(bench, f"run_{command}")
-        _emit(runner(config, threads=threads), config)
+        _emit(runner(config), config)
         return 0
     if command == "simulate-lfr":
         _emit(bench.run_lfr_sim(config), config)

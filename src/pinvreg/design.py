@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import StabilityError
 from .jacobi import JacobiBasis, JacobiParams
 from .sampling import SampleSet, cdf_transform, derive_seed, sample_beta_on_I
 
@@ -17,6 +16,7 @@ __all__ = [
     "McSummary",
     "build_design",
     "spectral_report",
+    "least_squares",
     "theory_bounds",
     "mc_condition_number",
 ]
@@ -57,8 +57,7 @@ def build_design(basis: JacobiBasis, samples) -> DesignMatrix:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    eigenvalues: np.ndarray
-    gershgorin: list          # (center, radius) per row
+    eigenvalues: np.ndarray   # ascending
     tolerance: float
     near_singular: bool
 
@@ -77,27 +76,35 @@ class SpectralReport:
         return self.lambda_max / self.lambda_min
 
 
+def _report(eigenvalues: np.ndarray, tolerance: float | None = None) -> SpectralReport:
+    # the one place that decides the rule lambda_min <= 1e-12 lambda_max
+    if tolerance is None:
+        tolerance = 1e-12 * max(float(eigenvalues[-1]), 0.0)
+    return SpectralReport(eigenvalues, tolerance, bool(eigenvalues[0] <= tolerance))
+
+
 def spectral_report(A: np.ndarray, tolerance: float | None = None) -> SpectralReport:
-    """Eigenvalues, Gershgorin discs, and a near-singularity verdict for symmetric A."""
+    """Eigenvalues and a near-singularity verdict for symmetric A."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
     if asym > 1e-8:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    A = 0.5 * (A + A.T)
-    eigenvalues = np.linalg.eigvalsh(A)
-    centers = np.diag(A)
-    radii = np.sum(np.abs(A), axis=1) - np.abs(centers)
-    if tolerance is None:
-        tolerance = 1e-12 * max(float(eigenvalues[-1]), 0.0)
-    near_singular = bool(eigenvalues[0] <= tolerance)
-    return SpectralReport(
-        eigenvalues=eigenvalues,
-        gershgorin=list(zip(centers.tolist(), radii.tolist())),
-        tolerance=tolerance,
-        near_singular=near_singular,
-    )
+    return _report(np.linalg.eigvalsh(0.5 * (A + A.T)), tolerance)
+
+
+def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Coefficients of min ||matrix c - rhs|| and the spectral report of the
+    Gram matrix' matrix (eigenvalues s^2), from one LAPACK gelsd (SVD) call.
+
+    Callers raise on report.near_singular. Its cutoff s_min^2 <= 1e-12 s_max^2
+    sits far above gelsd's rank cutoff (about eps max(m, n) s_max), so gelsd's
+    silent truncation never decides an accepted solution."""
+    coeffs, _, _, s = np.linalg.lstsq(matrix, rhs, rcond=None)
+    # a wide matrix has fewer singular values than columns; the rest are zero
+    eigenvalues = np.pad(s[::-1] ** 2, (matrix.shape[1] - len(s), 0))
+    return coeffs, _report(eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -242,12 +249,3 @@ def mc_condition_number(
         seed=derive_seed(master_seed, f"mc-{tag}"),
     )
 
-
-def fit_gram_or_raise(design: DesignMatrix) -> SpectralReport:
-    """Spectral report of the design Gram; StabilityError when near singular."""
-    report = spectral_report(design.gram())
-    if report.near_singular:
-        raise StabilityError(
-            f"near-singular Gram (lambda_min={report.lambda_min:.3e})", report=report
-        )
-    return report

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve
 
-from .design import spectral_report
+from .design import least_squares
 from .errors import SingularBlockError, ValidationError
 from .sampling import derive_rng, derive_seed
 
@@ -204,12 +203,13 @@ class LfrModel:
 
 
 def lfr_fit(problem: LfrProblem, truncation_level: float | None = None) -> LfrModel:
-    """Per-block normal-equation solve c_k = G_k^{-1} F_k' (Y^k / sqrt(n))."""
+    """Per-block least squares F_k c_k ~ Y^k / sqrt(n), one LAPACK gelsd call
+    per block; SingularBlockError when a block Gram F_k' F_k is near singular."""
     coeffs = []
     reports = []
     for k in range(problem.partition.K):
-        F, G = block_gram(problem, k)
-        report = spectral_report(G)
+        F, _ = block_gram(problem, k)
+        c, report = least_squares(F, problem.y_blocks[k] / math.sqrt(problem.n))
         if report.near_singular:
             raise SingularBlockError(
                 f"dyadic block {k} has a numerically singular Gram matrix",
@@ -217,8 +217,7 @@ def lfr_fit(problem: LfrProblem, truncation_level: float | None = None) -> LfrMo
                 report=report,
             )
         reports.append(report)
-        z = problem.y_blocks[k] / math.sqrt(problem.n)
-        coeffs.append(solve(G, F.T @ z, assume_a="sym"))
+        coeffs.append(c)
     return LfrModel(
         partition=problem.partition,
         block_coeffs=tuple(coeffs),

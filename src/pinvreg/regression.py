@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .design import DesignMatrix, build_design, fit_gram_or_raise, theory_bounds
+from .design import DesignMatrix, build_design, least_squares, theory_bounds
 from .errors import RobustFitError, StabilityError
 from .jacobi import SYMMETRIC, UNIT, JacobiBasis, JacobiParams, QuadratureRule, omega_norm
 from .sampling import SampleSet, derive_rng, derive_seed, make_noise, sample_beta_on_I
@@ -37,7 +36,7 @@ class NpregModel:
 
     coeffs: np.ndarray
     basis: JacobiBasis
-    fit_report: object = None           # SpectralReport of the design Gram
+    fit_report: object = None           # SpectralReport of the fit's design Gram
     truncation_level: float | None = None
     n_samples: int = 0
 
@@ -59,18 +58,19 @@ class NpregModel:
 
 
 def fit(design: DesignMatrix, y, truncation_level: float | None = None) -> NpregModel:
-    """Least squares B c = y/sqrt(n) by orthogonal (QR) factorization.
+    """Least squares B c = y/sqrt(n) by one LAPACK least-squares (gelsd) call.
 
     Mathematically equal to the normal-equation pseudo-inverse; raises
-    StabilityError carrying the spectral report when the Gram is near singular.
-    """
+    StabilityError carrying the spectral report (same SVD) when the Gram is
+    near singular."""
     y = np.asarray(y, dtype=float)
     if y.shape != (design.n,):
         raise ValueError(f"y has shape {y.shape}, expected ({design.n},)")
-    report = fit_gram_or_raise(design)
-    z = y / math.sqrt(design.n)
-    Q, R = np.linalg.qr(design.matrix)
-    coeffs = solve_triangular(R, Q.T @ z)
+    coeffs, report = least_squares(design.matrix, y / math.sqrt(design.n))
+    if report.near_singular:
+        raise StabilityError(
+            f"near-singular Gram (lambda_min={report.lambda_min:.3e})", report=report
+        )
     return NpregModel(
         coeffs=coeffs,
         basis=design.basis,
@@ -107,8 +107,11 @@ def ransac_fit(
     Each iteration draws subset_size points (default ceil(0.57 * n)) without
     replacement, fits, and scores by mean squared prediction error over the
     scoring set (default: all of x, y). Near-singular iterations are skipped;
-    if every one fails a RobustFitError is raised.
+    if every one fails a RobustFitError is raised. The basis is evaluated once
+    for x and once for the scoring set; iterations slice rows of those tables.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     x = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
@@ -119,19 +122,21 @@ def ransac_fit(
             f"subset_size must be in [{basis.size}, {n}], got {subset_size}"
         )
     xs, ys = (x, y) if scoring is None else scoring
-    xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    table = basis.table(x)
+    score_table = basis.table(xs)
     best = None
     n_failed = 0
     for it in range(iterations):
         rng = derive_rng(seed, "ransac", it)
         idx = np.sort(rng.choice(n, size=subset_size, replace=False))
+        design = DesignMatrix(table[idx] / math.sqrt(subset_size), basis, x[idx])
         try:
-            model = fit_points(basis, x[idx], y[idx])
+            model = fit(design, y[idx])
         except StabilityError:
             n_failed += 1
             continue
-        score = float(np.mean((model.predict(xs) - ys) ** 2))
+        score = float(np.mean((score_table @ model.coeffs - ys) ** 2))
         if best is None or score < best[0]:
             best = (score, it, model)
     if best is None:
@@ -153,12 +158,6 @@ class FitDiagnostics:
     delta: float
     rhs_bound: float | None        # printed error budget; None when not applicable
     bound_satisfied: bool | None
-
-
-def _projection_coeffs(basis: JacobiBasis, f, rule: QuadratureRule) -> np.ndarray:
-    vals = f(rule.nodes)
-    table = basis.table(rule.nodes)
-    return table.T @ (rule.weights * vals)
 
 
 def error_report(
@@ -185,16 +184,18 @@ def error_report(
     lo, hi = (0.0, 1.0) if basis.domain == UNIT else (-1.0, 1.0)
     grid = np.linspace(lo, hi, grid_size)
 
-    fhat_nodes = model.basis.table(rule.nodes) @ model.coeffs   # untruncated
+    node_table = basis.table(rule.nodes)
+    grid_table = basis.table(grid)
+    fhat_nodes = node_table @ model.coeffs   # untruncated
     f_nodes = true_f(rule.nodes)
     omega_error = omega_norm(f_nodes - fhat_nodes, rule)
 
-    proj = _projection_coeffs(basis, true_f, rule)
-    proj_nodes = basis.table(rule.nodes) @ proj
+    proj = node_table.T @ (rule.weights * f_nodes)   # quadrature projection
+    proj_nodes = node_table @ proj
     proj_error_omega = omega_norm(f_nodes - proj_nodes, rule)
-    resid_grid = true_f(grid) - basis.table(grid) @ proj
+    resid_grid = true_f(grid) - grid_table @ proj
     proj_error_sup = float(np.max(np.abs(resid_grid)))
-    proj_sup = float(np.max(np.abs(basis.table(grid) @ proj)))
+    proj_sup = float(np.max(np.abs(grid_table @ proj)))
     proj_norm = float(np.linalg.norm(proj))
 
     eta_n = float(np.max(np.abs(noise))) if noise is not None else 0.0
@@ -273,9 +274,11 @@ def l2_risk_mc(
         raise ValueError("target exceeds the clamp level M; risk bound needs |f| <= M")
     rule = basis.quadrature(degree_max + 12)
     f_nodes = true_f(rule.nodes)
+    grid_table = basis.table(grid)
+    node_table = basis.table(rule.nodes)
 
-    proj = _projection_coeffs(basis, true_f, rule)
-    proj_error_omega = omega_norm(f_nodes - basis.table(rule.nodes) @ proj, rule)
+    proj = node_table.T @ (rule.weights * f_nodes)   # quadrature projection
+    proj_error_omega = omega_norm(f_nodes - node_table @ proj, rule)
 
     bounds = theory_bounds(params, n, degree_max, chebyshev_sharp=chebyshev_sharp)
     gamma = params.gamma_ab
@@ -301,13 +304,13 @@ def l2_risk_mc(
         except StabilityError:
             n_singular += 1
             continue
-        raw_grid = basis.table(grid) @ model.coeffs
+        raw_grid = grid_table @ model.coeffs
         clamped_grid = np.clip(raw_grid, -M, M)
         contraction_ok &= bool(
             np.all(np.abs(f_grid - clamped_grid) <= np.abs(f_grid - raw_grid) + 1e-12)
         )
         level_ok &= bool(np.max(np.abs(clamped_grid)) <= M + 1e-12)
-        raw_nodes = basis.table(rule.nodes) @ model.coeffs
+        raw_nodes = node_table @ model.coeffs
         clamped_nodes = np.clip(raw_nodes, -M, M)
         risks.append(omega_norm(f_nodes - clamped_nodes, rule) ** 2)
     risks = np.sort(np.array(risks))

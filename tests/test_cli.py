@@ -1,5 +1,5 @@
 """End-to-end tests of the command line interface: exit codes, output files,
-error stream formatting, and cross-thread determinism."""
+error stream formatting, and rerun determinism."""
 
 import csv
 import datetime
@@ -89,11 +89,11 @@ class TestBenchmarkCommands:
         assert code == 0
         assert "cumulative_kappa" in capsys.readouterr().out
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
+    def test_rerun_does_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["table1", "--trials", "2", "--seed", "9"]
         assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--threads", "3", "--out", str(b)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -217,6 +217,33 @@ class TestErrorPaths:
         assert main(["table1", "--badflag", "3"]) == 1
         doc = json.loads(capsys.readouterr().err)
         assert "badflag" in doc["message"]
+
+    def test_threads_flag_is_gone(self, capsys):
+        assert main(["table1", "--threads", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "\n" not in err.strip()
+        doc = json.loads(err)
+        assert doc["error"] == "ValidationError"
+        assert "--threads" in doc["message"]
+
+    @pytest.mark.parametrize("bad", [{"trials": "5"}, {"N": 2.5}, {"seed": 1.5}])
+    def test_wrong_config_type_exits_one(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        assert main(["table4", "--config", str(cfg)]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ValidationError"
+        assert f"{next(iter(bad))} must be integral" in doc["message"]
+
+    @pytest.mark.parametrize("iterations", ["0", "-2"])
+    def test_nonpositive_ransac_iterations_exits_one(self, series_csv, capsys,
+                                                     iterations):
+        code = main(["fit-series", "--csv", str(series_csv), "--n", "30",
+                     "--N", "4", "--ransac-iterations", iterations])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ValueError"
+        assert "iterations" in doc["message"]
 
     def test_missing_subcommand_exits_one(self, capsys):
         assert main([]) == 1

@@ -8,12 +8,11 @@ from numpy.testing import assert_allclose
 
 from pinvreg.design import (
     build_design,
-    fit_gram_or_raise,
+    least_squares,
     mc_condition_number,
     spectral_report,
     theory_bounds,
 )
-from pinvreg.errors import StabilityError
 from pinvreg.jacobi import JacobiBasis, JacobiParams
 from pinvreg.sampling import sample_beta_on_I
 
@@ -57,7 +56,6 @@ class TestSpectralReport:
         r = spectral_report(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert_allclose(r.eigenvalues, [1.0, 3.0], rtol=1e-14)
         assert_allclose(r.kappa2, 3.0, rtol=1e-14)
-        assert r.gershgorin == [(2.0, 1.0), (2.0, 1.0)]
         assert not r.near_singular
 
     def test_singular_matrix_flagged(self):
@@ -174,18 +172,24 @@ class TestMcConditionNumber:
                                 transform="cauchy")
 
 
-class TestFitGramOrRaise:
-    def test_healthy_design_passes(self):
-        params = JacobiParams(-0.5, -0.5)
-        basis = JacobiBasis(params, 3)
-        s = sample_beta_on_I(params, 60, seed=4)
-        report = fit_gram_or_raise(build_design(basis, s))
+class TestLeastSquares:
+    def test_report_matches_gram_spectrum(self):
+        params = JacobiParams(0.0, 0.5)
+        basis = JacobiBasis(params, 6)
+        design = build_design(basis, sample_beta_on_I(params, 50, seed=4))
+        y = np.cos(design.points)
+        coeffs, report = least_squares(design.matrix, y)
+        direct = spectral_report(design.gram())
+        assert_allclose(report.eigenvalues, direct.eigenvalues, rtol=1e-12)
+        assert_allclose(report.kappa2, direct.kappa2, rtol=1e-12)
+        assert report.tolerance == pytest.approx(direct.tolerance, rel=1e-12)
         assert not report.near_singular
-        assert report.kappa2 < 50
+        assert_allclose(coeffs, np.linalg.pinv(design.matrix) @ y, rtol=1e-12, atol=1e-13)
 
-    def test_rank_deficient_design_raises(self):
-        # three identical points cannot support three basis columns
-        basis = JacobiBasis(JacobiParams(0.0, 0.0), 2)
-        design = build_design(basis, np.array([0.1, 0.1, 0.1]))
-        with pytest.raises(StabilityError, match="near-singular"):
-            fit_gram_or_raise(design)
+    def test_wide_matrix_is_near_singular(self):
+        # two rows cannot determine three columns: the missing singular
+        # value counts as a zero Gram eigenvalue
+        coeffs, report = least_squares(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]),
+                                       np.ones(2))
+        assert report.eigenvalues.shape == (3,) and report.eigenvalues[0] == 0.0
+        assert report.near_singular and report.kappa2 == math.inf

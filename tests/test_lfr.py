@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pinvreg.design import spectral_report
 from pinvreg.errors import SingularBlockError, ValidationError
 from pinvreg.lfr import (
     EXAMPLE3,
@@ -173,12 +174,19 @@ class TestLfrFit:
         assert_allclose(model.coeffs, p.true_coeffs, rtol=0, atol=1e-10)
 
     def test_matches_dense_solve_oracle(self):
+        # per-block normal equations and Gram spectra as the reference
         p = simulate_problem(60, 12, 1.0, 0.4, seed=8)
         model = lfr_fit(p)
+        kappas = []
         for k, sl in enumerate(p.partition.slices()):
             F, G = block_gram(p, k)
             oracle = np.linalg.solve(G, F.T @ (p.y_blocks[k] / math.sqrt(60)))
             assert_allclose(model.block_coeffs[k], oracle, rtol=1e-8, atol=1e-12)
+            report = spectral_report(G)
+            assert_allclose(model.block_reports[k].eigenvalues, report.eigenvalues,
+                            rtol=1e-10)
+            kappas.append(report.kappa2)
+        assert_allclose(model.cumulative_kappa, sum(kappas), rtol=1e-10)
 
     def test_cumulative_kappa_sums_blocks(self):
         p = simulate_problem(60, 12, 1.0, 0.4, seed=8)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pinvreg.design import build_design, spectral_report
+from pinvreg.design import DesignMatrix, build_design, spectral_report
 from pinvreg.errors import RobustFitError, StabilityError
 from pinvreg.jacobi import JacobiBasis, JacobiParams, omega_norm
 from pinvreg.regression import (
@@ -22,7 +22,7 @@ from pinvreg.regression import (
     save_model,
     weierstrass,
 )
-from pinvreg.sampling import make_noise, sample_beta_on_I
+from pinvreg.sampling import derive_rng, make_noise, sample_beta_on_I
 
 PARAMS = JacobiParams(-0.5, -0.5)
 
@@ -33,7 +33,7 @@ def poly(x):
 
 class TestFit:
     def test_matches_normal_equations(self):
-        # QR solution against the explicit pseudo-inverse oracle
+        # least-squares solution against the explicit pseudo-inverse oracle
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 80, seed=1)
         y = np.sin(2 * s.points)
@@ -62,6 +62,38 @@ class TestFit:
         design = build_design(basis, np.full(5, 0.3))
         with pytest.raises(StabilityError):
             fit(design, np.zeros(5))
+
+    def test_healthy_design_passes(self):
+        basis = JacobiBasis(PARAMS, 3)
+        s = sample_beta_on_I(PARAMS, 60, seed=4)
+        model = fit(build_design(basis, s), np.cos(s.points))
+        assert not model.fit_report.near_singular
+        assert model.kappa2 < 50
+
+    def test_rank_deficient_design_raises(self):
+        # three identical points cannot support three basis columns
+        basis = JacobiBasis(JacobiParams(0.0, 0.0), 2)
+        design = build_design(basis, np.array([0.1, 0.1, 0.1]))
+        with pytest.raises(StabilityError, match="near-singular") as exc:
+            fit(design, np.zeros(3))
+        assert exc.value.report.near_singular
+        assert exc.value.report.kappa2 == math.inf
+
+    def test_ill_conditioned_accepted_design_is_not_truncated(self):
+        # s_min / s_max = 1e-5 passes the 1e-12 eigenvalue rule; a solver
+        # that dropped that direction would miss the oracle by O(1)
+        rng = np.random.default_rng(12)
+        U, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+        V, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        B = U @ np.diag(np.logspace(0, -5, 5)) @ V.T
+        basis = JacobiBasis(PARAMS, 4)
+        design = DesignMatrix(matrix=B, basis=basis, points=np.zeros(40))
+        y = B @ rng.standard_normal(5) * math.sqrt(40) + 1e-3 * rng.standard_normal(40)
+        model = fit(design, y)
+        assert not model.fit_report.near_singular
+        assert model.kappa2 == pytest.approx(1e10, rel=1e-6)
+        oracle = np.linalg.solve(B.T @ B, B.T @ (y / math.sqrt(40)))
+        assert np.linalg.norm(model.coeffs - oracle) < 1e-4 * np.linalg.norm(oracle)
 
     def test_predict_clamps_at_truncation_level(self):
         basis = JacobiBasis(PARAMS, 4)
@@ -176,6 +208,53 @@ class TestRansac:
         x = np.full(10, 0.4)
         with pytest.raises(RobustFitError, match="near singular"):
             ransac_fit(x, np.zeros(10), basis, iterations=4, subset_size=5, seed=2)
+
+    def test_iterations_must_be_positive(self):
+        basis = JacobiBasis(PARAMS, 2)
+        x = np.linspace(-0.9, 0.9, 20)
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="iterations"):
+                ransac_fit(x, x, basis, iterations=bad)
+
+    def test_evaluates_basis_twice_per_call(self, monkeypatch):
+        calls = []
+        table = JacobiBasis.table
+
+        def counting(self, x):
+            calls.append(len(x))
+            return table(self, x)
+
+        monkeypatch.setattr(JacobiBasis, "table", counting)
+        basis = JacobiBasis(PARAMS, 3)
+        s = sample_beta_on_I(PARAMS, 60, seed=8)
+        xs = np.linspace(-0.95, 0.95, 90)
+        for iterations in (1, 12):
+            calls.clear()
+            ransac_fit(s, np.sin(3 * s.points), basis, iterations=iterations,
+                       seed=13, scoring=(xs, np.sin(3 * xs)))
+            assert calls == [60, 90]
+
+    def test_matches_per_iteration_fit_loop(self):
+        # reference: refit each subsample from its own table and score by predict
+        basis = JacobiBasis(PARAMS, 3)
+        s = sample_beta_on_I(PARAMS, 60, seed=8)
+        y = np.sin(3 * s.points)
+        y[:3] += 5.0
+        xs = np.linspace(-0.95, 0.95, 90)
+        ys = np.sin(3 * xs)
+        best = None
+        for it in range(9):
+            rng = derive_rng(21, "ransac", it)
+            idx = np.sort(rng.choice(60, size=math.ceil(0.57 * 60), replace=False))
+            model = fit_points(basis, s.points[idx], y[idx])
+            score = float(np.mean((model.predict(xs) - ys) ** 2))
+            if best is None or score < best[0]:
+                best = (score, it, model)
+        r = ransac_fit(s, y, basis, iterations=9, seed=21, scoring=(xs, ys))
+        assert (r.score, r.iteration, r.n_failed) == (best[0], best[1], 0)
+        np.testing.assert_array_equal(r.model.coeffs, best[2].coeffs)
+        np.testing.assert_array_equal(r.model.fit_report.eigenvalues,
+                                      best[2].fit_report.eigenvalues)
 
     def test_external_scoring_set(self):
         basis = JacobiBasis(PARAMS, 2)

@@ -26,12 +26,12 @@ def main():
         mse_poly, mse_krr = [], []
         for t in range(10):
             samples = sample_beta_on_I(params, n, derive_seed(SEED, "x", t))
-            y = weierstrass(s, samples.points) + make_noise(
+            y = weierstrass(s, samples) + make_noise(
                 n, sigma, seed=derive_seed(SEED, "e", t))
             model = fit(build_design(basis, samples), y)
             mse_poly.append(
                 omega_norm(f_nodes - basis.table(rule.nodes) @ model.coeffs, rule) ** 2)
-            cv = cross_validate(samples.points, y, bandwidth=float(N),
+            cv = cross_validate(samples, y, bandwidth=float(N),
                                 seed=derive_seed(SEED, "cv", t))
             mse_krr.append(
                 omega_norm(f_nodes - cv.model.predict(rule.nodes), rule) ** 2)

@@ -21,11 +21,11 @@ SEED = 0
 def main():
     cheb = JacobiParams(-0.5, -0.5)
     samples = sample_beta_on_I(cheb, 200_000, SEED)
-    print(f"arcsine draws on [-1, 1]: mean {np.mean(samples.points):+.4f} "
-          f"(theory 0), var {np.var(samples.points):.4f} (theory 0.5)")
+    print(f"arcsine draws on [-1, 1]: mean {np.mean(samples):+.4f} "
+          f"(theory 0), var {np.var(samples):.4f} (theory 0.5)")
 
     skew = JacobiParams(0.0, 0.5)
-    pts = sample_beta_on_I(skew, 200_000, SEED).points
+    pts = sample_beta_on_I(skew, 200_000, SEED)
     target = 2.0 * (skew.beta + 1.0) / (skew.alpha + skew.beta + 2.0) - 1.0
     print(f"skewed weight (0, 1/2):   mean {np.mean(pts):+.4f} "
           f"(theory {target:+.4f})")
@@ -37,7 +37,7 @@ def main():
 
     print("\nnormal draws -> arcsine law through the exact CDF map:")
     z = np.random.default_rng(SEED).standard_normal(100_000)
-    u = (cdf_transform(z, ndtr, cheb).points + 1.0) / 2.0
+    u = (cdf_transform(z, ndtr, cheb) + 1.0) / 2.0
     ks = kstest(u, lambda t: 2.0 / np.pi * np.arcsin(np.sqrt(t))).statistic
     print(f"  Kolmogorov distance to the arcsine CDF: {ks:.5f} "
           f"(threshold at n=1e5: {1.36 / np.sqrt(len(z)):.5f})")

@@ -67,7 +67,6 @@ from .regression import (
 )
 from .sampling import (
     EmpiricalCdf,
-    SampleSet,
     arcsine_quantile,
     cdf_transform,
     derive_rng,
@@ -93,7 +92,6 @@ __all__ = [
     "omega_norm",
     "uniform_bound",
     # sampling
-    "SampleSet",
     "EmpiricalCdf",
     "derive_seed",
     "derive_rng",

@@ -128,17 +128,21 @@ class ExperimentConfig:
             if value is None and name != "seed":
                 continue
             kind = numbers.Integral if name in _INT_KEYS else numbers.Real
-            # bool is an int subclass, so it is rejected by name
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if not _is_a(value, kind):
                 raise ValidationError(f"{name} must be {kind.__name__.lower()}: {value!r}")
             if not -math.inf < value < math.inf:   # no float() overflow on huge ints
                 raise ValidationError(f"{name} must be finite, got {value}")
         if self.trials is not None and self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.lambda_grid is not None:
-            self.lambda_grid = [float(v) for v in self.lambda_grid]
-            if not all(0 < v < math.inf for v in self.lambda_grid):
+            grid = self.lambda_grid
+            if not isinstance(grid, (list, tuple)) or not all(
+                _is_a(v, numbers.Real) for v in grid
+            ):
+                raise ValidationError(f"lambda_grid must be a list of reals: {grid!r}")
+            if not all(0 < v < math.inf for v in grid):
                 raise ValidationError("lambda_grid entries must be finite and > 0")
+            self.lambda_grid = [float(v) for v in grid]
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -153,13 +157,10 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def merged(self, overrides: dict) -> "ExperimentConfig":
-        """New config with non-None override values replacing current ones."""
-        d = self.to_dict()
-        for key, value in overrides.items():
-            if value is not None:
-                d[key] = value
-        return ExperimentConfig.from_dict(d)
+
+def _is_a(value, kind) -> bool:
+    # bool is an int subclass, so it is rejected by name
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -370,7 +371,7 @@ def run_table3(config: ExperimentConfig) -> ExperimentResult:
         for t in range(trials):
             samples = sample_beta_on_I(params, n, derive_seed(master, *labels, t, "x"))
             eps = make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
-            y = f(samples.points) + eps
+            y = f(samples) + eps
             try:
                 model = fit(build_design(basis, samples), y)
             except StabilityError:
@@ -379,7 +380,7 @@ def run_table3(config: ExperimentConfig) -> ExperimentResult:
             fhat_nodes = node_table @ model.coeffs
             mse_np.append(omega_norm(f_nodes - fhat_nodes, rule) ** 2)
             cv = cross_validate(
-                samples.points, y, grid=grid, bandwidth=c,
+                samples, y, grid=grid, bandwidth=c,
                 seed=derive_seed(master, *labels, t, "cv"),
             )
             mse_kr.append(omega_norm(f_nodes - cv.model.predict(rule.nodes), rule) ** 2)
@@ -546,18 +547,18 @@ def timing_comparison(
     params = JacobiParams(-0.5, -0.5)
     basis = JacobiBasis(params, degree_max)
     samples = sample_beta_on_I(params, n, seed)
-    y = weierstrass(2.0, samples.points) + make_noise(
+    y = weierstrass(2.0, samples) + make_noise(
         n, 0.1, seed=derive_seed(seed, "timing")
     )
     design = build_design(basis, samples)
     fit(design, y)                                   # warm both paths
-    krr_fit(samples.points, y, ridge, bandwidth)
+    krr_fit(samples, y, ridge, bandwidth)
     t0 = time.perf_counter()
     for _ in range(repeats):
         fit(design, y)
     npreg_seconds = (time.perf_counter() - t0) / repeats
     t0 = time.perf_counter()
     for _ in range(repeats):
-        krr_fit(samples.points, y, ridge, bandwidth)
+        krr_fit(samples, y, ridge, bandwidth)
     krr_seconds = (time.perf_counter() - t0) / repeats
     return {"npreg_seconds": npreg_seconds, "krr_seconds": krr_seconds}

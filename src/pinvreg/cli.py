@@ -7,8 +7,8 @@ failure; errors print one JSON line on stderr.
 """
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -30,30 +30,6 @@ _EXPERIMENT_OF = {
     "simulate-lfr": "custom",
     "diagnose": "custom",
 }
-
-# argparse dest -> config key, for flags that feed ExperimentConfig
-_CONFIG_KEYS = (
-    "seed",
-    "out",
-    "format",
-    "trials",
-    "alpha",
-    "beta",
-    "N",
-    "n",
-    "s",
-    "sigma",
-    "bandwidth",
-    "variant",
-    "truncation",
-    "ransac_iterations",
-    "ransac_subset",
-    "csv",
-    "location",
-    "start",
-    "end",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """Raises instead of exiting so the CLI controls exit codes."""
@@ -143,10 +119,11 @@ def _load_config_file(path: str) -> dict:
 def _build_config(args) -> bench.ExperimentConfig:
     base = _load_config_file(args.config) if getattr(args, "config", None) else {}
     base["experiment"] = _EXPERIMENT_OF[args.command]   # subcommand wins
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+    # every flag that feeds the config has the config key as its dest
+    for field in dataclasses.fields(bench.ExperimentConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            base[key] = value
+            base[field.name] = value
     return bench.ExperimentConfig.from_dict(base)
 
 
@@ -157,10 +134,6 @@ def _emit(result: bench.ExperimentResult, config) -> None:
         print(f"wrote {config.out} ({len(result.rows)} rows)")
     else:
         sys.stdout.write(result.render(fmt))
-
-
-def _finite_or_repr(value: float):
-    return value if math.isfinite(value) else repr(value)
 
 
 def _run_diagnose(args, config) -> int:
@@ -177,19 +150,19 @@ def _run_diagnose(args, config) -> int:
         "N": N,
         "n": n,
         "seed": config.seed,
-        "lambda_min": _finite_or_repr(report.lambda_min),
-        "lambda_max": _finite_or_repr(report.lambda_max),
-        "kappa2": _finite_or_repr(report.kappa2),
+        "lambda_min": report.lambda_min,
+        "lambda_max": report.lambda_max,
+        "kappa2": report.kappa2,
     }
     if N >= 2:
         tb = theory_bounds(params, n, N)
         payload["condition1_satisfied"] = tb.condition1_ok
         payload["L_N"] = tb.L_N
-        payload["kappa_bound_delta=0.1"] = _finite_or_repr(tb.kappa_bound(0.1))
+        payload["kappa_bound_delta=0.1"] = tb.kappa_bound(0.1)
     else:
         payload["condition1_satisfied"] = None
     text = (
-        json.dumps(payload, sort_keys=True)
+        json.dumps(bench._jsonable(payload), sort_keys=True, allow_nan=False)
         if config.format == "json"
         else "\n".join(f"{k}={v}" for k, v in payload.items())
     )

@@ -1,13 +1,13 @@
 """Random design matrices, their Gram spectra, and printed stability bounds."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .jacobi import JacobiBasis, JacobiParams
-from .sampling import SampleSet, cdf_transform, derive_seed, sample_beta_on_I
+from .jacobi import JacobiBasis, JacobiParams, eta_ab
+from .sampling import cdf_transform, derive_seed, sample_beta_on_I
 
 __all__ = [
     "DesignMatrix",
@@ -30,7 +30,6 @@ class DesignMatrix:
 
     matrix: np.ndarray
     basis: JacobiBasis
-    points: np.ndarray
 
     @property
     def n(self) -> int:
@@ -45,14 +44,14 @@ class DesignMatrix:
 
 
 def build_design(basis: JacobiBasis, samples) -> DesignMatrix:
-    points = samples.points if isinstance(samples, SampleSet) else np.asarray(samples, float)
+    points = np.asarray(samples, dtype=float)
     n = len(points)
     if n < basis.size:
         raise ValueError(
             f"underdetermined system: n={n} rows for {basis.size} basis columns"
         )
     matrix = basis.table(points) / math.sqrt(n)
-    return DesignMatrix(matrix=matrix, basis=basis, points=points)
+    return DesignMatrix(matrix=matrix, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -153,13 +152,10 @@ def theory_bounds(
         raise ValueError(f"bounds need degree_max >= 2, got {degree_max}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    a, b = params.alpha, params.beta
     mu = params.mu
-    eta = math.exp(2.0 * max(mu, 0.0) / 12.0 + max(mu * mu + a * b, 0.0) / 8.0) / (
-        2.0 ** ((a + b) / 2.0) * math.gamma(mu + 1.0)
-    )
+    eta = eta_ab(params)
     m_sq_generic = (1.0 + 0.5 * math.sqrt(params.c_ab / 2.0)) / (mu + 1.5) * eta * eta
-    is_chebyshev = a == -0.5 and b == -0.5
+    is_chebyshev = params.alpha == -0.5 and params.beta == -0.5
     m_sq_sharp = CHEBYSHEV_SHARP_M_SQ if is_chebyshev else None
     if chebyshev_sharp and not is_chebyshev:
         raise ValueError("sharp constant applies only to alpha = beta = -1/2")
@@ -186,14 +182,8 @@ def theory_bounds(
 class McSummary:
     """Per-trial Gram condition numbers of repeated random designs, sorted."""
 
-    params: JacobiParams
-    n: int
-    degree_max: int
-    trials: int
-    sampling: str
     kappas: np.ndarray        # finite trials only, ascending
     n_singular: int
-    seed: tuple = field(default=())
 
     @property
     def mean_kappa2(self) -> float:
@@ -238,14 +228,5 @@ def mc_condition_number(
             n_singular += 1
             continue
         kappas.append(report.kappa2)
-    return McSummary(
-        params=params,
-        n=n,
-        degree_max=degree_max,
-        trials=trials,
-        sampling=tag,
-        kappas=np.sort(np.array(kappas)),
-        n_singular=n_singular,
-        seed=derive_seed(master_seed, f"mc-{tag}"),
-    )
+    return McSummary(kappas=np.sort(np.array(kappas)), n_singular=n_singular)
 

@@ -26,6 +26,7 @@ __all__ = [
     "norm_constant",
     "norm_constants",
     "omega_weight",
+    "eta_ab",
     "uniform_bound",
     "gauss_jacobi_rule",
     "omega_norm",
@@ -190,6 +191,15 @@ class JacobiBasis:
         return omega_weight(self.params, x)
 
 
+def eta_ab(params: JacobiParams) -> float:
+    """Printed constant eta_{a,b} of the sup-norm majorant."""
+    a, b = params.alpha, params.beta
+    mu = params.mu
+    return math.exp(2.0 * max(mu, 0.0) / 12.0 + max(mu * mu + a * b, 0.0) / 8.0) / (
+        2.0 ** ((a + b) / 2.0) * math.gamma(mu + 1.0)
+    )
+
+
 def uniform_bound(params: JacobiParams, k: int) -> float:
     """Printed sup-norm majorant eta_{a,b} * k^mu * sqrt(k + c_ab) for degree k >= 2.
 
@@ -198,12 +208,7 @@ def uniform_bound(params: JacobiParams, k: int) -> float:
     """
     if k < 2:
         raise ValueError(f"uniform bound requires k >= 2, got {k}")
-    a, b = params.alpha, params.beta
-    mu = params.mu
-    eta = math.exp(
-        2.0 * max(mu, 0.0) / 12.0 + max(mu * mu + a * b, 0.0) / 8.0
-    ) / (2.0 ** ((a + b) / 2.0) * math.gamma(mu + 1.0))
-    return eta * k**mu * math.sqrt(k + params.c_ab)
+    return eta_ab(params) * k**params.mu * math.sqrt(k + params.c_ab)
 
 
 @dataclass(frozen=True)

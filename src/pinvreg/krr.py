@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import RegularizationError
-from .sampling import SampleSet, derive_rng
+from .sampling import derive_rng
 
 __all__ = [
     "sinc_kernel",
@@ -67,7 +67,7 @@ def _ridge_solve(K: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
 
 
 def _check_xy(x, y):
-    x = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.shape != (len(x),):
         raise ValueError(f"y has shape {y.shape}, expected ({len(x)},)")

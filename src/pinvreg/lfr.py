@@ -109,8 +109,6 @@ class LfrProblem:
     sigma_Z: float
     sigma: float                  # per-block noise sd (same for every block)
     s: float                      # decay exponent of xi
-    variant: str
-    seed: object = None
 
     @property
     def n(self) -> int:
@@ -165,8 +163,6 @@ def simulate_problem(
         sigma_Z=1.0,
         sigma=sigma,
         s=s,
-        variant=variant,
-        seed=seed,
     )
 
 

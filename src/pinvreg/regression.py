@@ -10,7 +10,7 @@ import numpy as np
 from .design import DesignMatrix, build_design, least_squares, theory_bounds
 from .errors import RobustFitError, StabilityError
 from .jacobi import SYMMETRIC, UNIT, JacobiBasis, JacobiParams, QuadratureRule, omega_norm
-from .sampling import SampleSet, derive_rng, derive_seed, make_noise, sample_beta_on_I
+from .sampling import derive_rng, derive_seed, make_noise, sample_beta_on_I
 
 __all__ = [
     "NpregModel",
@@ -112,7 +112,7 @@ def ransac_fit(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    x = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
     if subset_size is None:
@@ -130,7 +130,7 @@ def ransac_fit(
     for it in range(iterations):
         rng = derive_rng(seed, "ransac", it)
         idx = np.sort(rng.choice(n, size=subset_size, replace=False))
-        design = DesignMatrix(table[idx] / math.sqrt(subset_size), basis, x[idx])
+        design = DesignMatrix(table[idx] / math.sqrt(subset_size), basis)
         try:
             model = fit(design, y[idx])
         except StabilityError:
@@ -300,7 +300,7 @@ def l2_risk_mc(
         samples = sample_beta_on_I(params, n, derive_seed(seed, "risk-x", t))
         eps = make_noise(n, sigma, family=noise_family, seed=derive_seed(seed, "risk-e", t))
         try:
-            model = fit(build_design(basis, samples), true_f(samples.points) + eps)
+            model = fit(build_design(basis, samples), true_f(samples) + eps)
         except StabilityError:
             n_singular += 1
             continue

@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv
@@ -11,7 +11,6 @@ from .errors import ValidationError
 from .jacobi import JacobiParams
 
 __all__ = [
-    "SampleSet",
     "EmpiricalCdf",
     "derive_seed",
     "derive_rng",
@@ -50,19 +49,7 @@ def derive_rng(master_seed, *labels) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, *labels))
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Points drawn from one sampling law, with the seed that regenerates them."""
-
-    points: np.ndarray
-    seed: tuple = field(default=())
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-
-def sample_beta_on_I(params: JacobiParams, n: int, seed=0) -> SampleSet:
+def sample_beta_on_I(params: JacobiParams, n: int, seed=0) -> np.ndarray:
     """n points on [-1, 1] with density omega_{a,b} / gamma_{a,b}.
 
     Drawn as x = 2u - 1 with u ~ Beta(beta+1, alpha+1), built from the
@@ -70,26 +57,23 @@ def sample_beta_on_I(params: JacobiParams, n: int, seed=0) -> SampleSet:
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    seed = derive_seed(seed) if isinstance(seed, int) else tuple(seed)
-    rng = np.random.default_rng(seed)
+    rng = derive_rng(seed)
     g1 = rng.gamma(params.beta + 1.0, size=n)
     g2 = rng.gamma(params.alpha + 1.0, size=n)
     u = g1 / (g1 + g2)
-    return SampleSet(points=2.0 * u - 1.0, seed=seed)
+    return 2.0 * u - 1.0
 
 
-def sample_beta_unit(params: JacobiParams, n: int, seed=0) -> SampleSet:
+def sample_beta_unit(params: JacobiParams, n: int, seed=0) -> np.ndarray:
     """Same law pushed to [0, 1]: density proportional to x^beta (1-x)^alpha."""
-    s = sample_beta_on_I(params, n, seed)
-    return SampleSet(points=(s.points + 1.0) / 2.0, seed=s.seed)
+    return (sample_beta_on_I(params, n, seed) + 1.0) / 2.0
 
 
 def make_noise(n: int, sigma: float, family: str = "gaussian", seed=0) -> np.ndarray:
     """Centered i.i.d. noise with standard deviation sigma."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    seed = derive_seed(seed) if isinstance(seed, int) else tuple(seed)
-    rng = np.random.default_rng(seed)
+    rng = derive_rng(seed)
     if family == "gaussian":
         return sigma * rng.standard_normal(n)
     if family == "uniform":
@@ -146,7 +130,7 @@ class EmpiricalCdf:
         return np.searchsorted(self.samples, x, side="right") / n
 
 
-def cdf_transform(points, cdf, params: JacobiParams, to_symmetric: bool = True) -> SampleSet:
+def cdf_transform(points, cdf, params: JacobiParams, to_symmetric: bool = True) -> np.ndarray:
     """Map arbitrary-law samples to the Beta(alpha+1, beta+1) law.
 
     Evaluates u = cdf(x), validates it is a monotone map into [0, 1], then
@@ -154,10 +138,7 @@ def cdf_transform(points, cdf, params: JacobiParams, to_symmetric: bool = True) 
     by 2*tau - 1 when to_symmetric is set (the default, matching the symmetric
     basis).
     """
-    if isinstance(points, SampleSet):
-        raw, seed = points.points, points.seed
-    else:
-        raw, seed = np.asarray(points, dtype=float), ()
+    raw = np.asarray(points, dtype=float)
     u = np.asarray(cdf(raw), dtype=float)
     if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
         raise ValidationError("cdf values escape [0, 1]")
@@ -165,5 +146,4 @@ def cdf_transform(points, cdf, params: JacobiParams, to_symmetric: bool = True) 
     if np.any(np.diff(u[order]) < -1e-12):
         raise ValidationError("non-monotone cdf detected")
     tau = inverse_beta_cdf(params, np.clip(u, 0.0, 1.0))
-    pts = 2.0 * tau - 1.0 if to_symmetric else tau
-    return SampleSet(points=pts, seed=seed)
+    return 2.0 * tau - 1.0 if to_symmetric else tau

@@ -175,9 +175,8 @@ def fit_series(
         raise ValidationError(f"insufficient data: series has m={m} days < n={n}")
     params = JacobiParams(alpha, alpha if beta is None else beta)
     basis = JacobiBasis(params, degree_max, domain=UNIT)
-    samples = sample_beta_unit(params, n, seed)
-    days = np.clip(np.ceil(m * samples.points), 1, m).astype(int)
-    x = samples.points
+    x = sample_beta_unit(params, n, seed)
+    days = np.clip(np.ceil(m * x), 1, m).astype(int)
     y = dataset.values[days - 1]
     grid = dataset.day_grid()
     result = ransac_fit(

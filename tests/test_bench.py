@@ -79,20 +79,11 @@ class TestExperimentConfig:
         ("ransac_iterations", "10"), ("ransac_subset", 3.0),
         ("alpha", "0.5"), ("beta", False), ("s", True), ("sigma", [0.1]),
         ("truncation", "1"), ("bandwidth", "10"),
+        ("lambda_grid", 5), ("lambda_grid", ["1e-3", "0.1"]), ("lambda_grid", [True, 0.1]),
     ])
     def test_rejects_wrong_types(self, key, bad):
         with pytest.raises(ValidationError, match=f"{key} must be"):
             ExperimentConfig.from_dict({"experiment": "table3", key: bad})
-
-    def test_merged_skips_none(self):
-        cfg = ExperimentConfig(experiment="table1", N=5, seed=3)
-        out = cfg.merged({"N": 10, "n": None, "trials": 2})
-        assert out.N == 10 and out.n is None and out.trials == 2 and out.seed == 3
-
-    def test_merged_validates(self):
-        cfg = ExperimentConfig(experiment="table1")
-        with pytest.raises(ValidationError, match="format"):
-            cfg.merged({"format": "xml"})
 
 
 class TestExperimentResult:

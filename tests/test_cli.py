@@ -235,6 +235,21 @@ class TestErrorPaths:
         assert doc["error"] == "ValidationError"
         assert f"{next(iter(bad))} must be integral" in doc["message"]
 
+    @pytest.mark.parametrize("grid", [5, ["1e-3", "0.1"], [True, 0.1]])
+    def test_wrong_lambda_grid_type_exits_one(self, tmp_path, capsys, grid):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_grid": grid}))
+        code = main(["table3", "--trials", "1", "--N", "10", "--s", "1.0",
+                     "--sigma", "0.1", "--config", str(cfg)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "ValidationError"
+        assert "lambda_grid must be" in doc["message"]
+
     @pytest.mark.parametrize("iterations", ["0", "-2"])
     def test_nonpositive_ransac_iterations_exits_one(self, series_csv, capsys,
                                                      iterations):

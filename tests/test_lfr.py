@@ -205,7 +205,7 @@ class TestLfrFit:
         broken = LfrProblem(
             xi=base.xi, true_coeffs=base.true_coeffs, Z=Z,
             y_blocks=tuple(y_blocks), partition=base.partition,
-            sigma_Z=1.0, sigma=0.0, s=1.0, variant=EXAMPLE3,
+            sigma_Z=1.0, sigma=0.0, s=1.0,
         )
         with pytest.raises(SingularBlockError, match="block 1") as err:
             lfr_fit(broken)

@@ -36,7 +36,7 @@ class TestFit:
         # least-squares solution against the explicit pseudo-inverse oracle
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 80, seed=1)
-        y = np.sin(2 * s.points)
+        y = np.sin(2 * s)
         design = build_design(basis, s)
         model = fit(design, y)
         B = design.matrix
@@ -47,7 +47,7 @@ class TestFit:
         # a degree-2 target lies in the span: zero residual up to roundoff
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 50, seed=2)
-        model = fit_points(basis, s, poly(s.points))
+        model = fit_points(basis, s, poly(s))
         grid = np.linspace(-1, 1, 101)
         assert np.max(np.abs(model.predict(grid) - poly(grid))) < 1e-12
 
@@ -66,7 +66,7 @@ class TestFit:
     def test_healthy_design_passes(self):
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 60, seed=4)
-        model = fit(build_design(basis, s), np.cos(s.points))
+        model = fit(build_design(basis, s), np.cos(s))
         assert not model.fit_report.near_singular
         assert model.kappa2 < 50
 
@@ -87,7 +87,7 @@ class TestFit:
         V, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         B = U @ np.diag(np.logspace(0, -5, 5)) @ V.T
         basis = JacobiBasis(PARAMS, 4)
-        design = DesignMatrix(matrix=B, basis=basis, points=np.zeros(40))
+        design = DesignMatrix(matrix=B, basis=basis)
         y = B @ rng.standard_normal(5) * math.sqrt(40) + 1e-3 * rng.standard_normal(40)
         model = fit(design, y)
         assert not model.fit_report.near_singular
@@ -98,7 +98,7 @@ class TestFit:
     def test_predict_clamps_at_truncation_level(self):
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 50, seed=2)
-        model = fit_points(basis, s, 3.0 * s.points, truncation_level=0.5)
+        model = fit_points(basis, s, 3.0 * s, truncation_level=0.5)
         vals = model.predict(np.linspace(-1, 1, 201))
         assert np.max(np.abs(vals)) <= 0.5
         model.truncation_level = None
@@ -107,13 +107,13 @@ class TestFit:
     def test_omega_norm_is_coefficient_norm(self):
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 40, seed=3)
-        model = fit_points(basis, s, np.cos(s.points))
+        model = fit_points(basis, s, np.cos(s))
         assert model.omega_norm() == pytest.approx(float(np.linalg.norm(model.coeffs)))
 
     def test_fit_report_attached(self):
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 40, seed=3)
-        model = fit_points(basis, s, np.cos(s.points))
+        model = fit_points(basis, s, np.cos(s))
         direct = spectral_report(build_design(basis, s).gram())
         assert model.kappa2 == pytest.approx(direct.kappa2)
 
@@ -122,7 +122,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         basis = JacobiBasis(JacobiParams(0.0, 0.5), 3)
         s = sample_beta_on_I(JacobiParams(0.0, 0.5), 40, seed=5)
-        model = fit_points(basis, s, np.exp(s.points), truncation_level=4.0)
+        model = fit_points(basis, s, np.exp(s), truncation_level=4.0)
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
@@ -137,7 +137,7 @@ class TestSerialization:
     def test_dict_defaults(self):
         basis = JacobiBasis(PARAMS, 1)
         s = sample_beta_on_I(PARAMS, 20, seed=6)
-        model = fit_points(basis, s, s.points)
+        model = fit_points(basis, s, s)
         d = model_to_dict(model)
         d.pop("truncation_level")
         d.pop("n_samples")
@@ -154,7 +154,7 @@ class TestSerialization:
     def test_save_is_strict_json(self, tmp_path):
         basis = JacobiBasis(PARAMS, 2)
         s = sample_beta_on_I(PARAMS, 20, seed=6)
-        model = fit_points(basis, s, s.points, truncation_level=math.inf)
+        model = fit_points(basis, s, s, truncation_level=math.inf)
         path = tmp_path / "model.json"
         with pytest.raises(ValueError):
             save_model(model, path)
@@ -167,7 +167,7 @@ class TestRansac:
         # clean scoring set makes that subsample win outright
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 60, seed=7)
-        y_dirty = poly(s.points)
+        y_dirty = poly(s)
         y_dirty[:2] += 25.0
         direct = fit_points(basis, s, y_dirty)
         xs = np.linspace(-0.95, 0.95, 300)
@@ -182,7 +182,7 @@ class TestRansac:
     def test_deterministic(self):
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 60, seed=8)
-        y = np.sin(3 * s.points)
+        y = np.sin(3 * s)
         a = ransac_fit(s, y, basis, iterations=5, seed=13)
         b = ransac_fit(s, y, basis, iterations=5, seed=13)
         assert a.iteration == b.iteration
@@ -230,7 +230,7 @@ class TestRansac:
         xs = np.linspace(-0.95, 0.95, 90)
         for iterations in (1, 12):
             calls.clear()
-            ransac_fit(s, np.sin(3 * s.points), basis, iterations=iterations,
+            ransac_fit(s, np.sin(3 * s), basis, iterations=iterations,
                        seed=13, scoring=(xs, np.sin(3 * xs)))
             assert calls == [60, 90]
 
@@ -238,7 +238,7 @@ class TestRansac:
         # reference: refit each subsample from its own table and score by predict
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 60, seed=8)
-        y = np.sin(3 * s.points)
+        y = np.sin(3 * s)
         y[:3] += 5.0
         xs = np.linspace(-0.95, 0.95, 90)
         ys = np.sin(3 * xs)
@@ -246,7 +246,7 @@ class TestRansac:
         for it in range(9):
             rng = derive_rng(21, "ransac", it)
             idx = np.sort(rng.choice(60, size=math.ceil(0.57 * 60), replace=False))
-            model = fit_points(basis, s.points[idx], y[idx])
+            model = fit_points(basis, s[idx], y[idx])
             score = float(np.mean((model.predict(xs) - ys) ** 2))
             if best is None or score < best[0]:
                 best = (score, it, model)
@@ -260,7 +260,7 @@ class TestRansac:
         basis = JacobiBasis(PARAMS, 2)
         s = sample_beta_on_I(PARAMS, 40, seed=9)
         xs = np.linspace(-0.95, 0.95, 300)
-        r = ransac_fit(s, poly(s.points), basis, iterations=4, seed=3,
+        r = ransac_fit(s, poly(s), basis, iterations=4, seed=3,
                        scoring=(xs, poly(xs)))
         assert r.score < 1e-20
 
@@ -270,8 +270,8 @@ class TestErrorReport:
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 400, seed=10)
         noise = make_noise(400, 0.0, seed=0)
-        model = fit_points(basis, s, poly(s.points))
-        diag = error_report(model, poly, x=s.points, y=poly(s.points), noise=noise)
+        model = fit_points(basis, s, poly(s))
+        diag = error_report(model, poly, x=s, y=poly(s), noise=noise)
         assert diag.omega_error < 1e-12
         assert diag.proj_error_omega < 1e-13
         assert diag.rhs_bound is not None
@@ -282,8 +282,8 @@ class TestErrorReport:
         s = sample_beta_on_I(PARAMS, 400, seed=10)
         f = lambda x: np.sin(2 * x)
         noise = make_noise(400, 0.05, seed=4)
-        model = fit_points(basis, s, f(s.points) + noise)
-        diag = error_report(model, f, x=s.points, y=f(s.points) + noise,
+        model = fit_points(basis, s, f(s) + noise)
+        diag = error_report(model, f, x=s, y=f(s) + noise,
                             noise=noise, delta=0.05)
         assert diag.eta_n == pytest.approx(np.max(np.abs(noise)))
         assert diag.rhs_bound > diag.eta_n      # budget includes the noise sup
@@ -296,7 +296,7 @@ class TestErrorReport:
         basis = JacobiBasis(PARAMS, 2)
         s = sample_beta_on_I(PARAMS, 5, seed=21)
         f = lambda x: np.cos(4 * x) + 0.2 * x
-        model = fit_points(basis, s, f(s.points))
+        model = fit_points(basis, s, f(s))
         diag = error_report(model, f, delta=0.05)
         assert diag.rhs_bound is None
         assert diag.bound_satisfied is None
@@ -304,7 +304,7 @@ class TestErrorReport:
     def test_no_theory_echo_below_degree_two(self):
         basis = JacobiBasis(PARAMS, 1)
         s = sample_beta_on_I(PARAMS, 30, seed=11)
-        model = fit_points(basis, s, s.points)
+        model = fit_points(basis, s, s)
         diag = error_report(model, lambda x: x)
         assert diag.theory is None
 
@@ -312,7 +312,7 @@ class TestErrorReport:
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 200, seed=12)
         f = lambda x: np.abs(x)
-        model = fit_points(basis, s, f(s.points))
+        model = fit_points(basis, s, f(s))
         rule = basis.quadrature(60)
         diag = error_report(model, f, rule=rule)
         coeffs = basis.table(rule.nodes).T @ (rule.weights * f(rule.nodes))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .design import build_design, mc_condition_number, spectral_report
+from .design import build_design, mc_condition_number, spectral_reports
 from .errors import SingularBlockError, StabilityError, ValidationError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
 from .krr import DEFAULT_LAMBDA_GRID, cross_validate, krr_fit
@@ -304,18 +304,19 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
         s, N, n = cell
         labels = ("table2", f"s={s}", N, n)
         lineage = _lineage(master, *labels)
-        sums = []
-        n_singular = 0
+        grams = []        # per trial: the Gram of each block
         for t in range(trials):
             problem = simulate_problem(
                 n, N, s, sigma=0.0, variant=TABLE2,
                 seed=derive_seed(master, *labels, t),
             )
-            kappas = []
-            for k in range(problem.partition.K):
-                report = spectral_report(block_gram(problem, k)[1])
-                kappas.append(report.kappa2)
-            total = float(sum(kappas))
+            grams.append([block_gram(problem, k)[1] for k in range(problem.partition.K)])
+        # one batched eigvalsh per block index, over all trials
+        reports = [spectral_reports(np.stack(block)) for block in zip(*grams)]
+        sums = []
+        n_singular = 0
+        for trial in zip(*reports):
+            total = float(sum(r.kappa2 for r in trial))
             if not math.isfinite(total):
                 n_singular += 1
                 continue

@@ -16,6 +16,7 @@ __all__ = [
     "McSummary",
     "build_design",
     "spectral_report",
+    "spectral_reports",
     "least_squares",
     "theory_bounds",
     "mc_condition_number",
@@ -82,15 +83,26 @@ def _report(eigenvalues: np.ndarray, tolerance: float | None = None) -> Spectral
     return SpectralReport(eigenvalues, tolerance, bool(eigenvalues[0] <= tolerance))
 
 
+def spectral_reports(A: np.ndarray, tolerance: float | None = None) -> list:
+    """Eigenvalues and near-singularity verdicts for a stack of symmetric
+    matrices, shape (k, m, m): one batched eigvalsh call, which runs the same
+    LAPACK routine on each matrix, so report i equals spectral_report(A[i])."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
+    At = A.swapaxes(1, 2)
+    asym = float(np.max(np.abs(A - At))) if A.size else 0.0
+    if asym > 1e-8:
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    return [_report(e, tolerance) for e in np.linalg.eigvalsh(0.5 * (A + At))]
+
+
 def spectral_report(A: np.ndarray, tolerance: float | None = None) -> SpectralReport:
     """Eigenvalues and a near-singularity verdict for symmetric A."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
-    if asym > 1e-8:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return _report(np.linalg.eigvalsh(0.5 * (A + A.T)), tolerance)
+    return spectral_reports(A[None], tolerance)[0]
 
 
 def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> tuple:

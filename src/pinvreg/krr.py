@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import RegularizationError
 from .sampling import derive_rng
@@ -71,6 +72,8 @@ def _check_xy(x, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (len(x),):
         raise ValueError(f"y has shape {y.shape}, expected ({len(x)},)")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     return x, y
 
 
@@ -100,30 +103,45 @@ def cross_validate(
     """k-fold cross-validation over a ridge grid; ties go to the larger ridge.
 
     Folds are a seeded shuffle split into `folds` nearly equal parts. The n x n
-    kernel is built once per call; each fold fits and predicts from slices of
-    it, and the returned model is refit on all data at the selected ridge from
-    the same kernel.
+    kernel is built once per call and each fold's slices of it once per fold;
+    each ridge then costs one LAPACK Cholesky factor (dpotrf) and solve
+    (dpotrs), the routines cho_factor/cho_solve call, without their per-call
+    finiteness scans (x, y and the grid are checked once). A ridge whose
+    regularized fold Gram is not positive definite scores inf on that fold.
+    The returned model is refit on all data at the selected ridge from the
+    same kernel.
     """
     x, y = _check_xy(x, y)
     n = len(x)
     if not 2 <= folds <= n:
         raise ValueError(f"folds must be in [2, {n}], got {folds}")
+    for ridge in grid:
+        if not 0 < ridge < math.inf:
+            raise ValueError(f"ridge must be finite and > 0, got {ridge}")
     K = sinc_kernel(x[:, None], x[None, :], bandwidth)
     perm = derive_rng(seed, "cv-folds").permutation(n)
     parts = np.array_split(perm, folds)
-    errors = {}
-    for ridge in grid:
-        fold_mse = []
-        for k in range(folds):
-            test = parts[k]
-            train = np.concatenate([parts[j] for j in range(folds) if j != k])
-            try:
-                w = _ridge_solve(K[np.ix_(train, train)], y[train], ridge)
-            except RegularizationError:
-                fold_mse.append(math.inf)
+    fold_mse = [[] for _ in grid]     # per ridge, in fold order
+    for k in range(folds):
+        test = parts[k]
+        train = np.concatenate([parts[j] for j in range(folds) if j != k])
+        m = len(train)
+        G = K[np.ix_(train, train)] / m
+        K_test = K[np.ix_(test, train)]
+        rhs = y[train] / m
+        y_test = y[test]
+        eye = np.eye(m)
+        for i, ridge in enumerate(grid):
+            factor, info = dpotrf(G + ridge * eye, lower=1, clean=0)
+            if info > 0:          # leading minor not positive definite
+                fold_mse[i].append(math.inf)
                 continue
-            fold_mse.append(float(np.mean((K[np.ix_(test, train)] @ w - y[test]) ** 2)))
-        errors[float(ridge)] = float(np.mean(fold_mse))
+            if info == 0:
+                w, info = dpotrs(factor, rhs, lower=1)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK potrf/potrs")
+            fold_mse[i].append(float(np.mean((K_test @ w - y_test) ** 2)))
+    errors = {float(ridge): float(np.mean(mse)) for ridge, mse in zip(grid, fold_mse)}
     # minimal error; among ties prefer the strongest regularization
     best = max(sorted(errors), key=lambda r: (-errors[r], r))
     model = KrrModel(

@@ -27,6 +27,7 @@ __all__ = [
     "cosine_basis",
     "eval_slope",
     "simulate_problem",
+    "block_factor",
     "block_gram",
     "lfr_fit",
     "lfr_errors",
@@ -151,9 +152,10 @@ def simulate_problem(
     Z = derive_rng(seed, "lfr-z").uniform(-root3, root3, size=(n, size))
     y_blocks = []
     for k, sl in enumerate(part.slices()):
-        signal = Z[:, sl] @ (xi[sl] * c[sl])
-        eps = sigma * derive_rng(seed, "lfr-eps", k).standard_normal(n)
-        y_blocks.append(signal + eps)
+        y = Z[:, sl] @ (xi[sl] * c[sl])
+        if sigma != 0:    # signal + 0 * eps is the signal: skip drawing eps
+            y = y + sigma * derive_rng(seed, "lfr-eps", k).standard_normal(n)
+        y_blocks.append(y)
     return LfrProblem(
         xi=xi,
         true_coeffs=c,
@@ -166,10 +168,15 @@ def simulate_problem(
     )
 
 
-def block_gram(problem: LfrProblem, block_index: int):
-    """F_k = (1/sqrt(n)) [xi_j Z_ij] over the block's columns; G_k = F_k' F_k."""
+def block_factor(problem: LfrProblem, block_index: int) -> np.ndarray:
+    """F_k = (1/sqrt(n)) [xi_j Z_ij] over the block's columns."""
     sl = problem.partition.slices()[block_index]
-    F = problem.Z[:, sl] * problem.xi[sl] / math.sqrt(problem.n)
+    return problem.Z[:, sl] * problem.xi[sl] / math.sqrt(problem.n)
+
+
+def block_gram(problem: LfrProblem, block_index: int):
+    """F_k (see block_factor) and its Gram G_k = F_k' F_k."""
+    F = block_factor(problem, block_index)
     return F, F.T @ F
 
 
@@ -204,7 +211,7 @@ def lfr_fit(problem: LfrProblem, truncation_level: float | None = None) -> LfrMo
     coeffs = []
     reports = []
     for k in range(problem.partition.K):
-        F, _ = block_gram(problem, k)
+        F = block_factor(problem, k)
         c, report = least_squares(F, problem.y_blocks[k] / math.sqrt(problem.n))
         if report.near_singular:
             raise SingularBlockError(

@@ -11,6 +11,7 @@ from pinvreg.design import (
     least_squares,
     mc_condition_number,
     spectral_report,
+    spectral_reports,
     theory_bounds,
 )
 from pinvreg.jacobi import JacobiBasis, JacobiParams
@@ -80,6 +81,49 @@ class TestSpectralReport:
         A = np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]])
         r = spectral_report(A)
         assert_allclose(r.eigenvalues, [1.0, 3.0], rtol=1e-9)
+
+
+class TestSpectralReports:
+    def _stack(self):
+        rng = np.random.default_rng(3)
+        stack = []
+        for _ in range(6):
+            F = rng.standard_normal((30, 5))
+            stack.append(F.T @ F)
+        stack[2] = np.ones((5, 5))                     # rank one: near singular
+        stack[4][0, 1] = stack[4][1, 0] + 1e-13        # symmetrized round-off
+        return np.stack(stack)
+
+    def test_matches_per_matrix_reports_exactly(self):
+        stack = self._stack()
+        reports = spectral_reports(stack)
+        assert len(reports) == len(stack)
+        for A, r in zip(stack, reports):
+            single = spectral_report(A)
+            np.testing.assert_array_equal(r.eigenvalues, single.eigenvalues)
+            assert r.tolerance == single.tolerance
+            assert r.near_singular == single.near_singular
+            assert r.kappa2 == single.kappa2
+        assert [r.near_singular for r in reports] == [False, False, True, False, False, False]
+
+    def test_tolerance_override_applies_to_each(self):
+        stack = np.stack([np.diag([1.0, 1e-6]), np.diag([1.0, 1e-2])])
+        assert [r.near_singular for r in spectral_reports(stack, tolerance=1e-3)] == [True, False]
+
+    def test_rejects_any_asymmetric_member(self):
+        stack = self._stack()
+        stack[5][0, 3] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_reports(stack)
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_report(stack[5])
+
+    def test_rejects_non_stack_shapes(self):
+        for shape in ((4, 4), (2, 3, 4)):
+            with pytest.raises(ValueError, match="square"):
+                spectral_reports(np.ones(shape))
+        with pytest.raises(ValueError, match="square"):
+            spectral_report(np.ones((1, 2, 2)))
 
 
 class TestTheoryBounds:

@@ -150,7 +150,18 @@ class TestCrossValidate:
         assert set(res.cv_errors) == set(expected)
         for ridge in grid:
             assert res.cv_errors[ridge] == pytest.approx(expected[ridge], rel=1e-12)
+        # same LAPACK factor and solve on the same slices: equal, not just close
+        assert res.cv_errors == expected
         assert res.ridge == min(expected, key=expected.get)
+
+    def test_non_pd_fold_scores_inf_and_next_ridge_wins(self):
+        # triplicated points make every training kernel singular; 1e-300 is
+        # below round-off, so its regularized fold Gram fails to factor
+        x = np.repeat(np.linspace(-1, 1, 10), 3)
+        res = cross_validate(x, np.sin(3 * x), grid=(1e-300, 1e-3), seed=0)
+        assert res.cv_errors[1e-300] == math.inf
+        assert math.isfinite(res.cv_errors[1e-3])
+        assert res.ridge == 1e-3
 
     def test_builds_kernel_once(self, monkeypatch):
         calls = []
@@ -166,9 +177,21 @@ class TestCrossValidate:
 
     def test_rejects_nonpositive_ridge_in_grid(self):
         x = np.linspace(-1, 1, 20)
-        for bad in (0.0, -1e-3):
+        for bad in (0.0, -1e-3, math.inf, math.nan):
             with pytest.raises(ValueError, match="ridge"):
-                cross_validate(x, np.sin(x), grid=(bad, 1e-3))
+                cross_validate(x, np.sin(x), grid=(1e-3, bad))
+
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("fn", [
+        lambda x, y: cross_validate(x, y, seed=0),
+        lambda x, y: krr_fit(x, y, ridge=1e-3),
+    ], ids=["cross_validate", "krr_fit"])
+    def test_rejects_non_finite_inputs(self, fn, where):
+        x = np.linspace(-1, 1, 20)
+        y = np.sin(x)
+        (x if where == "x" else y)[7] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            fn(x, y)
 
     def test_y_length_validation(self):
         x = np.linspace(-1, 1, 20)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pinvreg.lfr
 from pinvreg.design import spectral_report
 from pinvreg.errors import SingularBlockError, ValidationError
 from pinvreg.lfr import (
@@ -14,6 +15,7 @@ from pinvreg.lfr import (
     TABLE2,
     LfrModel,
     LfrProblem,
+    block_factor,
     block_gram,
     cosine_basis,
     dyadic_partition,
@@ -29,6 +31,7 @@ from pinvreg.lfr import (
     theorem7_bound,
     truncate_beta,
 )
+from pinvreg.sampling import derive_rng
 
 
 class TestDyadicPartition:
@@ -134,6 +137,22 @@ class TestSimulateProblem:
             expected = p.Z[:, sl] @ (p.xi[sl] * p.true_coeffs[sl])
             assert_allclose(p.y_blocks[k], expected, rtol=1e-14)
 
+    def test_noiseless_draws_no_noise_streams(self, monkeypatch):
+        # sigma = 0 keeps the responses of signal + 0 * eps, from the Z stream alone
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return derive_rng(*args)
+
+        monkeypatch.setattr(pinvreg.lfr, "derive_rng", counting)
+        p = simulate_problem(60, 10, 2.0, 0.0, seed=4)
+        assert calls == [(4, "lfr-z")]
+        for k, sl in enumerate(p.partition.slices()):
+            eps = derive_rng(4, "lfr-eps", k).standard_normal(60)
+            expected = p.Z[:, sl] @ (p.xi[sl] * p.true_coeffs[sl]) + 0.0 * eps
+            np.testing.assert_array_equal(p.y_blocks[k], expected)
+
     def test_deterministic(self):
         a = simulate_problem(40, 12, 1.0, 0.5, seed=9)
         b = simulate_problem(40, 12, 1.0, 0.5, seed=9)
@@ -157,6 +176,13 @@ class TestBlockGram:
         sl = p.partition.slices()[2]
         assert_allclose(F, p.Z[:, sl] * p.xi[sl] / math.sqrt(30), rtol=1e-15)
         assert_allclose(G, F.T @ F, rtol=1e-14)
+
+    def test_factor_is_block_grams_factor(self):
+        p = simulate_problem(30, 8, 1.0, 0.0, seed=5)
+        for k in range(p.partition.K):
+            F, G = block_gram(p, k)
+            np.testing.assert_array_equal(block_factor(p, k), F)
+            np.testing.assert_array_equal(G, F.T @ F)
 
     def test_gram_expectation_is_diagonal(self):
         # E[G_k] = sigma_Z^2 diag(xi_j^2) over the block

@@ -12,8 +12,10 @@ import io
 import json
 import math
 import numbers
+import operator
 import time
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +46,13 @@ __all__ = [
     "run_timeseries",
     "run_lfr_sim",
     "timing_comparison",
+    "COMMANDS",
+    "Command",
     "TABLE1_SWEEP",
     "TABLE2_SWEEP",
     "TABLE3_SWEEP",
     "TABLE4_SWEEP",
 ]
-
-EXPERIMENTS = ("table1", "table2", "table3", "table4", "covid", "custom")
 
 # (alpha, N, n) grid of the symmetric-Jacobi conditioning sweep
 TABLE1_SWEEP = (
@@ -86,13 +88,65 @@ _COLUMNS = (
     "seed",
 )
 
-_INT_KEYS = ("N", "n", "trials", "seed", "ransac_iterations", "ransac_subset")
-_REAL_KEYS = ("alpha", "beta", "s", "sigma", "truncation", "bandwidth")
+
+class Command(NamedTuple):
+    """A CLI command: its experiment, paper defaults and sweep keys. Setting
+    any sweep key picks one cell, the others taking their defaults; setting
+    none runs the whole sweep and leaves them None (they differ per cell)."""
+
+    experiment: str
+    defaults: dict
+    sweep_keys: tuple = ()
+
+
+COMMANDS = {
+    "table1": Command("table1", {"trials": 50, "alpha": -0.5, "N": 5, "n": 25},
+                      ("alpha", "beta", "N", "n")),
+    "table2": Command("table2", {"trials": 50, "s": 0.75, "N": 20, "n": 100},
+                      ("s", "N", "n")),
+    "table3": Command("table3", {"trials": 10, "n": 100, "alpha": -0.5,
+                                 "lambda_grid": DEFAULT_LAMBDA_GRID,
+                                 "sigma": 0.1, "s": 1.0, "N": 10},
+                      ("sigma", "s", "N")),
+    "table4": Command("table4", {"trials": 10, "N": 50, "sigma": 0.5, "s": 1.5,
+                                 "n": 100},
+                      ("s", "n")),
+    "fit-series": Command("covid", {"n": 340, "N": 40, "alpha": -0.5,
+                                    "ransac_iterations": 10}),
+    "simulate-lfr": Command("custom", {"trials": 1, "n": 300, "N": 50, "s": 2.0,
+                                       "sigma": 0.5, "variant": EXAMPLE3}),
+    "diagnose": Command("custom", {"alpha": -0.5, "N": 5, "n": 25}),
+}
+EXPERIMENTS = tuple(dict.fromkeys(c.experiment for c in COMMANDS.values()))
+
+# Type and range rule of each numeric key
+_RULES = {
+    "N": (numbers.Integral, ">= 0"),
+    "n": (numbers.Integral, ">= 1"),
+    "trials": (numbers.Integral, ">= 1"),
+    "seed": (numbers.Integral, ">= 0"),
+    "ransac_iterations": (numbers.Integral, ">= 1"),
+    "ransac_subset": (numbers.Integral, None),
+    "alpha": (numbers.Real, ">= -0.5"),
+    "beta": (numbers.Real, ">= -0.5"),
+    "s": (numbers.Real, "> 0"),
+    "sigma": (numbers.Real, ">= 0"),
+    "truncation": (numbers.Real, "> 0"),
+    "bandwidth": (numbers.Real, "> 0"),
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt}
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved knobs for one experiment run; unknown keys are rejected."""
+    """Resolved knobs for one experiment run; unknown keys are rejected.
+
+    Construction fills the paper defaults of `command` (default: the first
+    command of the experiment, simulate-lfr for "custom"), sets beta to alpha
+    if unset, and checks each key's type and range. Keys left None are
+    derived per cell or in the library: sweep keys of a sweep, table3's
+    bandwidth (each cell's N), ransac_subset and truncation (no clamp).
+    """
 
     experiment: str
     alpha: float | None = None
@@ -115,44 +169,62 @@ class ExperimentConfig:
     location: str | None = None
     start: str | None = None
     end: str | None = None
+    command: InitVar[str | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, command):
         if self.experiment not in EXPERIMENTS:
             raise ValidationError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
-        for name in _INT_KEYS + _REAL_KEYS:
+        if command is None:
+            command = next(c for c, spec in COMMANDS.items()
+                           if spec.experiment == self.experiment)
+        spec = COMMANDS.get(command)
+        if spec is None or spec.experiment != self.experiment:
+            raise ValidationError(
+                f"command {command!r} does not run experiment {self.experiment!r}"
+            )
+        one_cell = any(getattr(self, k) is not None for k in spec.sweep_keys)
+        for key, value in spec.defaults.items():
+            if getattr(self, key) is None and (one_cell or key not in spec.sweep_keys):
+                setattr(self, key, value)
+        if self.beta is None:
+            self.beta = self.alpha
+        for name, (kind, rule) in _RULES.items():
             value = getattr(self, name)
             if value is None and name != "seed":
                 continue
-            kind = numbers.Integral if name in _INT_KEYS else numbers.Real
             if not _is_a(value, kind):
                 raise ValidationError(f"{name} must be {kind.__name__.lower()}: {value!r}")
             if not -math.inf < value < math.inf:   # no float() overflow on huge ints
                 raise ValidationError(f"{name} must be finite, got {value}")
-        if self.trials is not None and self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+            if rule is not None:
+                op, bound = rule.split()
+                if not _COMPARE[op](value, float(bound)):
+                    raise ValidationError(f"{name} must be {rule}, got {value}")
         if self.lambda_grid is not None:
             grid = self.lambda_grid
-            if not isinstance(grid, (list, tuple)) or not all(
+            if not isinstance(grid, (list, tuple)) or not grid or not all(
                 _is_a(v, numbers.Real) for v in grid
             ):
-                raise ValidationError(f"lambda_grid must be a list of reals: {grid!r}")
+                raise ValidationError(
+                    f"lambda_grid must be a non-empty list of reals: {grid!r}"
+                )
             if not all(0 < v < math.inf for v in grid):
                 raise ValidationError("lambda_grid entries must be finite and > 0")
             self.lambda_grid = [float(v) for v in grid]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
+    def from_dict(cls, d: dict, command: str | None = None) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
             raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
         if "experiment" not in d:
             raise ValidationError("config requires an 'experiment' key")
-        return cls(**d)
+        return cls(**d, command=command)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -227,12 +299,20 @@ def _lineage(*parts) -> str:
     return "/".join(str(p) for p in parts)
 
 
-def _echo(config: ExperimentConfig, **resolved) -> dict:
+def _echo(config: ExperimentConfig) -> dict:
     # the output path is plumbing, not experiment identity; leaving it out
     # keeps files byte-identical wherever they are written
-    d = config.to_dict() | resolved
+    d = config.to_dict()
     d.pop("out", None)
     return d
+
+
+def _cells(config: ExperimentConfig, sweep, keys) -> list:
+    """The one cell the config picks (its values of keys), or the whole
+    sweep when it sets none of them."""
+    if all(getattr(config, k) is None for k in keys):
+        return list(sweep)
+    return [tuple(getattr(config, k) for k in keys)]
 
 
 def _require(config: ExperimentConfig, experiment: str) -> None:
@@ -246,15 +326,9 @@ def run_table1(config: ExperimentConfig) -> ExperimentResult:
     """Mean condition number of the random Gram, direct Beta sampling vs the
     standard-normal CDF-transformed sampling, over the (alpha, N, n) grid."""
     _require(config, "table1")
-    trials = config.trials if config.trials is not None else 50
-    master = config.seed
-    if config.alpha is not None or config.N is not None or config.n is not None:
-        alpha = config.alpha if config.alpha is not None else -0.5
-        beta = config.beta if config.beta is not None else alpha
-        cells = [(alpha, beta, config.N if config.N is not None else 5,
-                  config.n if config.n is not None else 25)]
-    else:
-        cells = [(a, a, N, n) for a, N, n in TABLE1_SWEEP]
+    trials, master = config.trials, config.seed
+    cells = _cells(config, [(a, a, N, n) for a, N, n in TABLE1_SWEEP],
+                   COMMANDS["table1"].sweep_keys)
 
     def work(cell):
         alpha, beta, N, n = cell
@@ -281,24 +355,15 @@ def run_table1(config: ExperimentConfig) -> ExperimentResult:
         return rows
 
     rows = [row for cell in cells for row in work(cell)]
-    echo = _echo(config, trials=trials)
-    return ExperimentResult(config=echo, rows=rows)
+    return ExperimentResult(config=_echo(config), rows=rows)
 
 
 def run_table2(config: ExperimentConfig) -> ExperimentResult:
     """Mean cumulative block condition number for xi_j = j^(-s) designs,
     against the 2^s 1.72 log(N) / (0.63 log 2) ceiling."""
     _require(config, "table2")
-    trials = config.trials if config.trials is not None else 50
-    master = config.seed
-    if config.s is not None or config.N is not None or config.n is not None:
-        cells = [(
-            config.s if config.s is not None else 0.75,
-            config.N if config.N is not None else 20,
-            config.n if config.n is not None else 100,
-        )]
-    else:
-        cells = list(TABLE2_SWEEP)
+    trials, master = config.trials, config.seed
+    cells = _cells(config, TABLE2_SWEEP, COMMANDS["table2"].sweep_keys)
 
     def work(cell):
         s, N, n = cell
@@ -333,33 +398,21 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
         ]
 
     rows = [row for cell in cells for row in work(cell)]
-    echo = _echo(config, trials=trials)
-    return ExperimentResult(config=echo, rows=rows)
+    return ExperimentResult(config=_echo(config), rows=rows)
 
 
 def run_table3(config: ExperimentConfig) -> ExperimentResult:
     """Weighted-L2 MSE of the polynomial estimator vs sinc-kernel ridge
     regression on Weierstrass targets, over (sigma, s, N) with c = N."""
     _require(config, "table3")
-    trials = config.trials if config.trials is not None else 10
-    n = config.n if config.n is not None else 100
-    alpha = config.alpha if config.alpha is not None else -0.5
-    beta = config.beta if config.beta is not None else alpha
-    grid = tuple(config.lambda_grid) if config.lambda_grid else DEFAULT_LAMBDA_GRID
-    master = config.seed
-    if config.sigma is not None or config.s is not None or config.N is not None:
-        cells = [(
-            config.sigma if config.sigma is not None else 0.1,
-            config.s if config.s is not None else 1.0,
-            config.N if config.N is not None else 10,
-        )]
-    else:
-        cells = list(TABLE3_SWEEP)
+    trials, n, alpha, beta = config.trials, config.n, config.alpha, config.beta
+    grid, master = tuple(config.lambda_grid), config.seed
+    cells = _cells(config, TABLE3_SWEEP, COMMANDS["table3"].sweep_keys)
     params = JacobiParams(alpha, beta)
 
     def work(cell):
         sigma, s, N = cell
-        c = config.bandwidth if config.bandwidth is not None else float(N)
+        c = float(N) if config.bandwidth is None else config.bandwidth
         basis = JacobiBasis(params, N)
         rule = basis.quadrature(N + 12)
         node_table = basis.table(rule.nodes)
@@ -397,28 +450,15 @@ def run_table3(config: ExperimentConfig) -> ExperimentResult:
         ]
 
     rows = [row for cell in cells for row in work(cell)]
-    echo = _echo(
-        config, trials=trials, n=n, alpha=alpha, beta=beta,
-        lambda_grid=[float(g) for g in grid],
-    )
-    return ExperimentResult(config=echo, rows=rows)
+    return ExperimentResult(config=_echo(config), rows=rows)
 
 
 def run_table4(config: ExperimentConfig) -> ExperimentResult:
     """Functional-regression prediction/estimation errors E0 and E2 for the
-    alternating quadratic-decay slope, over (s, n) at N = 50, sigma = 0.5."""
+    alternating quadratic-decay slope, over (s, n) at fixed N and sigma."""
     _require(config, "table4")
-    trials = config.trials if config.trials is not None else 10
-    N = config.N if config.N is not None else 50
-    sigma = config.sigma if config.sigma is not None else 0.5
-    master = config.seed
-    if config.s is not None or config.n is not None:
-        cells = [(
-            config.s if config.s is not None else 1.5,
-            config.n if config.n is not None else 100,
-        )]
-    else:
-        cells = list(TABLE4_SWEEP)
+    trials, N, sigma, master = config.trials, config.N, config.sigma, config.seed
+    cells = _cells(config, TABLE4_SWEEP, COMMANDS["table4"].sweep_keys)
 
     def work(cell):
         s, n = cell
@@ -450,29 +490,22 @@ def run_table4(config: ExperimentConfig) -> ExperimentResult:
         ]
 
     rows = [row for cell in cells for row in work(cell)]
-    echo = _echo(config, trials=trials, N=N, sigma=sigma)
-    return ExperimentResult(config=echo, rows=rows)
+    return ExperimentResult(config=_echo(config), rows=rows)
 
 
 def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:
     """Single-cell functional-regression simulation: per-trial E0/E2 rows."""
-    trials = config.trials if config.trials is not None else 1
-    n = config.n if config.n is not None else 300
-    N = config.N if config.N is not None else 50
-    s = config.s if config.s is not None else 2.0
-    sigma = config.sigma if config.sigma is not None else 0.5
-    variant = config.variant if config.variant is not None else EXAMPLE3
-    master = config.seed
+    trials, n, N, s, sigma = config.trials, config.n, config.N, config.s, config.sigma
     rows = []
     for t in range(trials):
         labels = ("lfr-sim", f"s={s}", n, t)
         problem = simulate_problem(
-            n, N, s, sigma, variant=variant, seed=derive_seed(master, *labels)
+            n, N, s, sigma, variant=config.variant, seed=derive_seed(config.seed, *labels)
         )
         base = {"experiment": config.experiment, "s": s, "sigma": sigma, "N": N,
-                "n": n, "trials": trials, "seed": _lineage(master, *labels)}
+                "n": n, "trials": trials, "seed": _lineage(config.seed, *labels)}
         try:
-            model = lfr_fit(problem, truncation_level=config.truncation)
+            model = lfr_fit(problem)
         except SingularBlockError:
             rows.append(base | {"metric": "singular_trial", "value": float(t)})
             continue
@@ -481,8 +514,7 @@ def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:
         rows.append(base | {"metric": "e2", "value": err.e2})
         rows.append(base | {"metric": "cumulative_kappa",
                             "value": model.cumulative_kappa})
-    echo = _echo(config, trials=trials, n=n, N=N, s=s, sigma=sigma, variant=variant)
-    return ExperimentResult(config=echo, rows=rows)
+    return ExperimentResult(config=_echo(config), rows=rows)
 
 
 def run_timeseries(config: ExperimentConfig):
@@ -496,18 +528,13 @@ def run_timeseries(config: ExperimentConfig):
     dataset = load_series_csv(
         config.csv, location=config.location, start=config.start, end=config.end
     )
-    n = config.n if config.n is not None else 340
-    N = config.N if config.N is not None else 40
-    alpha = config.alpha if config.alpha is not None else -0.5
     result = fit_series(
         dataset,
-        n=n,
-        degree_max=N,
-        alpha=alpha,
+        n=config.n,
+        degree_max=config.N,
+        alpha=config.alpha,
         beta=config.beta,
-        ransac_iterations=(
-            config.ransac_iterations if config.ransac_iterations is not None else 10
-        ),
+        ransac_iterations=config.ransac_iterations,
         subset_size=config.ransac_subset,
         truncation=config.truncation,
         seed=config.seed,
@@ -516,16 +543,15 @@ def run_timeseries(config: ExperimentConfig):
         {"day": day, "observed": observed, "fitted": fitted}
         for day, observed, fitted in result.plot_rows()
     ]
-    echo = _echo(
-        config, n=n, N=N, alpha=alpha,
-        diagnostics={
+    echo = _echo(config) | {
+        "diagnostics": {
             "m": dataset.m,
             "kappa2": float(result.design_report.kappa2),
             "ransac_score": float(result.ransac.score),
             "ransac_iteration": result.ransac.iteration,
             "ransac_failures": result.ransac.n_failed,
         },
-    )
+    }
     return (
         ExperimentResult(config=echo, rows=rows, columns=("day", "observed", "fitted")),
         result,

@@ -21,15 +21,6 @@ from .sampling import sample_beta_on_I
 
 __all__ = ["main", "build_parser"]
 
-_EXPERIMENT_OF = {
-    "table1": "table1",
-    "table2": "table2",
-    "table3": "table3",
-    "table4": "table4",
-    "fit-series": "covid",
-    "simulate-lfr": "custom",
-    "diagnose": "custom",
-}
 
 class _Parser(argparse.ArgumentParser):
     """Raises instead of exiting so the CLI controls exit codes."""
@@ -51,7 +42,7 @@ def _add_common(p) -> None:
 
 
 def _add_sweep_overrides(p) -> None:
-    p.add_argument("--alpha", type=float, help="Jacobi alpha (restricts to one cell)")
+    p.add_argument("--alpha", type=float, help="Jacobi alpha")
     p.add_argument("--beta", type=float, help="Jacobi beta (defaults to alpha)")
     p.add_argument("--N", type=int, help="basis degree / coefficient count")
     p.add_argument("--n", type=int, help="sample size")
@@ -79,30 +70,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--location", type=str, help="location filter")
     p.add_argument("--start", type=str, help="first date, ISO-8601")
     p.add_argument("--end", type=str, help="last date, ISO-8601")
-    p.add_argument("--alpha", type=float, help="Jacobi alpha (default -0.5)")
+    p.add_argument("--alpha", type=float, help="Jacobi alpha")
     p.add_argument("--beta", type=float, help="Jacobi beta (defaults to alpha)")
-    p.add_argument("--N", type=int, help="basis degree (default 40)")
-    p.add_argument("--n", type=int, help="sampled days (default 340)")
-    p.add_argument("--ransac-iterations", type=int, dest="ransac_iterations")
-    p.add_argument("--ransac-subset", type=int, dest="ransac_subset")
+    p.add_argument("--N", type=int, help="basis degree")
+    p.add_argument("--n", type=int, help="sampled days")
+    p.add_argument("--ransac-iterations", type=int, dest="ransac_iterations",
+                   help="robust-fit iterations")
+    p.add_argument("--ransac-subset", type=int, dest="ransac_subset",
+                   help="points per robust-fit subsample")
     p.add_argument("--truncation", type=float, help="clamp level for predictions")
 
     p = sub.add_parser("simulate-lfr", help="simulate functional regression")
     _add_common(p)
-    p.add_argument("--n", type=int, help="sample size (default 300)")
-    p.add_argument("--N", type=int, help="coefficient count (default 50)")
-    p.add_argument("--s", type=float, help="decay exponent (default 2)")
-    p.add_argument("--sigma", type=float, help="noise sd (default 0.5)")
-    p.add_argument("--variant", choices=("example3", "table2"))
-    p.add_argument("--truncation", type=float, help="clamp level")
+    p.add_argument("--n", type=int, help="sample size")
+    p.add_argument("--N", type=int, help="coefficient count")
+    p.add_argument("--s", type=float, help="decay exponent")
+    p.add_argument("--sigma", type=float, help="noise sd")
+    p.add_argument("--variant", choices=("example3", "table2"), help="xi family")
 
     p = sub.add_parser("diagnose", help="spectral report for one random design")
     _add_common(p)
-    p.add_argument("--alpha", type=float, help="Jacobi alpha (default -0.5)")
+    p.add_argument("--alpha", type=float, help="Jacobi alpha")
     p.add_argument("--beta", type=float, help="Jacobi beta (defaults to alpha)")
-    p.add_argument("--N", type=int, help="basis degree (default 5)")
-    p.add_argument("--n", type=int, help="sample size (default 25)")
+    p.add_argument("--N", type=int, help="basis degree")
+    p.add_argument("--n", type=int, help="sample size")
+
+    for name, p in sub.choices.items():
+        _note_defaults(p, bench.COMMANDS[name])
     return parser
+
+
+def _note_defaults(p, command: bench.Command) -> None:
+    """Append each flag's paper default, read from the command table."""
+    for action in p._actions:
+        notes = ["picks one cell"] if action.dest in command.sweep_keys else []
+        if action.dest in command.defaults:
+            notes.append(f"default {command.defaults[action.dest]}")
+        if notes:
+            action.help = f"{action.help} ({'; '.join(notes)})"
 
 
 def _load_config_file(path: str) -> dict:
@@ -118,13 +123,13 @@ def _load_config_file(path: str) -> dict:
 
 def _build_config(args) -> bench.ExperimentConfig:
     base = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    base["experiment"] = _EXPERIMENT_OF[args.command]   # subcommand wins
+    base["experiment"] = bench.COMMANDS[args.command].experiment   # subcommand wins
     # every flag that feeds the config has the config key as its dest
     for field in dataclasses.fields(bench.ExperimentConfig):
         value = getattr(args, field.name, None)
         if value is not None:
             base[field.name] = value
-    return bench.ExperimentConfig.from_dict(base)
+    return bench.ExperimentConfig.from_dict(base, command=args.command)
 
 
 def _emit(result: bench.ExperimentResult, config) -> None:
@@ -136,11 +141,8 @@ def _emit(result: bench.ExperimentResult, config) -> None:
         sys.stdout.write(result.render(fmt))
 
 
-def _run_diagnose(args, config) -> int:
-    alpha = config.alpha if config.alpha is not None else -0.5
-    beta = config.beta if config.beta is not None else alpha
-    N = config.N if config.N is not None else 5
-    n = config.n if config.n is not None else 25
+def _run_diagnose(config) -> int:
+    alpha, beta, N, n = config.alpha, config.beta, config.N, config.n
     params = JacobiParams(alpha, beta)
     samples = sample_beta_on_I(params, n, config.seed)
     report = spectral_report(build_design(JacobiBasis(params, N), samples).gram())
@@ -194,7 +196,7 @@ def _dispatch(args) -> int:
             print(f"wrote {model_path}")
         return 0
     if command == "diagnose":
-        return _run_diagnose(args, config)
+        return _run_diagnose(config)
     raise ValidationError(f"unknown command {command!r}")
 
 

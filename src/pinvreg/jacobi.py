@@ -162,18 +162,6 @@ class JacobiBasis:
             vals /= math.sqrt(2.0)
         return vals.T
 
-    def row(self, x: float) -> np.ndarray:
-        """Length-(N+1) vector of all basis values at a single point."""
-        return self.table(x)[0]
-
-    def eval_k(self, k: int, x):
-        """Value of the degree-k member at x (scalar in, scalar out)."""
-        if not 0 <= k <= self.degree_max:
-            raise ValueError(f"degree {k} outside 0..{self.degree_max}")
-        scalar = np.isscalar(x)
-        vals = self.table(x)[:, k]
-        return float(vals[0]) if scalar else vals
-
     def quadrature(self, order: int) -> "QuadratureRule":
         """Gauss rule integrating against this basis's orthogonality weight."""
         rule = gauss_jacobi_rule(self.params, order)
@@ -182,13 +170,6 @@ class JacobiBasis:
                 nodes=(rule.nodes + 1.0) / 2.0, weights=2.0 * rule.weights
             )
         return rule
-
-    def weight(self, x):
-        """Orthogonality weight on this basis's domain."""
-        x = np.asarray(x, dtype=float)
-        if self.domain == UNIT:
-            return 4.0 * omega_weight(self.params, 2.0 * x - 1.0)
-        return omega_weight(self.params, x)
 
 
 def eta_ab(params: JacobiParams) -> float:
@@ -215,14 +196,6 @@ def uniform_bound(params: JacobiParams, k: int) -> float:
 class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
-
-    def integrate(self, f) -> float:
-        vals = f(self.nodes) if callable(f) else np.asarray(f, dtype=float)
-        return float(np.dot(self.weights, vals))
 
 
 def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:

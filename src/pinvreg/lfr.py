@@ -185,7 +185,6 @@ class LfrModel:
     partition: DyadicPartition
     block_coeffs: tuple
     block_reports: tuple
-    truncation_level: float | None = None
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -198,14 +197,8 @@ class LfrModel:
     def cumulative_kappa(self) -> float:
         return float(sum(r.kappa2 for r in self.block_reports))
 
-    def predict(self, x) -> np.ndarray:
-        vals = eval_slope(self.coeffs, x)
-        if self.truncation_level is not None:
-            vals = np.clip(vals, -self.truncation_level, self.truncation_level)
-        return vals
 
-
-def lfr_fit(problem: LfrProblem, truncation_level: float | None = None) -> LfrModel:
+def lfr_fit(problem: LfrProblem) -> LfrModel:
     """Per-block least squares F_k c_k ~ Y^k / sqrt(n), one LAPACK gelsd call
     per block; SingularBlockError when a block Gram F_k' F_k is near singular."""
     coeffs = []
@@ -225,7 +218,6 @@ def lfr_fit(problem: LfrProblem, truncation_level: float | None = None) -> LfrMo
         partition=problem.partition,
         block_coeffs=tuple(coeffs),
         block_reports=tuple(reports),
-        truncation_level=truncation_level,
     )
 
 

@@ -48,10 +48,6 @@ class NpregModel:
             vals = np.clip(vals, -M, M)
         return vals
 
-    def omega_norm(self) -> float:
-        """Weighted L2 norm of the untruncated predictor (Parseval)."""
-        return float(np.linalg.norm(self.coeffs))
-
     @property
     def kappa2(self) -> float:
         return self.fit_report.kappa2 if self.fit_report is not None else math.nan

@@ -49,6 +49,15 @@ def derive_rng(master_seed, *labels) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, *labels))
 
 
+def _beta_shapes(params: JacobiParams) -> tuple:
+    """Shapes (beta+1, alpha+1) of the Beta law of a basis weight in tau.
+
+    At x = 2 tau - 1 the weight (1-x)^alpha (1+x)^beta is proportional to
+    tau^beta (1-tau)^alpha, which is also the unit-domain basis' weight.
+    """
+    return params.beta + 1.0, params.alpha + 1.0
+
+
 def sample_beta_on_I(params: JacobiParams, n: int, seed=0) -> np.ndarray:
     """n points on [-1, 1] with density omega_{a,b} / gamma_{a,b}.
 
@@ -58,8 +67,9 @@ def sample_beta_on_I(params: JacobiParams, n: int, seed=0) -> np.ndarray:
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     rng = derive_rng(seed)
-    g1 = rng.gamma(params.beta + 1.0, size=n)
-    g2 = rng.gamma(params.alpha + 1.0, size=n)
+    a, b = _beta_shapes(params)
+    g1 = rng.gamma(a, size=n)
+    g2 = rng.gamma(b, size=n)
     u = g1 / (g1 + g2)
     return 2.0 * u - 1.0
 
@@ -89,7 +99,7 @@ def arcsine_quantile(t):
 
 
 def inverse_beta_cdf(params: JacobiParams, t, method: str = "auto"):
-    """Quantile of Beta(alpha+1, beta+1) on [0, 1].
+    """Quantile of the basis weight's law Beta(beta+1, alpha+1) on [0, 1].
 
     method="closed" uses the arcsine closed form (alpha = beta = -1/2 only);
     method="numeric" always uses scipy's regularized incomplete Beta inverse
@@ -106,7 +116,7 @@ def inverse_beta_cdf(params: JacobiParams, t, method: str = "auto"):
         raise ValueError("closed form only available for alpha = beta = -1/2")
     if closed and method in ("auto", "closed"):
         return arcsine_quantile(t)
-    return betaincinv(params.alpha + 1.0, params.beta + 1.0, t)
+    return betaincinv(*_beta_shapes(params), t)
 
 
 @dataclass
@@ -131,12 +141,13 @@ class EmpiricalCdf:
 
 
 def cdf_transform(points, cdf, params: JacobiParams, to_symmetric: bool = True) -> np.ndarray:
-    """Map arbitrary-law samples to the Beta(alpha+1, beta+1) law.
+    """Map arbitrary-law samples to the law of the basis weight.
 
     Evaluates u = cdf(x), validates it is a monotone map into [0, 1], then
-    applies the Beta quantile. Returns points on [0, 1], or mapped to [-1, 1]
-    by 2*tau - 1 when to_symmetric is set (the default, matching the symmetric
-    basis).
+    applies the Beta(beta+1, alpha+1) quantile. Returns points tau on [0, 1],
+    drawn from the unit basis' weight, or 2*tau - 1 on [-1, 1] when
+    to_symmetric is set (the default), drawn from omega / gamma like
+    sample_beta_on_I.
     """
     raw = np.asarray(points, dtype=float)
     u = np.asarray(cdf(raw), dtype=float)

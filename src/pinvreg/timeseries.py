@@ -140,7 +140,6 @@ class SeriesFit:
     model: NpregModel
     ransac: RansacResult
     design_report: object        # SpectralReport of the full sampled design
-    sample_days: np.ndarray      # snapped day indices k_i, 1-based
     fitted: np.ndarray           # model evaluated on the full day grid
 
     def plot_rows(self):
@@ -153,8 +152,8 @@ class SeriesFit:
 
 def fit_series(
     dataset: TimeSeriesDataset,
-    n: int = 340,
-    degree_max: int = 40,
+    n: int,
+    degree_max: int,
     alpha: float = -0.5,
     beta: float | None = None,
     ransac_iterations: int = 10,
@@ -164,10 +163,11 @@ def fit_series(
 ) -> SeriesFit:
     """Sample n random positions, read off the nearest day, and fit robustly.
 
-    Position draws are Beta(alpha+1, beta+1) on [0, 1]; responses come from
-    the snapped day index ceil(m x) clamped to [1, m], while the design keeps
-    the continuous draws, so its conditioning follows the random-design
-    theory rather than the grid. The consensus loop is scored on all m days,
+    Position draws are Beta(beta+1, alpha+1) on [0, 1], the law of the unit
+    basis' weight x^beta (1-x)^alpha; responses come from the snapped day
+    index ceil(m x) clamped to [1, m], while the design keeps the continuous
+    draws, so its conditioning follows the random-design theory rather than
+    the grid. The consensus loop is scored on all m days,
     which protects against heavy single-day outliers.
     """
     m = dataset.m
@@ -195,6 +195,5 @@ def fit_series(
         model=result.model,
         ransac=result,
         design_report=report,
-        sample_days=days,
         fitted=result.model.predict(grid),
     )

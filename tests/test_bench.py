@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pinvreg.bench import (
+    COMMANDS,
     TABLE1_SWEEP,
     ExperimentConfig,
     ExperimentResult,
@@ -85,6 +86,44 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match=f"{key} must be"):
             ExperimentConfig.from_dict({"experiment": "table3", key: bad})
 
+    @pytest.mark.parametrize("key, bad, rule", [
+        ("N", -1, ">= 0"), ("n", 0, ">= 1"), ("trials", 0, ">= 1"), ("seed", -1, ">= 0"),
+        ("ransac_iterations", 0, ">= 1"), ("alpha", -0.6, ">= -0.5"),
+        ("beta", -0.6, ">= -0.5"), ("s", 0.0, "> 0"), ("sigma", -1e-9, ">= 0"),
+        ("truncation", 0.0, "> 0"), ("bandwidth", -3.0, "> 0"),
+    ])
+    def test_range_rules(self, key, bad, rule):
+        with pytest.raises(ValidationError, match=f"^{key} must be {rule}, got {bad}$"):
+            ExperimentConfig.from_dict({"experiment": "table3", key: bad})
+
+    def test_resolves_each_commands_defaults(self):
+        lfr = ExperimentConfig(experiment="custom")
+        diagnose = ExperimentConfig(experiment="custom", command="diagnose")
+        assert (lfr.n, lfr.N, lfr.trials, lfr.variant) == (300, 50, 1, "example3")
+        assert (diagnose.n, diagnose.N, diagnose.trials) == (25, 5, None)
+        assert diagnose.alpha == diagnose.beta == -0.5
+        series = ExperimentConfig(experiment="covid", alpha=1.0)
+        assert (series.n, series.N, series.ransac_iterations) == (340, 40, 10)
+        assert series.beta == 1.0             # beta defaults to alpha
+
+    def test_sweep_keys_stay_unset_for_the_sweep(self):
+        sweep = ExperimentConfig(experiment="table3")
+        assert (sweep.sigma, sweep.s, sweep.N, sweep.bandwidth) == (None,) * 4
+        assert (sweep.trials, sweep.n, sweep.alpha, sweep.beta) == (10, 100, -0.5, -0.5)
+        cell = ExperimentConfig(experiment="table3", sigma=0.05)
+        assert (cell.sigma, cell.s, cell.N, cell.bandwidth) == (0.05, 1.0, 10, None)
+
+    def test_command_must_run_the_experiment(self):
+        for command in ("diagnose", "table9"):
+            with pytest.raises(ValidationError, match=f"{command}' does not run"):
+                ExperimentConfig(experiment="table1", command=command)
+
+    def test_every_command_has_valid_defaults(self):
+        for command, spec in COMMANDS.items():
+            ExperimentConfig(experiment=spec.experiment, command=command,
+                             **{k: v for k, v in spec.defaults.items()
+                                if k in spec.sweep_keys})
+
 
 class TestExperimentResult:
     def make(self):
@@ -150,6 +189,12 @@ class TestRunTable1:
         seeds = {r["seed"] for r in res.rows}
         assert any(s.startswith("5/table1/direct") for s in seeds)
         assert any(s.startswith("5/table1/transformed") for s in seeds)
+
+    def test_beta_alone_picks_one_cell(self):
+        res = run_table1(ExperimentConfig(experiment="table1", beta=0.5, trials=1))
+        assert {(r["alpha"], r["beta"], r["N"], r["n"]) for r in res.rows} == {
+            (-0.5, 0.5, 5, 25)}
+        assert (res.config["alpha"], res.config["N"], res.config["n"]) == (-0.5, 5, 25)
 
     def test_echo_resolves_defaults_and_drops_out(self):
         res = run_table1(ExperimentConfig(experiment="table1", N=3, n=20,

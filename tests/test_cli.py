@@ -4,10 +4,12 @@ error stream formatting, and rerun determinism."""
 import csv
 import datetime
 import json
+import re
 
 import numpy as np
 import pytest
 
+from pinvreg.bench import COMMANDS
 from pinvreg.cli import main
 from pinvreg.design import build_design, spectral_report
 from pinvreg.jacobi import JacobiBasis, JacobiParams
@@ -199,6 +201,49 @@ class TestErrorPaths:
         assert "truncation" in doc["message"]
         assert list(tmp_path.iterdir()) == [series_csv]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["table4", "--sigma", "-0.5"], "sigma must be >= 0, got -0.5"),
+        (["table1", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["table3", "--bandwidth", "-3"], "bandwidth must be > 0, got -3.0"),
+        (["table3", "--bandwidth", "0"], "bandwidth must be > 0, got 0.0"),
+        (["table2", "--s", "-1"], "s must be > 0, got -1.0"),
+        (["simulate-lfr", "--s", "0"], "s must be > 0, got 0.0"),
+        (["table1", "--n", "0"], "n must be >= 1, got 0"),
+        (["table2", "--N", "-1"], "N must be >= 0, got -1"),
+        (["diagnose", "--alpha", "-0.75"], "alpha must be >= -0.5, got -0.75"),
+        (["table1", "--beta", "-1"], "beta must be >= -0.5, got -1.0"),
+        (["simulate-lfr", "--trials", "0"], "trials must be >= 1, got 0"),
+    ])
+    def test_out_of_range_exits_one_before_writing(self, tmp_path, capsys, argv,
+                                                   message):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValidationError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("level", ["-5", "0"])
+    def test_nonpositive_truncation_exits_one_before_writing(
+        self, tmp_path, series_csv, capsys, level
+    ):
+        out = tmp_path / "fit.csv"
+        code = main(["fit-series", "--csv", str(series_csv), "--n", "30",
+                     "--N", "4", "--truncation", level, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        doc = json.loads(captured.err)
+        assert doc["error"] == "ValidationError"
+        assert doc["message"] == f"truncation must be > 0, got {float(level)}"
+        assert list(tmp_path.iterdir()) == [series_csv]
+
+    def test_simulate_lfr_truncation_flag_is_gone(self, capsys):
+        assert main(["simulate-lfr", "--truncation", "0.01"]) == 1
+        assert "--truncation" in json.loads(capsys.readouterr().err)["message"]
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -257,8 +302,8 @@ class TestErrorPaths:
                      "--N", "4", "--ransac-iterations", iterations])
         assert code == 1
         doc = json.loads(capsys.readouterr().err)
-        assert doc["error"] == "ValueError"
-        assert "iterations" in doc["message"]
+        assert doc["error"] == "ValidationError"
+        assert "ransac_iterations must be >= 1" in doc["message"]
 
     def test_missing_subcommand_exits_one(self, capsys):
         assert main([]) == 1
@@ -281,3 +326,20 @@ class TestErrorPaths:
         doc = json.loads(err)
         assert doc["error"] == "RobustFitError"
         assert "near singular" in doc["message"]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_flag_help_shows_the_table_default(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        flags = {}
+        for block in re.split(r"\n  (?=-)", text):
+            words = block.split()
+            flags[words[0].rstrip(",")] = " ".join(words)
+        defaults = COMMANDS[command].defaults
+        shown = [key for key in defaults if "--" + key.replace("_", "-") in flags]
+        assert len(shown) == len(defaults) - ("lambda_grid" in defaults)
+        for key in shown:
+            assert f"default {defaults[key]})" in flags["--" + key.replace("_", "-")]

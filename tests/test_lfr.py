@@ -239,8 +239,10 @@ class TestLfrFit:
 
     def test_truncated_predict_clamps(self):
         p = simulate_problem(80, 16, 1.5, 0.0, seed=7)
-        model = lfr_fit(p, truncation_level=1.0)
-        vals = model.predict(np.linspace(0, 1, 301))
+        model = lfr_fit(p)
+        grid = np.linspace(0, 1, 301)
+        assert np.max(np.abs(eval_slope(model.coeffs, grid))) > 1.0
+        vals = truncate_beta(model, 1.0, grid)
         assert np.max(np.abs(vals)) <= 1.0
 
 

@@ -1,4 +1,5 @@
-"""Property tests: seed derivation and the truncated estimator's clamp."""
+"""Property tests: seed derivation, the truncated estimator's clamp, and the
+law of the exact-CDF transform."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from pinvreg.jacobi import JacobiBasis, JacobiParams
 from pinvreg.regression import NpregModel
-from pinvreg.sampling import derive_seed
+from pinvreg.sampling import cdf_transform, derive_seed
 
 masters = st.integers(min_value=0, max_value=2**63 - 1)
 int_labels = st.integers(min_value=0, max_value=2**63 - 1)
@@ -56,3 +57,18 @@ class TestTruncatedPredict:
         # a target inside [-level, level] is never further from the clamped value
         f = target_share * level
         assert np.all(np.abs(clamped - f) <= np.abs(raw - f))
+
+
+class TestCdfTransformMean:
+    @settings(deadline=None)
+    @given(st.floats(min_value=-0.5, max_value=3.0), st.floats(min_value=-0.5, max_value=3.0))
+    def test_mean_is_the_weight_law_mean(self, a, b):
+        # the midpoint grid through the identity CDF averages the quantile
+        # function, so its mean is the law's mean up to 1/n for both domains
+        params = JacobiParams(a, b)
+        u = (np.arange(4000) + 0.5) / 4000
+        tau_mean = (b + 1.0) / (a + b + 2.0)            # Beta(b + 1, a + 1)
+        tau = cdf_transform(u, lambda x: x, params, to_symmetric=False)
+        x = cdf_transform(u, lambda x: x, params)
+        assert abs(np.mean(tau) - tau_mean) < 1e-3
+        assert abs(np.mean(x) - (2.0 * tau_mean - 1.0)) < 1e-3

@@ -108,7 +108,9 @@ class TestFit:
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 40, seed=3)
         model = fit_points(basis, s, np.cos(s))
-        assert model.omega_norm() == pytest.approx(float(np.linalg.norm(model.coeffs)))
+        # Parseval: the exact rule of order 4 integrates the squared cubic
+        norm = omega_norm(model.predict, basis.quadrature(4))
+        assert norm == pytest.approx(float(np.linalg.norm(model.coeffs)), rel=1e-12)
 
     def test_fit_report_attached(self):
         basis = JacobiBasis(PARAMS, 3)

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import betainc
+from scipy.special import betainc, ndtr, ndtri
+from scipy.stats import ks_2samp
 
+from pinvreg.design import build_design
 from pinvreg.errors import ValidationError
-from pinvreg.jacobi import JacobiParams
+from pinvreg.jacobi import SYMMETRIC, UNIT, JacobiBasis, JacobiParams
 from pinvreg.sampling import (
     EmpiricalCdf,
     arcsine_quantile,
@@ -141,7 +143,8 @@ class TestQuantiles:
                      (3.0, 1.5)]:
             x = inverse_beta_cdf(JacobiParams(a, b), t, method="numeric")
             assert np.all((x > 0.0) & (x < 1.0)) and np.all(np.diff(x) > 0)
-            assert_allclose(betainc(a + 1.0, b + 1.0, x), t, rtol=0, atol=1e-12)
+            # the law of the basis weight x^b (1-x)^a on [0, 1]
+            assert_allclose(betainc(b + 1.0, a + 1.0, x), t, rtol=0, atol=1e-12)
 
     def test_endpoints_exact(self):
         x = inverse_beta_cdf(JacobiParams(0.5, 0.0), np.array([0.0, 1.0]))
@@ -212,3 +215,41 @@ class TestCdfTransform:
         raw = np.linspace(0.0, 1.0, 9)
         with pytest.raises(ValidationError, match="escape"):
             cdf_transform(raw, lambda x: 2.0 * x, JacobiParams(0.0, 0.0))
+
+
+ASYMMETRIC = [(0.0, 2.0), (1.5, -0.5)]
+
+
+class TestCdfTransformLaw:
+    """Normal draws pushed through the exact-CDF transform follow the law of
+    the basis weight, as the direct sampler's draws do, and not its mirror
+    image, which differs from it whenever alpha != beta."""
+
+    @pytest.mark.parametrize("domain", [SYMMETRIC, UNIT])
+    @pytest.mark.parametrize("a, b", ASYMMETRIC)
+    def test_two_sample_ks_against_direct_draws(self, a, b, domain):
+        params = JacobiParams(a, b)
+        n = 20_000
+        direct = (sample_beta_on_I if domain == SYMMETRIC else sample_beta_unit)(
+            params, n, seed=1
+        )
+        z = np.random.default_rng(2).standard_normal(n)
+        transformed = cdf_transform(z, ndtr, params, to_symmetric=domain == SYMMETRIC)
+        ks = ks_2samp(transformed, direct).statistic
+        assert ks < 1.628 * math.sqrt(2.0 / n)      # the 1% critical value
+
+    @pytest.mark.parametrize("domain", [SYMMETRIC, UNIT])
+    @pytest.mark.parametrize("a, b", ASYMMETRIC)
+    def test_gram_eigenvalues_near_inverse_gamma(self, a, b, domain):
+        # E[Gram] = I / gamma on [-1, 1]; the unit basis carries a further
+        # factor 1/2 (its members are the symmetric ones over sqrt(2)).
+        # Stratified normal points (the quantiles of a midpoint grid) keep
+        # the Monte Carlo spread of a random 5,000-point Gram, often past
+        # 10% here, out of the check.
+        params = JacobiParams(a, b)
+        z = ndtri((np.arange(5_000) + 0.5) / 5_000)
+        x = cdf_transform(z, ndtr, params, to_symmetric=domain == SYMMETRIC)
+        gram = build_design(JacobiBasis(params, 5, domain=domain), x).gram()
+        expected = 1.0 / params.gamma_ab / (1.0 if domain == SYMMETRIC else 2.0)
+        eigenvalues = np.linalg.eigvalsh(gram)
+        assert np.all(np.abs(eigenvalues / expected - 1.0) <= 0.1), eigenvalues / expected

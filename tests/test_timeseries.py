@@ -201,13 +201,12 @@ class TestFitSeries:
         sf = fit_series(ds, n=340, degree_max=40, seed=0)
         assert 1.0 <= sf.design_report.kappa2 <= 30.0
 
-    def test_sample_days_in_range_and_deterministic(self):
+    def test_fit_is_deterministic(self):
         ds = make_dataset(100, lambda k: k)
         a = fit_series(ds, n=30, degree_max=4, seed=3)
         b = fit_series(ds, n=30, degree_max=4, seed=3)
-        assert np.all((a.sample_days >= 1) & (a.sample_days <= 100))
-        assert_allclose(a.sample_days, b.sample_days, rtol=0)
         assert_allclose(a.model.coeffs, b.model.coeffs, rtol=0)
+        assert_allclose(a.fitted, b.fitted, rtol=0)
 
     def test_outlier_day_is_smoothed_over(self):
         m = 120

@@ -47,6 +47,7 @@ __all__ = [
     "run_lfr_sim",
     "timing_comparison",
     "COMMANDS",
+    "COMMON_KEYS",
     "Command",
     "TABLE1_SWEEP",
     "TABLE2_SWEEP",
@@ -90,32 +91,39 @@ _COLUMNS = (
 
 
 class Command(NamedTuple):
-    """A CLI command: its experiment, paper defaults and sweep keys. Setting
+    """A CLI command: its experiment, every key it reads and its sweep keys.
+
+    Each key maps to its paper default, or to None where the value is unset
+    or derived. Besides its keys, every command reads `COMMON_KEYS`. Setting
     any sweep key picks one cell, the others taking their defaults; setting
     none runs the whole sweep and leaves them None (they differ per cell)."""
 
     experiment: str
-    defaults: dict
+    keys: dict
     sweep_keys: tuple = ()
 
 
+COMMON_KEYS = ("experiment", "seed", "out", "format")
 COMMANDS = {
-    "table1": Command("table1", {"trials": 50, "alpha": -0.5, "N": 5, "n": 25},
+    "table1": Command("table1", {"trials": 50, "alpha": -0.5, "beta": None, "N": 5,
+                                 "n": 25},
                       ("alpha", "beta", "N", "n")),
     "table2": Command("table2", {"trials": 50, "s": 0.75, "N": 20, "n": 100},
                       ("s", "N", "n")),
-    "table3": Command("table3", {"trials": 10, "n": 100, "alpha": -0.5,
-                                 "lambda_grid": DEFAULT_LAMBDA_GRID,
+    "table3": Command("table3", {"trials": 10, "n": 100, "alpha": -0.5, "beta": None,
+                                 "lambda_grid": DEFAULT_LAMBDA_GRID, "bandwidth": None,
                                  "sigma": 0.1, "s": 1.0, "N": 10},
                       ("sigma", "s", "N")),
     "table4": Command("table4", {"trials": 10, "N": 50, "sigma": 0.5, "s": 1.5,
                                  "n": 100},
                       ("s", "n")),
-    "fit-series": Command("covid", {"n": 340, "N": 40, "alpha": -0.5,
-                                    "ransac_iterations": 10}),
+    "fit-series": Command("covid", {"csv": None, "location": None, "start": None,
+                                    "end": None, "n": 340, "N": 40, "alpha": -0.5,
+                                    "beta": None, "ransac_iterations": 10,
+                                    "ransac_subset": None, "truncation": None}),
     "simulate-lfr": Command("custom", {"trials": 1, "n": 300, "N": 50, "s": 2.0,
                                        "sigma": 0.5, "variant": EXAMPLE3}),
-    "diagnose": Command("custom", {"alpha": -0.5, "N": 5, "n": 25}),
+    "diagnose": Command("custom", {"alpha": -0.5, "beta": None, "N": 5, "n": 25}),
 }
 EXPERIMENTS = tuple(dict.fromkeys(c.experiment for c in COMMANDS.values()))
 
@@ -141,11 +149,16 @@ _COMPARE = {">=": operator.ge, ">": operator.gt}
 class ExperimentConfig:
     """Resolved knobs for one experiment run; unknown keys are rejected.
 
-    Construction fills the paper defaults of `command` (default: the first
-    command of the experiment, simulate-lfr for "custom"), sets beta to alpha
-    if unset, and checks each key's type and range. Keys left None are
-    derived per cell or in the library: sweep keys of a sweep, table3's
-    bandwidth (each cell's N), ransac_subset and truncation (no clamp).
+    Construction rejects any key set that `command` does not read (default:
+    the first command of the experiment, simulate-lfr for "custom"), fills
+    its paper defaults, sets beta to alpha if unset, and checks each key's
+    type and range. Keys left None are unread, or derived per cell or in the
+    library: sweep keys of a sweep, table3's bandwidth (each cell's N),
+    ransac_subset and truncation (no clamp).
+
+    `command` is not stored, so `dataclasses.replace` resolves the config
+    again as the experiment's first command: pass `command=` to `replace`
+    for any other command, e.g. `replace(cfg, seed=1, command="diagnose")`.
     """
 
     experiment: str
@@ -186,8 +199,12 @@ class ExperimentConfig:
             raise ValidationError(
                 f"command {command!r} does not run experiment {self.experiment!r}"
             )
+        unread = [f.name for f in fields(self) if getattr(self, f.name) is not None
+                  and f.name not in spec.keys and f.name not in COMMON_KEYS]
+        if unread:
+            raise ValidationError(f"{command} does not read {', '.join(unread)}")
         one_cell = any(getattr(self, k) is not None for k in spec.sweep_keys)
-        for key, value in spec.defaults.items():
+        for key, value in spec.keys.items():
             if getattr(self, key) is None and (one_cell or key not in spec.sweep_keys):
                 setattr(self, key, value)
         if self.beta is None:

@@ -16,6 +16,7 @@ from . import bench
 from .design import build_design, spectral_report, theory_bounds
 from .errors import NumericalError, ValidationError
 from .jacobi import JacobiBasis, JacobiParams
+from .lfr import EXAMPLE3, TABLE2
 from .regression import save_model
 from .sampling import sample_beta_on_I
 
@@ -33,81 +34,60 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common(p) -> None:
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--config", type=str, help="JSON config file; flags override it")
-    p.add_argument("--out", type=str, help="output file path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
-
-
-def _add_sweep_overrides(p) -> None:
-    p.add_argument("--alpha", type=float, help="Jacobi alpha")
-    p.add_argument("--beta", type=float, help="Jacobi beta (defaults to alpha)")
-    p.add_argument("--N", type=int, help="basis degree / coefficient count")
-    p.add_argument("--n", type=int, help="sample size")
-    p.add_argument("--s", type=float, help="smoothness / decay exponent")
-    p.add_argument("--sigma", type=float, help="noise standard deviation")
+# Flag of each config key a command can read: argparse type (or a tuple of
+# choices) and help. lambda_grid has no flag; a config file sets it.
+_FLAGS = {
+    "trials": (int, "Monte Carlo trials per cell"),
+    "alpha": (float, "Jacobi alpha"),
+    "beta": (float, "Jacobi beta, alpha if unset"),
+    "N": (int, "basis degree / coefficient count"),
+    "n": (int, "sample size"),
+    "s": (float, "smoothness / decay exponent"),
+    "sigma": (float, "noise standard deviation"),
+    "bandwidth": (float, "kernel bandwidth c, each cell's N if unset"),
+    "variant": ((EXAMPLE3, TABLE2), "xi family"),
+    "csv": (str, "input CSV (date,location,new_cases)"),
+    "location": (str, "location filter"),
+    "start": (str, "first date, ISO-8601"),
+    "end": (str, "last date, ISO-8601"),
+    "ransac_iterations": (int, "robust-fit iterations"),
+    "ransac_subset": (int, "points per robust-fit subsample"),
+    "truncation": (float, "clamp level for predictions"),
+}
+_SUMMARIES = {
+    "fit-series": "fit a daily time series from CSV",
+    "simulate-lfr": "simulate functional regression",
+    "diagnose": "spectral report for one random design",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with a flag for each key it reads; each
+    flag's help notes its paper default and whether it picks one cell."""
     parser = _Parser(
         prog="pinvreg",
         description="Random pseudo-inverse regression benchmarks and pipelines",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    for name in ("table1", "table2", "table3", "table4"):
-        p = sub.add_parser(name, help=f"run the {name} benchmark sweep")
-        _add_common(p)
-        _add_sweep_overrides(p)
-        if name == "table3":
-            p.add_argument("--bandwidth", type=float, help="kernel bandwidth c")
-
-    p = sub.add_parser("fit-series", help="fit a daily time series from CSV")
-    _add_common(p)
-    p.add_argument("--csv", type=str, help="input CSV (date,location,new_cases)")
-    p.add_argument("--location", type=str, help="location filter")
-    p.add_argument("--start", type=str, help="first date, ISO-8601")
-    p.add_argument("--end", type=str, help="last date, ISO-8601")
-    p.add_argument("--alpha", type=float, help="Jacobi alpha")
-    p.add_argument("--beta", type=float, help="Jacobi beta (defaults to alpha)")
-    p.add_argument("--N", type=int, help="basis degree")
-    p.add_argument("--n", type=int, help="sampled days")
-    p.add_argument("--ransac-iterations", type=int, dest="ransac_iterations",
-                   help="robust-fit iterations")
-    p.add_argument("--ransac-subset", type=int, dest="ransac_subset",
-                   help="points per robust-fit subsample")
-    p.add_argument("--truncation", type=float, help="clamp level for predictions")
-
-    p = sub.add_parser("simulate-lfr", help="simulate functional regression")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="sample size")
-    p.add_argument("--N", type=int, help="coefficient count")
-    p.add_argument("--s", type=float, help="decay exponent")
-    p.add_argument("--sigma", type=float, help="noise sd")
-    p.add_argument("--variant", choices=("example3", "table2"), help="xi family")
-
-    p = sub.add_parser("diagnose", help="spectral report for one random design")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, help="Jacobi alpha")
-    p.add_argument("--beta", type=float, help="Jacobi beta (defaults to alpha)")
-    p.add_argument("--N", type=int, help="basis degree")
-    p.add_argument("--n", type=int, help="sample size")
-
-    for name, p in sub.choices.items():
-        _note_defaults(p, bench.COMMANDS[name])
+    for name, command in bench.COMMANDS.items():
+        summary = _SUMMARIES.get(name, f"run the {name} benchmark sweep")
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--seed", type=int, help="master seed (default 0)")
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--out", help="output file path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        for key, default in command.keys.items():
+            if key not in _FLAGS:
+                continue
+            kind, text = _FLAGS[key]
+            notes = ["picks one cell"] if key in command.sweep_keys else []
+            if default is not None:
+                notes.append(f"default {default}")
+            if notes:
+                text = f"{text} ({'; '.join(notes)})"
+            p.add_argument("--" + key.replace("_", "-"), help=text,
+                           **{"choices" if isinstance(kind, tuple) else "type": kind})
     return parser
-
-
-def _note_defaults(p, command: bench.Command) -> None:
-    """Append each flag's paper default, read from the command table."""
-    for action in p._actions:
-        notes = ["picks one cell"] if action.dest in command.sweep_keys else []
-        if action.dest in command.defaults:
-            notes.append(f"default {command.defaults[action.dest]}")
-        if notes:
-            action.help = f"{action.help} ({'; '.join(notes)})"
 
 
 def _load_config_file(path: str) -> dict:

@@ -31,7 +31,8 @@ REQUIRED_COLUMNS = ("date", "location", "new_cases")
 
 @dataclass(frozen=True)
 class TimeSeriesDataset:
-    """Filtered daily values with their source dates and CSV line numbers."""
+    """Filtered daily values with their ISO source dates, strictly increasing.
+    CSV line numbers are not kept; only load errors carry them."""
 
     dates: tuple
     values: np.ndarray

@@ -1,6 +1,7 @@
 """Tests for experiment configs, long-format results, and the table runners."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -34,6 +35,13 @@ def write_series_csv(path, m=60, location="X"):
             value = 50.0 + 30.0 * math.sin(2 * math.pi * d / m) + d
             w.writerow([day, location, f"{value:.2f}"])
     return path
+
+
+def command_reading(key):
+    """(experiment, command) of a command that reads `key`: table3 reads all
+    the checked keys but fit-series' robust-fit and clamp keys."""
+    command = "fit-series" if key.startswith(("ransac", "truncation")) else "table3"
+    return COMMANDS[command].experiment, command
 
 
 class TestExperimentConfig:
@@ -72,8 +80,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("name", ["alpha", "beta", "s", "sigma", "truncation", "bandwidth"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_knobs(self, name, bad):
+        experiment, command = command_reading(name)
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
-            ExperimentConfig(experiment="table3", **{name: bad})
+            ExperimentConfig(experiment=experiment, command=command, **{name: bad})
 
     @pytest.mark.parametrize("key, bad", [
         ("trials", "5"), ("N", 2.5), ("n", True), ("seed", 1.5), ("seed", None),
@@ -83,8 +92,9 @@ class TestExperimentConfig:
         ("lambda_grid", 5), ("lambda_grid", ["1e-3", "0.1"]), ("lambda_grid", [True, 0.1]),
     ])
     def test_rejects_wrong_types(self, key, bad):
+        experiment, command = command_reading(key)
         with pytest.raises(ValidationError, match=f"{key} must be"):
-            ExperimentConfig.from_dict({"experiment": "table3", key: bad})
+            ExperimentConfig.from_dict({"experiment": experiment, key: bad}, command)
 
     @pytest.mark.parametrize("key, bad, rule", [
         ("N", -1, ">= 0"), ("n", 0, ">= 1"), ("trials", 0, ">= 1"), ("seed", -1, ">= 0"),
@@ -93,8 +103,9 @@ class TestExperimentConfig:
         ("truncation", 0.0, "> 0"), ("bandwidth", -3.0, "> 0"),
     ])
     def test_range_rules(self, key, bad, rule):
+        experiment, command = command_reading(key)
         with pytest.raises(ValidationError, match=f"^{key} must be {rule}, got {bad}$"):
-            ExperimentConfig.from_dict({"experiment": "table3", key: bad})
+            ExperimentConfig.from_dict({"experiment": experiment, key: bad}, command)
 
     def test_resolves_each_commands_defaults(self):
         lfr = ExperimentConfig(experiment="custom")
@@ -121,8 +132,19 @@ class TestExperimentConfig:
     def test_every_command_has_valid_defaults(self):
         for command, spec in COMMANDS.items():
             ExperimentConfig(experiment=spec.experiment, command=command,
-                             **{k: v for k, v in spec.defaults.items()
-                                if k in spec.sweep_keys})
+                             **{k: v for k, v in spec.keys.items()
+                                if k in spec.sweep_keys and v is not None})
+
+    def test_names_every_unread_key(self):
+        with pytest.raises(ValidationError, match="^table2 does not read alpha, sigma$"):
+            ExperimentConfig(experiment="table2", alpha=3.0, sigma=9.0, trials=1)
+
+    def test_replace_needs_the_command(self):
+        cfg = ExperimentConfig(experiment="custom", command="diagnose", alpha=1.0)
+        again = dataclasses.replace(cfg, seed=1, command="diagnose")
+        assert again.to_dict() == cfg.to_dict() | {"seed": 1}
+        with pytest.raises(ValidationError, match="^simulate-lfr does not read alpha"):
+            dataclasses.replace(cfg, seed=1)
 
 
 class TestExperimentResult:

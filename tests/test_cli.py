@@ -2,6 +2,7 @@
 error stream formatting, and rerun determinism."""
 
 import csv
+import dataclasses
 import datetime
 import json
 import re
@@ -9,14 +10,38 @@ import re
 import numpy as np
 import pytest
 
-from pinvreg.bench import COMMANDS
+from pinvreg.bench import COMMANDS, COMMON_KEYS, ExperimentConfig
 from pinvreg.cli import main
 from pinvreg.design import build_design, spectral_report
+from pinvreg.errors import ValidationError
 from pinvreg.jacobi import JacobiBasis, JacobiParams
 from pinvreg.regression import load_model
 from pinvreg.sampling import sample_beta_on_I
 
 BASE = datetime.date(2020, 3, 1)
+
+# a valid value of each key that some command does not read
+VALID = {"alpha": 0.5, "beta": 0.5, "N": 3, "n": 20, "s": 1.0, "sigma": 0.1,
+         "trials": 1, "ransac_iterations": 2, "ransac_subset": 10,
+         "truncation": 100.0, "lambda_grid": [0.1], "bandwidth": 5.0,
+         "variant": "example3", "csv": "x.csv", "location": "X",
+         "start": "2020-03-01", "end": "2020-04-01"}
+UNREAD = [(command, f.name) for command, spec in COMMANDS.items()
+          for f in dataclasses.fields(ExperimentConfig)
+          if f.name not in spec.keys and f.name not in COMMON_KEYS]
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def one_error_line(capsys) -> dict:
+    """The single JSON error line of a run that printed nothing else."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
 
 
 @pytest.fixture
@@ -328,18 +353,79 @@ class TestErrorPaths:
         assert "near singular" in doc["message"]
 
 
+class TestUnreadKeys:
+    """A key a command does not read is rejected however it is set."""
+
+    @pytest.mark.parametrize("command, key", UNREAD)
+    def test_as_a_flag(self, tmp_path, capsys, command, key):
+        out = tmp_path / "out.csv"
+        assert main([command, flag(key), "1", "--out", str(out)]) == 1
+        doc = one_error_line(capsys)
+        assert doc["error"] == "ValidationError"
+        assert doc["message"] == f"unrecognized arguments: {flag(key)} 1"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", UNREAD)
+    def test_as_a_config_file_key(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: VALID[key]}))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert one_error_line(capsys) == {
+            "error": "ValidationError", "message": f"{command} does not read {key}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", UNREAD)
+    def test_as_a_config_argument(self, command, key):
+        experiment = COMMANDS[command].experiment
+        with pytest.raises(ValidationError, match=f"^{command} does not read {key}$"):
+            ExperimentConfig(experiment=experiment, command=command, **{key: VALID[key]})
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["table2", "--alpha", "3", "--sigma", "9", "--trials", "1"],
+         "--alpha 3 --sigma 9"),
+        (["fit-series", "--trials", "3", "--n", "30", "--N", "4"], "--trials 3"),
+        (["diagnose", "--trials", "3"], "--trials 3"),
+    ], ids=["table2-alpha-sigma", "fit-series-trials", "diagnose-trials"])
+    def test_unread_flags_regression(self, tmp_path, capsys, series_csv, argv,
+                                     unread):
+        # these ran, echoing the unread keys as if they were used
+        out = tmp_path / "out.csv"
+        if argv[0] == "fit-series":
+            argv = argv + ["--csv", str(series_csv)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert one_error_line(capsys) == {
+            "error": "ValidationError",
+            "message": f"unrecognized arguments: {unread}"}
+        assert not out.exists()
+
+
+def help_flags(capsys, command) -> dict:
+    """Each flag of the command's --help, mapped to its help block."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    flags = {}
+    for block in re.split(r"\n  (?=-)", text)[1:]:
+        words = block.split()
+        flags[words[0].rstrip(",")] = " ".join(words)
+    return flags
+
+
 class TestHelp:
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_flag_help_shows_the_table_default(self, capsys, command):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        text = capsys.readouterr().out
-        flags = {}
-        for block in re.split(r"\n  (?=-)", text):
-            words = block.split()
-            flags[words[0].rstrip(",")] = " ".join(words)
-        defaults = COMMANDS[command].defaults
-        shown = [key for key in defaults if "--" + key.replace("_", "-") in flags]
-        assert len(shown) == len(defaults) - ("lambda_grid" in defaults)
-        for key in shown:
-            assert f"default {defaults[key]})" in flags["--" + key.replace("_", "-")]
+        flags = help_flags(capsys, command)
+        for key, default in COMMANDS[command].keys.items():
+            if key == "lambda_grid":      # config-file only
+                continue
+            if default is None:
+                assert "default " not in flags[flag(key)]
+            else:
+                assert flags[flag(key)].endswith(f"default {default})")
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_lists_exactly_the_commands_keys(self, capsys, command):
+        keys = set(COMMANDS[command].keys) - {"lambda_grid"}
+        assert set(help_flags(capsys, command)) == (
+            {"-h", "--seed", "--config", "--out", "--format"} | {flag(k) for k in keys})

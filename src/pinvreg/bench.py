@@ -266,10 +266,10 @@ class ExperimentResult:
         buf.write("# config ")
         buf.write(json.dumps(self.config, sort_keys=True, separators=(",", ":")))
         buf.write("\r\n")
+        # csv writes None as an empty field, and str(float) is repr(float)
         writer = csv.writer(buf)
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_fmt(row.get(col)) for col in self.columns])
+        writer.writerows([row.get(col) for col in self.columns] for row in self.rows)
         return buf.getvalue()
 
     def to_json_text(self) -> str:
@@ -290,14 +290,6 @@ class ExperimentResult:
         text = self.render(format)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _jsonable(value):

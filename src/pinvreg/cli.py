@@ -7,7 +7,9 @@ failure; errors print one JSON line on stderr.
 """
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -143,17 +145,19 @@ def _run_diagnose(config) -> int:
         payload["kappa_bound_delta=0.1"] = tb.kappa_bound(0.1)
     else:
         payload["condition1_satisfied"] = None
-    text = (
-        json.dumps(bench._jsonable(payload), sort_keys=True, allow_nan=False)
-        if config.format == "json"
-        else "\n".join(f"{k}={v}" for k, v in payload.items())
-    )
+    payload = bench._jsonable(payload)         # non-finite values as "inf"/"nan"
+    if config.format == "json":
+        text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    else:                                       # one header row, one value row
+        buf = io.StringIO()
+        csv.writer(buf).writerows((payload.keys(), payload.values()))
+        text = buf.getvalue()
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(config.out, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"wrote {config.out}")
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 

@@ -86,6 +86,8 @@ class RansacResult:
     score: float
     iteration: int
     n_failed: int
+    table: np.ndarray              # basis at x
+    score_table: np.ndarray        # basis at the scoring points
 
 
 def ransac_fit(
@@ -104,7 +106,8 @@ def ransac_fit(
     replacement, fits, and scores by mean squared prediction error over the
     scoring set (default: all of x, y). Near-singular iterations are skipped;
     if every one fails a RobustFitError is raised. The basis is evaluated once
-    for x and once for the scoring set; iterations slice rows of those tables.
+    for x and once for a separate scoring set; iterations slice rows of those
+    tables, which the result keeps.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -117,10 +120,11 @@ def ransac_fit(
         raise ValueError(
             f"subset_size must be in [{basis.size}, {n}], got {subset_size}"
         )
-    xs, ys = (x, y) if scoring is None else scoring
-    ys = np.asarray(ys, dtype=float)
     table = basis.table(x)
-    score_table = basis.table(xs)
+    if scoring is None:
+        score_table, ys = table, y
+    else:
+        score_table, ys = basis.table(scoring[0]), np.asarray(scoring[1], dtype=float)
     best = None
     n_failed = 0
     for it in range(iterations):
@@ -139,7 +143,8 @@ def ransac_fit(
         raise RobustFitError(f"all {iterations} subsample fits were near singular")
     score, it, model = best
     model.truncation_level = truncation_level
-    return RansacResult(model=model, score=score, iteration=it, n_failed=n_failed)
+    return RansacResult(model=model, score=score, iteration=it, n_failed=n_failed,
+                        table=table, score_table=score_table)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import build_design, spectral_report
+from .design import DesignMatrix, spectral_report
 from .errors import DataError, ValidationError
 from .jacobi import UNIT, JacobiBasis, JacobiParams
 from .regression import NpregModel, RansacResult, ransac_fit
@@ -62,9 +62,12 @@ def load_series_csv(
 ) -> TimeSeriesDataset:
     """Read (date, location, new_cases) rows; empty values count as 0.
 
-    Extra columns are ignored, the header is required, dates must be strictly
-    increasing after filtering, and values must be finite and >= 0. Errors
-    carry the offending 1-based line number.
+    Extra columns are ignored and the header is required. The file is
+    streamed. Every row is checked for width (a short row that is not blank
+    raises) and whitespace-only rows are skipped. Only rows of the selected
+    location (every row when location is None) have their dates parsed and
+    their values checked: dates strictly increasing after filtering, values
+    finite and >= 0. Errors carry the offending 1-based line number.
     """
     try:
         lo = datetime.date.fromisoformat(start) if start is not None else None
@@ -84,27 +87,27 @@ def load_series_csv(
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise DataError(f"missing column(s): {', '.join(missing)}", line=1)
-        idx = {c: header.index(c) for c in REQUIRED_COLUMNS}
+        width = len(header)
+        i_date, i_loc, i_value = (header.index(c) for c in REQUIRED_COLUMNS)
 
-        seen_locations = set()
+        found = False                      # a row of the selected location
         dates = []
         values = []
         prev: tuple | None = None          # (date, line) of last kept row
         for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if len(row) < width:
+                if not "".join(row).strip():
+                    continue
+                raise DataError(f"expected {width} fields, got {len(row)}", line=line)
+            if location is not None and row[i_loc].strip() != location:
                 continue
-            if len(row) < len(header):
-                raise DataError(
-                    f"expected {len(header)} fields, got {len(row)}", line=line
-                )
-            loc = row[idx["location"]].strip()
-            seen_locations.add(loc)
-            if location is not None and loc != location:
+            if not "".join(row).strip():
                 continue
-            date = _parse_date(row[idx["date"]], line)
+            found = True
+            date = _parse_date(row[i_date], line)
             if (lo is not None and date < lo) or (hi is not None and date > hi):
                 continue
-            raw = row[idx["new_cases"]].strip()
+            raw = row[i_value].strip()
             if raw == "":
                 value = 0.0
             else:
@@ -126,7 +129,7 @@ def load_series_csv(
             dates.append(date.isoformat())
             values.append(value)
 
-    if location is not None and location not in seen_locations:
+    if location is not None and not found:
         raise ValidationError(f"unknown location {location!r}")
     if not dates:
         raise ValidationError("no rows left after filtering")
@@ -190,11 +193,15 @@ def fit_series(
         seed=seed,
         truncation_level=truncation,
     )
-    report = spectral_report(build_design(basis, x).gram())
+    # the full design and the day-grid predictions reuse ransac_fit's tables
+    report = spectral_report(DesignMatrix(result.table / math.sqrt(n), basis).gram())
+    fitted = result.score_table @ result.model.coeffs
+    if truncation is not None:
+        fitted = np.clip(fitted, -truncation, truncation)
     return SeriesFit(
         dataset=dataset,
         model=result.model,
         ransac=result,
         design_report=report,
-        fitted=result.model.predict(grid),
+        fitted=fitted,
     )

@@ -4,6 +4,7 @@ error stream formatting, and rerun determinism."""
 import csv
 import dataclasses
 import datetime
+import io
 import json
 import re
 
@@ -141,15 +142,16 @@ class TestDiagnose:
         code = main(["diagnose", "--alpha", "-0.5", "--beta", "-0.5",
                      "--N", "5", "--n", "25", "--seed", "7"])
         assert code == 0
-        out = capsys.readouterr().out
-        lines = dict(l.split("=", 1) for l in out.strip().splitlines()
-                     if l.count("=") == 1)
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out, newline="")))
+        assert len(rows) == 1
+        lines = rows[0]
         params = JacobiParams(-0.5, -0.5)
         samples = sample_beta_on_I(params, 25, 7)
         report = spectral_report(build_design(JacobiBasis(params, 5), samples).gram())
         assert float(lines["kappa2"]) == pytest.approx(report.kappa2)
         assert float(lines["lambda_min"]) == pytest.approx(report.lambda_min)
-        assert "condition1_satisfied" in lines
+        assert lines["condition1_satisfied"] in ("True", "False")
+        assert lines["kappa_bound_delta=0.1"] == "inf"
 
     def test_json_format(self, capsys):
         code = main(["diagnose", "--seed", "3", "--format", "json"])
@@ -159,10 +161,14 @@ class TestDiagnose:
         assert "kappa_bound_delta=0.1" in doc
 
     def test_writes_file(self, tmp_path, capsys):
-        out = tmp_path / "diag.txt"
+        out = tmp_path / "diag.csv"
         code = main(["diagnose", "--out", str(out)])
         assert code == 0
-        assert "kappa2=" in out.read_text()
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert float(rows[0]["kappa2"]) >= 1.0
+        assert rows[0]["N"] == "5" and rows[0]["n"] == "25"
 
     def test_low_degree_skips_theory(self, capsys):
         code = main(["diagnose", "--N", "1", "--n", "10", "--format", "json"])

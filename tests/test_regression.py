@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pinvreg.design import DesignMatrix, build_design, spectral_report
 from pinvreg.errors import RobustFitError, StabilityError
@@ -218,7 +218,7 @@ class TestRansac:
             with pytest.raises(ValueError, match="iterations"):
                 ransac_fit(x, x, basis, iterations=bad)
 
-    def test_evaluates_basis_twice_per_call(self, monkeypatch):
+    def test_evaluates_basis_once_per_point_set(self, monkeypatch):
         calls = []
         table = JacobiBasis.table
 
@@ -232,9 +232,24 @@ class TestRansac:
         xs = np.linspace(-0.95, 0.95, 90)
         for iterations in (1, 12):
             calls.clear()
-            ransac_fit(s, np.sin(3 * s), basis, iterations=iterations,
-                       seed=13, scoring=(xs, np.sin(3 * xs)))
+            result = ransac_fit(s, np.sin(3 * s), basis, iterations=iterations, seed=13)
+            assert calls == [60]
+            assert result.score_table is result.table
+            calls.clear()
+            result = ransac_fit(s, np.sin(3 * s), basis, iterations=iterations,
+                                seed=13, scoring=(xs, np.sin(3 * xs)))
             assert calls == [60, 90]
+            assert result.table.shape == (60, 4) and result.score_table.shape == (90, 4)
+
+    def test_default_scoring_is_the_sample(self):
+        basis = JacobiBasis(PARAMS, 3)
+        s = sample_beta_on_I(PARAMS, 60, seed=8)
+        y = np.sin(3 * s)
+        y[:3] += 5.0
+        a = ransac_fit(s, y, basis, iterations=9, seed=21)
+        b = ransac_fit(s, y, basis, iterations=9, seed=21, scoring=(s, y))
+        assert (a.score, a.iteration) == (b.score, b.iteration)
+        assert_array_equal(a.model.coeffs, b.model.coeffs)
 
     def test_matches_per_iteration_fit_loop(self):
         # reference: refit each subsample from its own table and score by predict

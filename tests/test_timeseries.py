@@ -6,9 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from pinvreg.design import build_design, spectral_report
 from pinvreg.errors import DataError, RobustFitError, ValidationError
+from pinvreg.jacobi import UNIT, JacobiBasis, JacobiParams
+from pinvreg.regression import ransac_fit
+from pinvreg.sampling import sample_beta_unit
 from pinvreg.timeseries import TimeSeriesDataset, fit_series, load_series_csv
 
 BASE = datetime.date(2020, 3, 1)
@@ -174,7 +178,78 @@ class TestLoadSeriesCsv:
         assert_allclose(load_series_csv(path).values, [3.0], rtol=0)
 
 
+class TestLoaderRowContract:
+    """Width and blankness are checked on every row; dates and values only on
+    rows of the selected location."""
+
+    def write(self, path, body):
+        path.write_text("date,location,new_cases\n" + body)
+        return path
+
+    def test_short_row_of_another_location_raises(self, tmp_path):
+        path = self.write(tmp_path / "a.csv",
+                          f"{iso(0)},X,1\n{iso(0)},Y,5\n{iso(1)},Y\n{iso(1)},X,2\n")
+        with pytest.raises(DataError, match="expected 3 fields, got 2") as err:
+            load_series_csv(path, location="X")
+        assert err.value.line == 4
+
+    def test_blank_rows_between_other_rows_skipped(self, tmp_path):
+        path = self.write(tmp_path / "a.csv",
+                          f"{iso(0)},X,1\n{iso(0)},Y,5\n , , \n \t, \n\n"
+                          f"{iso(1)},Y,6\n{iso(1)},X,2\n")
+        assert_allclose(load_series_csv(path, location="X").values, [1.0, 2.0], rtol=0)
+        assert_allclose(load_series_csv(path, location="Y").values, [5.0, 6.0], rtol=0)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2020-13-45,Y,6", "bad date"),
+        (f"{iso(1)},Y,n/a", "bad value"),
+        (f"{iso(1)},Y,-3", "negative value"),
+        (f"{iso(0)},Y,7", "not strictly increasing"),
+    ])
+    def test_other_locations_values_are_not_parsed(self, tmp_path, row, message):
+        path = self.write(tmp_path / "a.csv",
+                          f"{iso(0)},X,1\n{iso(0)},Y,5\n{row}\n{iso(1)},X,2\n")
+        assert_allclose(load_series_csv(path, location="X").values, [1.0, 2.0], rtol=0)
+        with pytest.raises(DataError, match=message) as err:
+            load_series_csv(path, location="Y")
+        assert err.value.line == 4
+
+    def test_absent_location_raises(self, tmp_path):
+        path = self.write(tmp_path / "a.csv", f"{iso(0)},X,1\n , , \n{iso(0)},Y,5\n")
+        with pytest.raises(ValidationError, match="unknown location 'Z'"):
+            load_series_csv(path, location="Z")
+
+
 class TestFitSeries:
+    @pytest.mark.parametrize("truncation", [None, 30.0])
+    def test_reuses_ransac_tables(self, monkeypatch, truncation):
+        ds = make_dataset(80, lambda k: k + 5.0 * np.sin(k))
+        calls = []
+        table = JacobiBasis.table
+
+        def counting(self, x):
+            calls.append(len(x))
+            return table(self, x)
+
+        monkeypatch.setattr(JacobiBasis, "table", counting)
+        sf = fit_series(ds, n=60, degree_max=5, alpha=0.5, beta=1.0,
+                        ransac_iterations=7, truncation=truncation, seed=9)
+        assert calls == [60, 80]
+        # reference: the path that tabled the sample and the grid again
+        params = JacobiParams(0.5, 1.0)
+        basis = JacobiBasis(params, 5, domain=UNIT)
+        x = sample_beta_unit(params, 60, 9)
+        y = ds.values[np.clip(np.ceil(80 * x), 1, 80).astype(int) - 1]
+        grid = ds.day_grid()
+        ref = ransac_fit(x, y, basis, iterations=7, scoring=(grid, ds.values),
+                         seed=9, truncation_level=truncation)
+        assert_array_equal(sf.model.coeffs, ref.model.coeffs)
+        assert_array_equal(sf.fitted, ref.model.predict(grid))
+        assert_array_equal(sf.design_report.eigenvalues,
+                           spectral_report(build_design(basis, x).gram()).eigenvalues)
+        if truncation is not None:
+            assert np.max(np.abs(sf.fitted)) == truncation
+
     def test_insufficient_data(self):
         ds = make_dataset(30, lambda k: k)
         with pytest.raises(ValidationError, match="insufficient"):

@@ -14,7 +14,7 @@ import math
 import numbers
 import operator
 import time
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import MISSING, InitVar, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -126,34 +126,27 @@ COMMANDS = {
     "diagnose": Command("custom", {"alpha": -0.5, "beta": None, "N": 5, "n": 25}),
 }
 EXPERIMENTS = tuple(dict.fromkeys(c.experiment for c in COMMANDS.values()))
-
-# Type and range rule of each numeric key
-_RULES = {
-    "N": (numbers.Integral, ">= 0"),
-    "n": (numbers.Integral, ">= 1"),
-    "trials": (numbers.Integral, ">= 1"),
-    "seed": (numbers.Integral, ">= 0"),
-    "ransac_iterations": (numbers.Integral, ">= 1"),
-    "ransac_subset": (numbers.Integral, None),
-    "alpha": (numbers.Real, ">= -0.5"),
-    "beta": (numbers.Real, ">= -0.5"),
-    "s": (numbers.Real, "> 0"),
-    "sigma": (numbers.Real, ">= 0"),
-    "truncation": (numbers.Real, "> 0"),
-    "bandwidth": (numbers.Real, "> 0"),
-}
 _COMPARE = {">=": operator.ge, ">": operator.gt}
+
+
+def _key(kind, rule=None, help=None, default=None):
+    """A config field that declares its own check and flag.
+
+    kind is a numbers ABC, str, list (a non-empty list of reals, each entry
+    held to the rule) or a tuple of choices; rule is ">= b" or "> b"; help is
+    the flag's help text (None: config-file only)."""
+    return field(default=default, metadata={"kind": kind, "rule": rule, "help": help})
 
 
 @dataclass
 class ExperimentConfig:
     """Resolved knobs for one experiment run; unknown keys are rejected.
 
-    Construction rejects any key set that `command` does not read (default:
-    the first command of the experiment, simulate-lfr for "custom"), fills
-    its paper defaults, sets beta to alpha if unset, and checks each key's
-    type and range. Keys left None are unread, or derived per cell or in the
-    library: sweep keys of a sweep, table3's bandwidth (each cell's N),
+    Construction checks the kind and range of each key that is set, rejects
+    any key that `command` does not read (default: the first command of the
+    experiment, simulate-lfr for "custom"), fills its paper defaults and sets
+    beta to alpha if unset. Keys left None are unread, or derived per cell or
+    in the library: sweep keys of a sweep, table3's bandwidth (each cell's N),
     ransac_subset and truncation (no clamp).
 
     `command` is not stored, so `dataclasses.replace` resolves the config
@@ -161,36 +154,38 @@ class ExperimentConfig:
     for any other command, e.g. `replace(cfg, seed=1, command="diagnose")`.
     """
 
-    experiment: str
-    alpha: float | None = None
-    beta: float | None = None
-    N: int | None = None
-    n: int | None = None
-    s: float | None = None
-    sigma: float | None = None
-    trials: int | None = None
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
-    ransac_iterations: int | None = None
-    ransac_subset: int | None = None
-    truncation: float | None = None
-    lambda_grid: list | None = None
-    bandwidth: float | None = None
-    variant: str | None = None
-    csv: str | None = None
-    location: str | None = None
-    start: str | None = None
-    end: str | None = None
+    experiment: str = _key(EXPERIMENTS, default=MISSING)
+    alpha: float | None = _key(numbers.Real, ">= -0.5", "Jacobi alpha")
+    beta: float | None = _key(numbers.Real, ">= -0.5", "Jacobi beta, alpha if unset")
+    N: int | None = _key(numbers.Integral, ">= 0", "basis degree / coefficient count")
+    n: int | None = _key(numbers.Integral, ">= 1", "sample size")
+    s: float | None = _key(numbers.Real, "> 0", "smoothness / decay exponent")
+    sigma: float | None = _key(numbers.Real, ">= 0", "noise standard deviation")
+    trials: int | None = _key(numbers.Integral, ">= 1", "Monte Carlo trials per cell")
+    seed: int = _key(numbers.Integral, ">= 0", "master seed (default 0)", 0)
+    out: str | None = _key(str, help="output file path (default: stdout)")
+    format: str = _key(("csv", "json"), help="output format", default="csv")
+    ransac_iterations: int | None = _key(numbers.Integral, ">= 1",
+                                         "robust-fit iterations")
+    ransac_subset: int | None = _key(numbers.Integral,
+                                     help="points per robust-fit subsample")
+    truncation: float | None = _key(numbers.Real, "> 0", "clamp level for predictions")
+    lambda_grid: list | None = _key(list, "> 0")
+    bandwidth: float | None = _key(numbers.Real, "> 0",
+                                   "kernel bandwidth c, each cell's N if unset")
+    variant: str | None = _key((EXAMPLE3, TABLE2), help="xi family")
+    csv: str | None = _key(str, help="input CSV (date,location,new_cases)")
+    location: str | None = _key(str, help="location filter")
+    start: str | None = _key(str, help="first date, ISO-8601")
+    end: str | None = _key(str, help="last date, ISO-8601")
     command: InitVar[str | None] = None
 
     def __post_init__(self, command):
-        if self.experiment not in EXPERIMENTS:
-            raise ValidationError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
-            )
-        if self.format not in ("csv", "json"):
-            raise ValidationError(f"format must be csv or json, got {self.format!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                setattr(self, f.name, _checked(f.name, value, f.metadata["kind"],
+                                               f.metadata["rule"]))
         if command is None:
             command = next(c for c, spec in COMMANDS.items()
                            if spec.experiment == self.experiment)
@@ -209,29 +204,6 @@ class ExperimentConfig:
                 setattr(self, key, value)
         if self.beta is None:
             self.beta = self.alpha
-        for name, (kind, rule) in _RULES.items():
-            value = getattr(self, name)
-            if value is None and name != "seed":
-                continue
-            if not _is_a(value, kind):
-                raise ValidationError(f"{name} must be {kind.__name__.lower()}: {value!r}")
-            if not -math.inf < value < math.inf:   # no float() overflow on huge ints
-                raise ValidationError(f"{name} must be finite, got {value}")
-            if rule is not None:
-                op, bound = rule.split()
-                if not _COMPARE[op](value, float(bound)):
-                    raise ValidationError(f"{name} must be {rule}, got {value}")
-        if self.lambda_grid is not None:
-            grid = self.lambda_grid
-            if not isinstance(grid, (list, tuple)) or not grid or not all(
-                _is_a(v, numbers.Real) for v in grid
-            ):
-                raise ValidationError(
-                    f"lambda_grid must be a non-empty list of reals: {grid!r}"
-                )
-            if not all(0 < v < math.inf for v in grid):
-                raise ValidationError("lambda_grid entries must be finite and > 0")
-            self.lambda_grid = [float(v) for v in grid]
 
     @classmethod
     def from_dict(cls, d: dict, command: str | None = None) -> "ExperimentConfig":
@@ -245,6 +217,38 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _checked(name, value, kind, rule):
+    """value, if it is of the kind and within the rule (a list or tuple with
+    its entries as floats); otherwise a ValidationError naming the key."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValidationError(f"unknown {name} {value!r}; expected one of {kind}")
+        return value
+    if kind is list:
+        if not isinstance(value, (list, tuple)) or not value or not all(
+            _is_a(v, numbers.Real) for v in value
+        ):
+            raise ValidationError(f"{name} must be a non-empty list of reals: {value!r}")
+        if not all(v < math.inf and _holds(v, rule) for v in value):
+            raise ValidationError(f"{name} entries must be finite and {rule}")
+        return type(value)(float(v) for v in value)
+    if not _is_a(value, kind):
+        raise ValidationError(f"{name} must be {kind.__name__.lower()}: {value!r}")
+    if kind is not str:
+        if not -math.inf < value < math.inf:   # no float() overflow on huge ints
+            raise ValidationError(f"{name} must be finite, got {value}")
+        if not _holds(value, rule):
+            raise ValidationError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def _holds(value, rule) -> bool:
+    if rule is None:
+        return True
+    op, bound = rule.split()
+    return _COMPARE[op](value, float(bound))
 
 
 def _is_a(value, kind) -> bool:

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import io
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from . import bench
 from .design import build_design, spectral_report, theory_bounds
 from .errors import NumericalError, ValidationError
 from .jacobi import JacobiBasis, JacobiParams
-from .lfr import EXAMPLE3, TABLE2
 from .regression import save_model
 from .sampling import sample_beta_on_I
 
@@ -36,26 +36,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-# Flag of each config key a command can read: argparse type (or a tuple of
-# choices) and help. lambda_grid has no flag; a config file sets it.
-_FLAGS = {
-    "trials": (int, "Monte Carlo trials per cell"),
-    "alpha": (float, "Jacobi alpha"),
-    "beta": (float, "Jacobi beta, alpha if unset"),
-    "N": (int, "basis degree / coefficient count"),
-    "n": (int, "sample size"),
-    "s": (float, "smoothness / decay exponent"),
-    "sigma": (float, "noise standard deviation"),
-    "bandwidth": (float, "kernel bandwidth c, each cell's N if unset"),
-    "variant": ((EXAMPLE3, TABLE2), "xi family"),
-    "csv": (str, "input CSV (date,location,new_cases)"),
-    "location": (str, "location filter"),
-    "start": (str, "first date, ISO-8601"),
-    "end": (str, "last date, ISO-8601"),
-    "ransac_iterations": (int, "robust-fit iterations"),
-    "ransac_subset": (int, "points per robust-fit subsample"),
-    "truncation": (float, "clamp level for predictions"),
-}
+# argparse type of each numeric or string kind of config key
+_TYPES = {numbers.Integral: int, numbers.Real: float, str: str}
 _SUMMARIES = {
     "fit-series": "fit a daily time series from CSV",
     "simulate-lfr": "simulate functional regression",
@@ -64,8 +46,9 @@ _SUMMARIES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, with a flag for each key it reads; each
-    flag's help notes its paper default and whether it picks one cell."""
+    """One subparser per command, with a flag for each key it reads, typed and
+    described by the key's ExperimentConfig field; each flag's help notes its
+    paper default and whether it picks one cell."""
     parser = _Parser(
         prog="pinvreg",
         description="Random pseudo-inverse regression benchmarks and pipelines",
@@ -74,21 +57,20 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in bench.COMMANDS.items():
         summary = _SUMMARIES.get(name, f"run the {name} benchmark sweep")
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output file path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        for key, default in command.keys.items():
-            if key not in _FLAGS:
+        for field in dataclasses.fields(bench.ExperimentConfig):
+            key, kind, text = field.name, field.metadata["kind"], field.metadata["help"]
+            if text is None or key not in command.keys and key not in bench.COMMON_KEYS:
                 continue
-            kind, text = _FLAGS[key]
+            default = command.keys.get(key)
             notes = ["picks one cell"] if key in command.sweep_keys else []
             if default is not None:
                 notes.append(f"default {default}")
             if notes:
                 text = f"{text} ({'; '.join(notes)})"
             p.add_argument("--" + key.replace("_", "-"), help=text,
-                           **{"choices" if isinstance(kind, tuple) else "type": kind})
+                           **({"choices": kind} if isinstance(kind, tuple)
+                              else {"type": _TYPES[kind]}))
     return parser
 
 

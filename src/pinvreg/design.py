@@ -36,10 +36,6 @@ class DesignMatrix:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def degree_max(self) -> int:
-        return self.matrix.shape[1] - 1
-
     def gram(self) -> np.ndarray:
         return self.matrix.T @ self.matrix
 
@@ -130,17 +126,11 @@ class TheoryBounds:
     n: int
     degree_max: int
     m_sq: float                    # squared sup-norm proxy actually used
-    m_sq_generic: float
     m_sq_sharp: float | None       # 2/pi, Chebyshev weight only
-    eta_ab: float
     L_N: float
     condition1_ok: bool
     exp_lambda_max_upper: float
     exp_lambda_min_lower: float
-
-    @property
-    def base_term(self) -> float:
-        return self.L_N * math.log(self.degree_max + 1.0) / self.n
 
     def kappa_bound(self, delta: float) -> float:
         """High-probability condition number envelope; inf when vacuous."""
@@ -180,9 +170,7 @@ def theory_bounds(
         n=n,
         degree_max=N,
         m_sq=m_sq,
-        m_sq_generic=m_sq_generic,
         m_sq_sharp=m_sq_sharp,
-        eta_ab=eta,
         L_N=L_N,
         condition1_ok=0.63 * n > L_N * math.log(N + 1.0),
         exp_lambda_max_upper=1.72 + base,

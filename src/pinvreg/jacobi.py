@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import beta as beta_function
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_jacobi
 
 __all__ = [
     "JacobiParams",
@@ -199,34 +198,14 @@ class QuadratureRule:
 
 
 def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
-    """Gauss-Jacobi rule via Golub-Welsch on the monic three-term recurrence.
+    """Gauss-Jacobi rule from scipy's `roots_jacobi`.
 
     The returned rule integrates x -> f(x) * omega(x) over [-1, 1] exactly for
     polynomials f of degree <= 2*order - 1. Weights sum to gamma_ab.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    a, b = params.alpha, params.beta
-    ab = a + b
-    i = np.arange(order, dtype=float)
-    diag = np.empty(order)
-    diag[0] = (b - a) / (ab + 2.0)
-    if order > 1:
-        ii = i[1:]
-        diag[1:] = (b * b - a * a) / ((2.0 * ii + ab) * (2.0 * ii + ab + 2.0))
-    j = np.arange(1, order, dtype=float)
-    off = np.empty(max(order - 1, 0))
-    if order > 1:
-        off[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + ab) ** 2 * (3.0 + ab))
-        if order > 2:
-            jj = j[1:]
-            off[1:] = (
-                4.0 * jj * (jj + a) * (jj + b) * (jj + ab)
-                / ((2.0 * jj + ab) ** 2 * (2.0 * jj + ab + 1.0) * (2.0 * jj + ab - 1.0))
-            )
-        off = np.sqrt(off)
-    nodes, vectors = eigh_tridiagonal(diag, off)
-    weights = params.gamma_ab * vectors[0] ** 2
+    nodes, weights = roots_jacobi(order, params.alpha, params.beta)
     return QuadratureRule(nodes=nodes, weights=weights)
 
 

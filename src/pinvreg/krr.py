@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import RegularizationError
@@ -52,19 +51,25 @@ class KrrModel:
         return K @ self.weights
 
 
-def _ridge_solve(K: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Weights w solving (K/n + ridge I) w = y / n by Cholesky factorization."""
-    if ridge <= 0:
-        raise ValueError(f"ridge must be > 0, got {ridge}")
-    n = len(y)
-    G = K / n + ridge * np.eye(n)
-    try:
-        factor = cho_factor(G, lower=True)
-    except np.linalg.LinAlgError as exc:
+def _ridge_solve(G: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
+    """Weights w solving (G + ridge I) w = rhs by Cholesky factorization.
+
+    Calls LAPACK's dpotrf and dpotrs directly: the routines cho_factor and
+    cho_solve call, without their per-call finiteness scans, so callers check
+    G, rhs and the ridge once.
+    """
+    A = G.copy()
+    A.flat[:: len(A) + 1] += ridge
+    factor, info = dpotrf(A, lower=1, clean=0)
+    if info > 0:              # leading minor not positive definite
         raise RegularizationError(
             f"regularized kernel Gram not positive definite at ridge={ridge:g}"
-        ) from exc
-    return cho_solve(factor, y / n)
+        )
+    if info == 0:
+        w, info = dpotrs(factor, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf/potrs")
+    return w
 
 
 def _check_xy(x, y):
@@ -80,8 +85,11 @@ def _check_xy(x, y):
 def krr_fit(x, y, ridge: float, bandwidth: float = 10.0) -> KrrModel:
     """Solve (K/n + ridge I) w = y / n by Cholesky factorization."""
     x, y = _check_xy(x, y)
+    if not 0 < ridge < math.inf:
+        raise ValueError(f"ridge must be finite and > 0, got {ridge}")
+    n = len(x)
     K = sinc_kernel(x[:, None], x[None, :], bandwidth)
-    weights = _ridge_solve(K, y, ridge)
+    weights = _ridge_solve(K / n, y / n, ridge)
     return KrrModel(anchors=x, weights=weights, bandwidth=bandwidth, ridge=ridge)
 
 
@@ -104,12 +112,10 @@ def cross_validate(
 
     Folds are a seeded shuffle split into `folds` nearly equal parts. The n x n
     kernel is built once per call and each fold's slices of it once per fold;
-    each ridge then costs one LAPACK Cholesky factor (dpotrf) and solve
-    (dpotrs), the routines cho_factor/cho_solve call, without their per-call
-    finiteness scans (x, y and the grid are checked once). A ridge whose
-    regularized fold Gram is not positive definite scores inf on that fold.
-    The returned model is refit on all data at the selected ridge from the
-    same kernel.
+    each ridge then costs one Cholesky factor and solve (`_ridge_solve`). A
+    ridge whose regularized fold Gram is not positive definite scores inf on
+    that fold. The returned model is refit on all data at the selected ridge
+    from the same kernel.
     """
     x, y = _check_xy(x, y)
     n = len(x)
@@ -130,21 +136,16 @@ def cross_validate(
         K_test = K[np.ix_(test, train)]
         rhs = y[train] / m
         y_test = y[test]
-        eye = np.eye(m)
         for i, ridge in enumerate(grid):
-            factor, info = dpotrf(G + ridge * eye, lower=1, clean=0)
-            if info > 0:          # leading minor not positive definite
+            try:
+                w = _ridge_solve(G, rhs, ridge)
+            except RegularizationError:
                 fold_mse[i].append(math.inf)
                 continue
-            if info == 0:
-                w, info = dpotrs(factor, rhs, lower=1)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of LAPACK potrf/potrs")
             fold_mse[i].append(float(np.mean((K_test @ w - y_test) ** 2)))
     errors = {float(ridge): float(np.mean(mse)) for ridge, mse in zip(grid, fold_mse)}
     # minimal error; among ties prefer the strongest regularization
     best = max(sorted(errors), key=lambda r: (-errors[r], r))
-    model = KrrModel(
-        anchors=x, weights=_ridge_solve(K, y, best), bandwidth=bandwidth, ridge=best
-    )
+    weights = _ridge_solve(K / n, y / n, best)
+    model = KrrModel(anchors=x, weights=weights, bandwidth=bandwidth, ridge=best)
     return CvResult(ridge=best, cv_errors=errors, model=model)

@@ -32,7 +32,6 @@ __all__ = [
     "lfr_fit",
     "lfr_errors",
     "theorem6_bound",
-    "theorem6_bounds",
     "ineq47_bound",
     "truncate_beta",
     "theorem7_bound",
@@ -263,13 +262,6 @@ def theorem6_bound(
     if denominator <= 0:
         return math.inf
     return (1.72 * float(np.max(xi_sq)) + log_term + eta) / denominator
-
-
-def theorem6_bounds(problem: LfrProblem, eta: float, score_bound=None) -> list:
-    return [
-        theorem6_bound(problem, k, eta, score_bound)
-        for k in range(problem.partition.K)
-    ]
 
 
 def ineq47_bound(s: float, size: int) -> float:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -48,6 +49,8 @@ class TestExperimentConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig(experiment="table1", alpha=-0.5, N=5, n=25,
                                trials=3, seed=7)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = ExperimentConfig(experiment="table3")      # unchecked default grid
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_rejects_unknown_keys(self):
@@ -130,10 +133,20 @@ class TestExperimentConfig:
                 ExperimentConfig(experiment="table1", command=command)
 
     def test_every_command_has_valid_defaults(self):
+        # defaults are filled in unchecked, so pass them as if set by hand
         for command, spec in COMMANDS.items():
             ExperimentConfig(experiment=spec.experiment, command=command,
-                             **{k: v for k, v in spec.keys.items()
-                                if k in spec.sweep_keys and v is not None})
+                             **{k: v for k, v in spec.keys.items() if v is not None})
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                             ids=lambda f: f.name)
+    def test_every_key_rejects_a_wrong_kind(self, field):
+        kind = field.metadata["kind"]
+        assert isinstance(kind, tuple) or kind in (str, list) or issubclass(
+            kind, numbers.Number)
+        d = {"experiment": "table1", field.name: 5 if kind is str else "5"}
+        with pytest.raises(ValidationError, match=rf"^(unknown )?{field.name} "):
+            ExperimentConfig.from_dict(d)
 
     def test_names_every_unread_key(self):
         with pytest.raises(ValidationError, match="^table2 does not read alpha, sigma$"):

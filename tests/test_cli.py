@@ -6,11 +6,16 @@ import dataclasses
 import datetime
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pinvreg
 from pinvreg.bench import COMMANDS, COMMON_KEYS, ExperimentConfig
 from pinvreg.cli import main
 from pinvreg.design import build_design, spectral_report
@@ -20,6 +25,7 @@ from pinvreg.regression import load_model
 from pinvreg.sampling import sample_beta_on_I
 
 BASE = datetime.date(2020, 3, 1)
+SRC = str(Path(pinvreg.__file__).resolve().parents[1])   # the package's import root
 
 # a valid value of each key that some command does not read
 VALID = {"alpha": 0.5, "beta": 0.5, "N": 3, "n": 20, "s": 1.0, "sigma": 0.1,
@@ -310,6 +316,60 @@ class TestErrorPaths:
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"] == "ValidationError"
         assert f"{next(iter(bad))} must be integral" in doc["message"]
+
+    # the subcommand sets experiment, whatever the config file says
+    @pytest.mark.parametrize("field", [f for f in dataclasses.fields(ExperimentConfig)
+                                       if f.name != "experiment"], ids=lambda f: f.name)
+    def test_wrong_config_kind_exits_one(self, tmp_path, capsys, field):
+        command = next(c for c, spec in COMMANDS.items()
+                       if field.name in spec.keys or field.name in COMMON_KEYS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field.name: ["a"] if field.metadata["kind"] is str
+                                   else "5"}))
+        assert main([command, "--config", str(cfg)]) == 1
+        doc = one_error_line(capsys)
+        assert doc["error"] == "ValidationError"
+        assert re.match(rf"(unknown )?{field.name} ", doc["message"])
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command, bad, message", [
+        ("fit-series", {"start": 5}, "start must be str: 5"),
+        ("table1", {"out": ["a"]}, "out must be str: ['a']"),
+        ("simulate-lfr", {"variant": 5},
+         "unknown variant 5; expected one of ('example3', 'table2')"),
+    ])
+    def test_wrong_kind_regressions(self, tmp_path, capsys, series_csv, command, bad,
+                                    message):
+        # these raised raw TypeError tracebacks or a bare ValueError
+        cfg = tmp_path / "cfg.json"
+        if command == "fit-series":
+            bad = bad | {"csv": str(series_csv)}
+        cfg.write_text(json.dumps(bad))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert one_error_line(capsys) == {"error": "ValidationError", "message": message}
+        assert set(tmp_path.iterdir()) == {cfg, series_csv}
+
+    @pytest.mark.parametrize("command, bad", [("table1", {"out": True}),
+                                              ("fit-series", {"csv": 5})])
+    def test_non_string_path_exits_one_in_a_process(self, tmp_path, command, bad):
+        # these opened raw file descriptors ({"out": true} wrote the table to
+        # fd 1, then closed it), so a regression run in-process would close
+        # the test runner's own stdout
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinvreg.cli", command, "--config", cfg.name],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        key, value = next(iter(bad.items()))
+        assert json.loads(lines[0]) == {"error": "ValidationError",
+                                        "message": f"{key} must be str: {value!r}"}
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("grid", [5, ["1e-3", "0.1"], [True, 0.1]])
     def test_wrong_lambda_grid_type_exits_one(self, tmp_path, capsys, grid):

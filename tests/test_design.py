@@ -29,7 +29,7 @@ class TestBuildDesign:
         pts = np.linspace(-0.8, 0.8, 7)
         d = build_design(basis, pts)
         assert_allclose(d.matrix, basis.table(pts) / math.sqrt(7), rtol=1e-15)
-        assert d.n == 7 and d.degree_max == 2
+        assert d.n == 7 and d.matrix.shape == (7, 3)
 
     def test_accepts_sample_set(self):
         basis = JacobiBasis(JacobiParams(-0.5, -0.5), 3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import binom, eval_jacobi, roots_jacobi
+from scipy.special import binom, eval_jacobi, gammaln
 
 from pinvreg.jacobi import (
     SYMMETRIC,
@@ -181,12 +181,27 @@ class TestQuadrature:
                         rtol=1e-14)
         assert_allclose(rule.weights, [1.0, 1.0], rtol=1e-14)
 
-    def test_matches_scipy_roots_jacobi(self):
+    def test_nodes_and_weights_match_the_closed_forms(self):
+        # nodes are the zeros of P_n; weights are the Christoffel numbers
+        # c / ((1 - x^2) P_n'(x)^2), with P_n' = (n+a+b+1)/2 P_{n-1}^(a+1,b+1)
+        n = 14
         for a, b in PAIRS:
-            rule = gauss_jacobi_rule(JacobiParams(a, b), 14)
-            nodes, weights = roots_jacobi(14, a, b)
-            assert_allclose(rule.nodes, nodes, rtol=1e-12, atol=1e-13)
-            assert_allclose(rule.weights, weights, rtol=1e-11, atol=1e-14)
+            rule = gauss_jacobi_rule(JacobiParams(a, b), n)
+            x = rule.nodes
+            assert_allclose(eval_jacobi(n, a, b, x), 0.0, atol=1e-13)
+            derivative = (n + a + b + 1) / 2 * eval_jacobi(n - 1, a + 1, b + 1, x)
+            c = math.exp((a + b + 1) * math.log(2) + gammaln(n + a + 1)
+                         + gammaln(n + b + 1) - gammaln(n + a + b + 1) - gammaln(n + 1))
+            assert_allclose(rule.weights, c / ((1 - x**2) * derivative**2), rtol=1e-12)
+
+    @pytest.mark.parametrize("domain", [SYMMETRIC, UNIT])
+    def test_orthonormalizes_the_basis_at_high_order(self, domain):
+        # the estimators integrate at order N + 12; N = 100 is past any default
+        for a, b in PAIRS:
+            basis = JacobiBasis(JacobiParams(a, b), 100, domain=domain)
+            rule = basis.quadrature(112)
+            T = basis.table(rule.nodes)
+            assert_allclose(T.T @ (rule.weights[:, None] * T), np.eye(101), atol=1e-11)
 
     def test_exactness_on_monomials(self):
         # an order-n rule integrates x^k omega exactly for k <= 2n-1

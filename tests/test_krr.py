@@ -69,8 +69,16 @@ class TestKrrFit:
 
     def test_ridge_validation(self):
         x = np.linspace(-1, 1, 10)
-        with pytest.raises(ValueError, match="ridge"):
-            krr_fit(x, x, ridge=0.0)
+        for bad in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^ridge must be finite and > 0"):
+                krr_fit(x, x, ridge=bad)
+
+    def test_not_positive_definite_raises(self):
+        # triplicated points make the kernel singular, and 1e-300 is below
+        # round-off, so the regularized Gram fails to factor
+        x = np.repeat(np.linspace(-1, 1, 10), 3)
+        with pytest.raises(RegularizationError, match="ridge=1e-300"):
+            krr_fit(x, np.sin(3 * x), ridge=1e-300)
 
     def test_y_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):

@@ -27,7 +27,6 @@ from pinvreg.lfr import (
     lfr_risk_mc,
     simulate_problem,
     theorem6_bound,
-    theorem6_bounds,
     theorem7_bound,
     truncate_beta,
 )
@@ -307,7 +306,7 @@ class TestConditionBounds:
 
     def test_bounds_list_covers_partition(self):
         p = simulate_problem(200, 16, 1.0, 0.0, seed=3)
-        bounds = theorem6_bounds(p, 1e-3)
+        bounds = [theorem6_bound(p, k, 1e-3) for k in range(p.partition.K)]
         assert len(bounds) == p.partition.K
         assert all(b > 0 for b in bounds)
 

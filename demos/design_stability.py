@@ -2,6 +2,8 @@
 of the Gram matrix at Beta-distributed sample points, against the printed
 high-probability ceiling and the sample-size condition that activates it."""
 
+import numpy as np
+
 from pinvreg.design import mc_condition_number, theory_bounds
 from pinvreg.jacobi import JacobiParams
 
@@ -15,7 +17,7 @@ def main():
     for N, n in ((5, 25), (10, 40), (15, 60), (20, 100)):
         mc = mc_condition_number(cheb, n, N, trials=200, master_seed=SEED)
         print(f"  N={N:2d} n={n:3d}  mean kappa2 = {mc.mean_kappa2:7.2f}"
-              f"  (std {mc.std_kappa2:.2f}, singular trials {mc.n_singular})")
+              f"  (std {np.std(mc.kappas):.2f}, singular trials {mc.n_singular})")
     print("  (N=10, n=40 barely covers the degree: a few near-singular draws"
           " dominate the mean)")
 

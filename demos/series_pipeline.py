@@ -43,8 +43,7 @@ def main():
         print(f"consensus score (mean squared, all days): "
               f"{result.ransac.score:.1f}")
 
-        rows = result.plot_rows()
-        residuals = np.array([obs - fit for _, obs, fit in rows])
+        residuals = dataset.values - result.fitted
         clean = np.delete(residuals, 70)
         print(f"fitted-curve residuals off the glitch day: "
               f"max |r| = {np.max(np.abs(clean)):.1f}")
@@ -52,9 +51,8 @@ def main():
               f"{residuals[70]:.1f}  (the glitch stays in the data, "
               "not in the curve)")
 
-        day, obs, fitted = rows[59]
-        print(f"sample row, day 60: date={day} observed={obs:.1f} "
-              f"fitted={fitted:.1f}")
+        print(f"sample row, day 60: date={dataset.dates[59]} "
+              f"observed={dataset.values[59]:.1f} fitted={result.fitted[59]:.1f}")
 
 
 if __name__ == "__main__":

@@ -91,42 +91,48 @@ _COLUMNS = (
 
 
 class Command(NamedTuple):
-    """A CLI command: its experiment, every key it reads and its sweep keys.
+    """A CLI command: its experiment, every key it reads, its sweep keys and
+    the rules that tie two of its keys.
 
     Each key maps to its paper default, or to None where the value is unset
     or derived. Besides its keys, every command reads `COMMON_KEYS`. Setting
     any sweep key picks one cell, the others taking their defaults; setting
-    none runs the whole sweep and leaves them None (they differ per cell)."""
+    none runs the whole sweep and leaves them None (they differ per cell).
+    A rule "a op b" is checked once the defaults are filled, when both keys
+    are set."""
 
     experiment: str
     keys: dict
     sweep_keys: tuple = ()
+    rules: tuple = ()
 
 
 COMMON_KEYS = ("experiment", "seed", "out", "format")
 COMMANDS = {
     "table1": Command("table1", {"trials": 50, "alpha": -0.5, "beta": None, "N": 5,
                                  "n": 25},
-                      ("alpha", "beta", "N", "n")),
+                      ("alpha", "beta", "N", "n"), ("n > N",)),
     "table2": Command("table2", {"trials": 50, "s": 0.75, "N": 20, "n": 100},
                       ("s", "N", "n")),
     "table3": Command("table3", {"trials": 10, "n": 100, "alpha": -0.5, "beta": None,
                                  "lambda_grid": DEFAULT_LAMBDA_GRID, "bandwidth": None,
                                  "sigma": 0.1, "s": 1.0, "N": 10},
-                      ("sigma", "s", "N")),
+                      ("sigma", "s", "N"), ("n > N",)),
     "table4": Command("table4", {"trials": 10, "N": 50, "sigma": 0.5, "s": 1.5,
                                  "n": 100},
                       ("s", "n")),
     "fit-series": Command("covid", {"csv": None, "location": None, "start": None,
                                     "end": None, "n": 340, "N": 40, "alpha": -0.5,
                                     "beta": None, "ransac_iterations": 10,
-                                    "ransac_subset": None, "truncation": None}),
+                                    "ransac_subset": None, "truncation": None},
+                          rules=("n > N", "ransac_subset > N", "ransac_subset <= n")),
     "simulate-lfr": Command("custom", {"trials": 1, "n": 300, "N": 50, "s": 2.0,
                                        "sigma": 0.5, "variant": EXAMPLE3}),
-    "diagnose": Command("custom", {"alpha": -0.5, "beta": None, "N": 5, "n": 25}),
+    "diagnose": Command("custom", {"alpha": -0.5, "beta": None, "N": 5, "n": 25},
+                        rules=("n > N",)),
 }
 EXPERIMENTS = tuple(dict.fromkeys(c.experiment for c in COMMANDS.values()))
-_COMPARE = {">=": operator.ge, ">": operator.gt}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
 def _key(kind, rule=None, help=None, default=None):
@@ -204,6 +210,12 @@ class ExperimentConfig:
                 setattr(self, key, value)
         if self.beta is None:
             self.beta = self.alpha
+        for rule in spec.rules:
+            left, op, right = rule.split()
+            a, b = getattr(self, left), getattr(self, right)
+            if a is not None and b is not None and not _COMPARE[op](a, b):
+                raise ValidationError(f"{left} must be {op} {right}, got {left}={a}, "
+                                      f"{right}={b}")
 
     @classmethod
     def from_dict(cls, d: dict, command: str | None = None) -> "ExperimentConfig":
@@ -554,7 +566,9 @@ def run_timeseries(config: ExperimentConfig):
     )
     rows = [
         {"day": day, "observed": observed, "fitted": fitted}
-        for day, observed, fitted in result.plot_rows()
+        for day, observed, fitted in zip(
+            dataset.dates, dataset.values.tolist(), result.fitted.tolist()
+        )
     ]
     echo = _echo(config) | {
         "diagnostics": {

@@ -116,21 +116,15 @@ def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class TheoryBounds:
-    """Printed spectral predictions for the scaled Gram of a random design.
-
-    The expectation bounds apply to the Gram of the probability-orthonormal
-    system, i.e. to gamma_ab * A_N; kappa2 statements are scale-free.
-    """
+    """Printed spectral predictions for the Gram of a random design; the
+    condition-number statements are scale-free."""
 
     params: JacobiParams
     n: int
     degree_max: int
     m_sq: float                    # squared sup-norm proxy actually used
-    m_sq_sharp: float | None       # 2/pi, Chebyshev weight only
     L_N: float
     condition1_ok: bool
-    exp_lambda_max_upper: float
-    exp_lambda_min_lower: float
 
     def kappa_bound(self, delta: float) -> float:
         """High-probability condition number envelope; inf when vacuous."""
@@ -149,7 +143,7 @@ class TheoryBounds:
 def theory_bounds(
     params: JacobiParams, n: int, degree_max: int, chebyshev_sharp: bool = False
 ) -> TheoryBounds:
-    """Evaluate the printed m^2, L_N, stability condition and expectation bounds."""
+    """Evaluate the printed m^2, L_N and stability condition."""
     if degree_max < 2:
         raise ValueError(f"bounds need degree_max >= 2, got {degree_max}")
     if n < 1:
@@ -157,24 +151,18 @@ def theory_bounds(
     mu = params.mu
     eta = eta_ab(params)
     m_sq_generic = (1.0 + 0.5 * math.sqrt(params.c_ab / 2.0)) / (mu + 1.5) * eta * eta
-    is_chebyshev = params.alpha == -0.5 and params.beta == -0.5
-    m_sq_sharp = CHEBYSHEV_SHARP_M_SQ if is_chebyshev else None
-    if chebyshev_sharp and not is_chebyshev:
+    if chebyshev_sharp and not (params.alpha == -0.5 and params.beta == -0.5):
         raise ValueError("sharp constant applies only to alpha = beta = -1/2")
-    m_sq = m_sq_sharp if chebyshev_sharp else m_sq_generic
+    m_sq = CHEBYSHEV_SHARP_M_SQ if chebyshev_sharp else m_sq_generic
     N = degree_max
     L_N = m_sq * (N + 1.0) ** (2.0 * mu + 2.0)
-    base = L_N * math.log(N + 1.0) / n
     return TheoryBounds(
         params=params,
         n=n,
         degree_max=N,
         m_sq=m_sq,
-        m_sq_sharp=m_sq_sharp,
         L_N=L_N,
         condition1_ok=0.63 * n > L_N * math.log(N + 1.0),
-        exp_lambda_max_upper=1.72 + base,
-        exp_lambda_min_lower=0.63 - base,
     )
 
 
@@ -188,10 +176,6 @@ class McSummary:
     @property
     def mean_kappa2(self) -> float:
         return float(np.mean(self.kappas)) if len(self.kappas) else math.inf
-
-    @property
-    def std_kappa2(self) -> float:
-        return float(np.std(self.kappas)) if len(self.kappas) else math.inf
 
 
 def mc_condition_number(

@@ -5,6 +5,16 @@ CLI can map it to exit code 1); numerical failures raise NumericalError
 subclasses mapped to exit code 2.
 """
 
+__all__ = [
+    "ValidationError",
+    "DataError",
+    "NumericalError",
+    "StabilityError",
+    "SingularBlockError",
+    "RobustFitError",
+    "RegularizationError",
+]
+
 
 class ValidationError(ValueError):
     """Bad input: config keys, file contents, out-of-domain arguments."""

@@ -106,7 +106,6 @@ class LfrProblem:
     Z: np.ndarray                 # n x N predictor scores
     y_blocks: tuple               # per-block response vectors, length n each
     partition: DyadicPartition
-    sigma_Z: float
     sigma: float                  # per-block noise sd (same for every block)
     s: float                      # decay exponent of xi
 
@@ -161,7 +160,6 @@ def simulate_problem(
         Z=Z,
         y_blocks=tuple(y_blocks),
         partition=part,
-        sigma_Z=1.0,
         sigma=sigma,
         s=s,
     )
@@ -241,13 +239,14 @@ def theorem6_bound(
     eta: float,
     score_bound: float | None = None,
 ) -> float:
-    """High-probability per-block condition-number ceiling.
+    """High-probability per-block condition-number ceiling for unit-variance
+    scores.
 
-    Evaluates (1.72 max sZ^2 xi^2 + (M_xi/n) log 2^(k-1) + eta) /
-    (0.63 min sZ^2 xi^2 - (M_xi/n) log 2^(k-1) - eta) over the block, with
+    Evaluates (1.72 max xi^2 + (M_xi/n) log 2^(k-1) + eta) /
+    (0.63 min xi^2 - (M_xi/n) log 2^(k-1) - eta) over the block, with
     M_xi = M^2 max|xi| ||xi||_1 and M an a.s. bound on the scores (sqrt(3)
-    for the unit-variance uniform family). Nonpositive denominator means the
-    bound is not applicable at this n; inf is returned rather than raising.
+    for the uniform family). Nonpositive denominator means the bound is not
+    applicable at this n; inf is returned rather than raising.
     """
     if eta <= 0:
         raise ValueError(f"eta must be > 0, got {eta}")
@@ -255,7 +254,7 @@ def theorem6_bound(
     if M < np.max(np.abs(problem.Z)):
         raise ValueError("score_bound must dominate max|Z|")
     sl = problem.partition.slices()[block_index]
-    xi_sq = problem.sigma_Z**2 * problem.xi[sl] ** 2
+    xi_sq = problem.xi[sl] ** 2
     m_xi = M**2 * float(np.max(np.abs(problem.xi))) * float(np.sum(np.abs(problem.xi)))
     log_term = (m_xi / problem.n) * block_index * math.log(2.0)  # log 2^(k-1)
     denominator = 0.63 * float(np.min(xi_sq)) - log_term - eta
@@ -287,18 +286,15 @@ def theorem7_bound(
     r: float = 1.0,
     eta_k=None,
 ) -> float:
-    """Expected truncated-estimator L2 risk ceiling.
+    """Expected truncated-estimator L2 risk ceiling for unit-variance scores.
 
-    (sigma_Z^2 ||xi||_2^2 / n^2) sum_k sigma_k^2 |I_k| / eta_k^2
-    + 4 level^2 K / n^r. The eta_k default to half the smallest asymptotic
-    block eigenvalue, 0.5 sigma_Z^2 min_{j in I_k} xi_j^2.
+    (||xi||_2^2 / n^2) sum_k sigma_k^2 |I_k| / eta_k^2 + 4 level^2 K / n^r.
+    The eta_k default to half the smallest asymptotic block eigenvalue,
+    0.5 min_{j in I_k} xi_j^2.
     """
     part = problem.partition
     if eta_k is None:
-        eta_k = [
-            0.5 * problem.sigma_Z**2 * float(np.min(problem.xi[sl] ** 2))
-            for sl in part.slices()
-        ]
+        eta_k = [0.5 * float(np.min(problem.xi[sl] ** 2)) for sl in part.slices()]
     eta_k = np.asarray(eta_k, dtype=float)
     if eta_k.shape != (part.K,) or np.any(eta_k <= 0):
         raise ValueError("eta_k must give one positive value per block")
@@ -306,8 +302,7 @@ def theorem7_bound(
     xi_sq_norm = float(np.sum(problem.xi**2))
     n = problem.n
     variance_term = (
-        problem.sigma_Z**2 * xi_sq_norm / n**2
-        * float(np.sum(problem.sigma**2 * widths / eta_k**2))
+        xi_sq_norm / n**2 * float(np.sum(problem.sigma**2 * widths / eta_k**2))
     )
     return variance_term + 4.0 * level**2 * part.K / n**r
 

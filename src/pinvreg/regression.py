@@ -18,7 +18,6 @@ __all__ = [
     "RansacResult",
     "RiskSummary",
     "fit",
-    "fit_points",
     "ransac_fit",
     "error_report",
     "l2_risk_mc",
@@ -28,6 +27,8 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
 ]
+
+_GRID_SIZE = 2001   # uniform grid points behind every sup-norm
 
 
 @dataclass
@@ -53,7 +54,7 @@ class NpregModel:
         return self.fit_report.kappa2 if self.fit_report is not None else math.nan
 
 
-def fit(design: DesignMatrix, y, truncation_level: float | None = None) -> NpregModel:
+def fit(design: DesignMatrix, y) -> NpregModel:
     """Least squares B c = y/sqrt(n) by one LAPACK least-squares (gelsd) call.
 
     Mathematically equal to the normal-equation pseudo-inverse; raises
@@ -68,16 +69,8 @@ def fit(design: DesignMatrix, y, truncation_level: float | None = None) -> Npreg
             f"near-singular Gram (lambda_min={report.lambda_min:.3e})", report=report
         )
     return NpregModel(
-        coeffs=coeffs,
-        basis=design.basis,
-        fit_report=report,
-        truncation_level=truncation_level,
-        n_samples=design.n,
+        coeffs=coeffs, basis=design.basis, fit_report=report, n_samples=design.n
     )
-
-
-def fit_points(basis: JacobiBasis, x, y, truncation_level=None) -> NpregModel:
-    return fit(build_design(basis, x), y, truncation_level=truncation_level)
 
 
 @dataclass(frozen=True)
@@ -169,10 +162,11 @@ def error_report(
     noise=None,
     delta: float = 0.05,
     rule: QuadratureRule | None = None,
-    proj_order: int | None = None,
-    grid_size: int = 2001,
 ) -> FitDiagnostics:
     """Weighted-L2 error of the fit plus the printed high-probability budget.
+
+    The omega-norms use rule (default: Gauss-Jacobi of order N + 12) and the
+    sup-norms a uniform grid of 2001 points.
 
     The budget denominator can be nonpositive at small n; in that regime
     rhs_bound and bound_satisfied are None rather than a negative bound.
@@ -180,10 +174,10 @@ def error_report(
     basis = model.basis
     N = basis.degree_max
     if rule is None:
-        rule = basis.quadrature((N + 12) if proj_order is None else proj_order)
+        rule = basis.quadrature(N + 12)
     gamma = basis.params.gamma_ab
     lo, hi = (0.0, 1.0) if basis.domain == UNIT else (-1.0, 1.0)
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, _GRID_SIZE)
 
     node_table = basis.table(rule.nodes)
     grid_table = basis.table(grid)
@@ -257,7 +251,6 @@ def l2_risk_mc(
     r: float = 1.0,
     noise_family: str = "gaussian",
     chebyshev_sharp: bool = False,
-    grid_size: int = 2001,
 ) -> RiskSummary:
     """Monte Carlo weighted-L2 risk of the clamped estimator vs the printed bound.
 
@@ -269,7 +262,7 @@ def l2_risk_mc(
     if not 0.0 < c < 0.63:
         raise ValueError(f"c must lie in (0, 0.63), got {c}")
     basis = JacobiBasis(params, degree_max)
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = np.linspace(-1.0, 1.0, _GRID_SIZE)
     f_grid = true_f(grid)
     if np.max(np.abs(f_grid)) > M + 1e-12:
         raise ValueError("target exceeds the clamp level M; risk bound needs |f| <= M")

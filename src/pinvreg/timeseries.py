@@ -146,13 +146,6 @@ class SeriesFit:
     design_report: object        # SpectralReport of the full sampled design
     fitted: np.ndarray           # model evaluated on the full day grid
 
-    def plot_rows(self):
-        """(day, observed, fitted) triples over the whole series."""
-        return [
-            (d, float(v), float(f))
-            for d, v, f in zip(self.dataset.dates, self.dataset.values, self.fitted)
-        ]
-
 
 def fit_series(
     dataset: TimeSeriesDataset,

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,31 @@ class TestExperimentConfig:
     def test_names_every_unread_key(self):
         with pytest.raises(ValidationError, match="^table2 does not read alpha, sigma$"):
             ExperimentConfig(experiment="table2", alpha=3.0, sigma=9.0, trials=1)
+
+    @pytest.mark.parametrize("command, keys, message", [
+        ("table1", {"N": 25}, "n must be > N, got n=25, N=25"),
+        ("table3", {"N": 100}, "n must be > N, got n=100, N=100"),
+        ("diagnose", {"N": 10**23}, f"n must be > N, got n=25, N={10**23}"),
+        ("fit-series", {"n": 40}, "n must be > N, got n=40, N=40"),
+        ("fit-series", {"ransac_subset": 40},
+         "ransac_subset must be > N, got ransac_subset=40, N=40"),
+        ("fit-series", {"ransac_subset": 341},
+         "ransac_subset must be <= n, got ransac_subset=341, n=340"),
+    ])
+    def test_cross_key_rules(self, command, keys, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(experiment=COMMANDS[command].experiment, command=command,
+                             **keys)
+
+    def test_cross_key_rules_hold_at_their_edges(self):
+        assert ExperimentConfig(experiment="table1", N=24).n == 25
+        for subset in (41, 340):
+            assert ExperimentConfig(experiment="covid", ransac_subset=subset).N == 40
+
+    def test_cross_key_rules_skip_an_unset_key(self):
+        # a whole sweep leaves N unset, and ransac_subset defaults in the library
+        assert ExperimentConfig(experiment="table3", n=5).N is None
+        assert ExperimentConfig(experiment="covid", n=41).ransac_subset is None
 
     def test_replace_needs_the_command(self):
         cfg = ExperimentConfig(experiment="custom", command="diagnose", alpha=1.0)

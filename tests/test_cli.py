@@ -406,6 +406,40 @@ class TestErrorPaths:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("command", ["diagnose", "table1", "table3"])
+    def test_huge_degree_exits_one_in_a_process(self, tmp_path, command):
+        # the basis constructor used to run for minutes before the
+        # underdetermined design was rejected
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"N": 100000000000000000000000}')
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinvreg.cli", command, "--config", cfg.name],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        n = COMMANDS[command].keys["n"]
+        assert json.loads(lines[0]) == {
+            "error": "ValidationError",
+            "message": f"n must be > N, got n={n}, N=100000000000000000000000"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--ransac-subset", "0"], "ransac_subset must be > N, got ransac_subset=0, N=40"),
+        (["--ransac-subset", "341"],
+         "ransac_subset must be <= n, got ransac_subset=341, n=340"),
+        (["--n", "12", "--N", "12"], "n must be > N, got n=12, N=12"),
+    ])
+    def test_cross_key_rules_exit_one_before_reading(self, tmp_path, capsys, argv,
+                                                     message):
+        # the CSV does not exist: the rule is checked before it is opened
+        missing = tmp_path / "missing.csv"
+        assert main(["fit-series", "--csv", str(missing)] + argv) == 1
+        assert one_error_line(capsys) == {"error": "ValidationError", "message": message}
+        assert list(tmp_path.iterdir()) == []
+
     def test_ransac_degeneracy_exits_two(self, series_csv, capsys):
         # square 41-point subsample at degree 40 is numerically singular for
         # every iteration, a guaranteed consensus failure

@@ -184,7 +184,7 @@ class TestBlockGram:
             np.testing.assert_array_equal(G, F.T @ F)
 
     def test_gram_expectation_is_diagonal(self):
-        # E[G_k] = sigma_Z^2 diag(xi_j^2) over the block
+        # unit-variance scores: E[G_k] = diag(xi_j^2) over the block
         p = simulate_problem(100_000, 4, 1.0, 0.0, seed=6)
         _, G = block_gram(p, 1)
         sl = p.partition.slices()[1]
@@ -230,7 +230,7 @@ class TestLfrFit:
         broken = LfrProblem(
             xi=base.xi, true_coeffs=base.true_coeffs, Z=Z,
             y_blocks=tuple(y_blocks), partition=base.partition,
-            sigma_Z=1.0, sigma=0.0, s=1.0,
+            sigma=0.0, s=1.0,
         )
         with pytest.raises(SingularBlockError, match="block 1") as err:
             lfr_fit(broken)
@@ -359,7 +359,7 @@ class TestTheorem7:
         )
 
     def test_single_block_reduction(self):
-        # size 1: bound = sigma_Z^2 ||xi||^2 sigma^2 / (n^2 eta^2) + 4 L^2 / n^r
+        # size 1: bound = ||xi||^2 sigma^2 / (n^2 eta^2) + 4 L^2 / n^r
         p = simulate_problem(25, 1, 1.0, 0.7, seed=3)
         eta = 0.5 * 1.0          # default: half the smallest xi^2
         expected = 0.49 / (25.0**2 * eta**2) + 4.0 * 9.0 / 25.0

@@ -2,6 +2,7 @@
 the clamped-risk Monte Carlo, and the lacunary cosine target."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from pinvreg.jacobi import JacobiBasis, JacobiParams, omega_norm
 from pinvreg.regression import (
     error_report,
     fit,
-    fit_points,
     l2_risk_mc,
     load_model,
     model_from_dict,
@@ -47,7 +47,7 @@ class TestFit:
         # a degree-2 target lies in the span: zero residual up to roundoff
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 50, seed=2)
-        model = fit_points(basis, s, poly(s))
+        model = fit(build_design(basis, s), poly(s))
         grid = np.linspace(-1, 1, 101)
         assert np.max(np.abs(model.predict(grid) - poly(grid))) < 1e-12
 
@@ -98,7 +98,7 @@ class TestFit:
     def test_predict_clamps_at_truncation_level(self):
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 50, seed=2)
-        model = fit_points(basis, s, 3.0 * s, truncation_level=0.5)
+        model = replace(fit(build_design(basis, s), 3.0 * s), truncation_level=0.5)
         vals = model.predict(np.linspace(-1, 1, 201))
         assert np.max(np.abs(vals)) <= 0.5
         model.truncation_level = None
@@ -107,7 +107,7 @@ class TestFit:
     def test_omega_norm_is_coefficient_norm(self):
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 40, seed=3)
-        model = fit_points(basis, s, np.cos(s))
+        model = fit(build_design(basis, s), np.cos(s))
         # Parseval: the exact rule of order 4 integrates the squared cubic
         norm = omega_norm(model.predict, basis.quadrature(4))
         assert norm == pytest.approx(float(np.linalg.norm(model.coeffs)), rel=1e-12)
@@ -115,7 +115,7 @@ class TestFit:
     def test_fit_report_attached(self):
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 40, seed=3)
-        model = fit_points(basis, s, np.cos(s))
+        model = fit(build_design(basis, s), np.cos(s))
         direct = spectral_report(build_design(basis, s).gram())
         assert model.kappa2 == pytest.approx(direct.kappa2)
 
@@ -124,7 +124,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         basis = JacobiBasis(JacobiParams(0.0, 0.5), 3)
         s = sample_beta_on_I(JacobiParams(0.0, 0.5), 40, seed=5)
-        model = fit_points(basis, s, np.exp(s), truncation_level=4.0)
+        model = replace(fit(build_design(basis, s), np.exp(s)), truncation_level=4.0)
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
@@ -139,7 +139,7 @@ class TestSerialization:
     def test_dict_defaults(self):
         basis = JacobiBasis(PARAMS, 1)
         s = sample_beta_on_I(PARAMS, 20, seed=6)
-        model = fit_points(basis, s, s)
+        model = fit(build_design(basis, s), s)
         d = model_to_dict(model)
         d.pop("truncation_level")
         d.pop("n_samples")
@@ -156,7 +156,7 @@ class TestSerialization:
     def test_save_is_strict_json(self, tmp_path):
         basis = JacobiBasis(PARAMS, 2)
         s = sample_beta_on_I(PARAMS, 20, seed=6)
-        model = fit_points(basis, s, s, truncation_level=math.inf)
+        model = replace(fit(build_design(basis, s), s), truncation_level=math.inf)
         path = tmp_path / "model.json"
         with pytest.raises(ValueError):
             save_model(model, path)
@@ -171,7 +171,7 @@ class TestRansac:
         s = sample_beta_on_I(PARAMS, 60, seed=7)
         y_dirty = poly(s)
         y_dirty[:2] += 25.0
-        direct = fit_points(basis, s, y_dirty)
+        direct = fit(build_design(basis, s), y_dirty)
         xs = np.linspace(-0.95, 0.95, 300)
         robust = ransac_fit(s, y_dirty, basis, iterations=30, seed=11,
                             scoring=(xs, poly(xs)))
@@ -263,7 +263,7 @@ class TestRansac:
         for it in range(9):
             rng = derive_rng(21, "ransac", it)
             idx = np.sort(rng.choice(60, size=math.ceil(0.57 * 60), replace=False))
-            model = fit_points(basis, s[idx], y[idx])
+            model = fit(build_design(basis, s[idx]), y[idx])
             score = float(np.mean((model.predict(xs) - ys) ** 2))
             if best is None or score < best[0]:
                 best = (score, it, model)
@@ -287,7 +287,7 @@ class TestErrorReport:
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 400, seed=10)
         noise = make_noise(400, 0.0, seed=0)
-        model = fit_points(basis, s, poly(s))
+        model = fit(build_design(basis, s), poly(s))
         diag = error_report(model, poly, x=s, y=poly(s), noise=noise)
         assert diag.omega_error < 1e-12
         assert diag.proj_error_omega < 1e-13
@@ -299,7 +299,7 @@ class TestErrorReport:
         s = sample_beta_on_I(PARAMS, 400, seed=10)
         f = lambda x: np.sin(2 * x)
         noise = make_noise(400, 0.05, seed=4)
-        model = fit_points(basis, s, f(s) + noise)
+        model = fit(build_design(basis, s), f(s) + noise)
         diag = error_report(model, f, x=s, y=f(s) + noise,
                             noise=noise, delta=0.05)
         assert diag.eta_n == pytest.approx(np.max(np.abs(noise)))
@@ -313,7 +313,7 @@ class TestErrorReport:
         basis = JacobiBasis(PARAMS, 2)
         s = sample_beta_on_I(PARAMS, 5, seed=21)
         f = lambda x: np.cos(4 * x) + 0.2 * x
-        model = fit_points(basis, s, f(s))
+        model = fit(build_design(basis, s), f(s))
         diag = error_report(model, f, delta=0.05)
         assert diag.rhs_bound is None
         assert diag.bound_satisfied is None
@@ -321,7 +321,7 @@ class TestErrorReport:
     def test_no_theory_echo_below_degree_two(self):
         basis = JacobiBasis(PARAMS, 1)
         s = sample_beta_on_I(PARAMS, 30, seed=11)
-        model = fit_points(basis, s, s)
+        model = fit(build_design(basis, s), s)
         diag = error_report(model, lambda x: x)
         assert diag.theory is None
 
@@ -329,7 +329,7 @@ class TestErrorReport:
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 200, seed=12)
         f = lambda x: np.abs(x)
-        model = fit_points(basis, s, f(s))
+        model = fit(build_design(basis, s), f(s))
         rule = basis.quadrature(60)
         diag = error_report(model, f, rule=rule)
         coeffs = basis.table(rule.nodes).T @ (rule.weights * f(rule.nodes))

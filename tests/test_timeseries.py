@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from pinvreg.bench import ExperimentConfig, run_timeseries
 from pinvreg.design import build_design, spectral_report
 from pinvreg.errors import DataError, RobustFitError, ValidationError
 from pinvreg.jacobi import UNIT, JacobiBasis, JacobiParams
@@ -306,12 +307,16 @@ class TestFitSeries:
         with pytest.raises(RobustFitError, match="near singular"):
             fit_series(ds, n=41, degree_max=40, subset_size=41, seed=0)
 
-    def test_plot_rows_shape(self):
-        ds = make_dataset(50, lambda k: k**1.5)
-        sf = fit_series(ds, n=30, degree_max=4, seed=6)
-        rows = sf.plot_rows()
-        assert len(rows) == 50
-        date, observed, fitted = rows[9]
-        assert date == iso(9)
-        assert observed == pytest.approx(10.0**1.5)
-        assert isinstance(fitted, float)
+    def test_plot_rows_shape(self, tmp_path):
+        path = write_rows(tmp_path / "a.csv",
+                          [[iso(d), "X", str((d + 1) ** 1.5)] for d in range(50)])
+        config = ExperimentConfig(experiment="covid", csv=str(path), n=30, N=4, seed=6)
+        result, sf = run_timeseries(config)
+        assert len(result.rows) == 50
+        row = result.rows[9]
+        assert list(row) == ["day", "observed", "fitted"]
+        assert row["day"] == iso(9)
+        assert isinstance(row["observed"], float)
+        assert row["observed"] == pytest.approx(10.0**1.5)
+        assert isinstance(row["fitted"], float)
+        assert row["fitted"] == sf.fitted[9]

@@ -99,7 +99,7 @@ class Command(NamedTuple):
     any sweep key picks one cell, the others taking their defaults; setting
     none runs the whole sweep and leaves them None (they differ per cell).
     A rule "a op b" is checked once the defaults are filled, when both keys
-    are set."""
+    are set, and again against each cell of a sweep before any cell runs."""
 
     experiment: str
     keys: dict
@@ -210,12 +210,7 @@ class ExperimentConfig:
                 setattr(self, key, value)
         if self.beta is None:
             self.beta = self.alpha
-        for rule in spec.rules:
-            left, op, right = rule.split()
-            a, b = getattr(self, left), getattr(self, right)
-            if a is not None and b is not None and not _COMPARE[op](a, b):
-                raise ValidationError(f"{left} must be {op} {right}, got {left}={a}, "
-                                      f"{right}={b}")
+        _check_rules(spec.rules, [self.to_dict()])
 
     @classmethod
     def from_dict(cls, d: dict, command: str | None = None) -> "ExperimentConfig":
@@ -254,6 +249,20 @@ def _checked(name, value, kind, rule):
         if not _holds(value, rule):
             raise ValidationError(f"{name} must be {rule}, got {value}")
     return value
+
+
+def _check_rules(rules, cells) -> None:
+    """Raise a ValidationError for the first rule "a op b" that a cell (a dict
+    of key values) breaks, naming the largest breaking pair; a rule binds a
+    cell only where both of its keys are set."""
+    for rule in rules:
+        left, op, right = rule.split()
+        broken = sorted((c[left], c[right]) for c in cells if c[left] is not None
+                        and c[right] is not None and not _COMPARE[op](c[left], c[right]))
+        if broken:
+            a, b = broken[-1]
+            raise ValidationError(f"{left} must be {op} {right}, got {left}={a}, "
+                                  f"{right}={b}")
 
 
 def _holds(value, rule) -> bool:
@@ -332,12 +341,18 @@ def _echo(config: ExperimentConfig) -> dict:
     return d
 
 
-def _cells(config: ExperimentConfig, sweep, keys) -> list:
-    """The one cell the config picks (its values of keys), or the whole
-    sweep when it sets none of them."""
+def _cells(config: ExperimentConfig, command: str, sweep) -> list:
+    """The one cell the config picks (its values of the command's sweep keys),
+    or the whole sweep when it sets none of them. Every cell is held to the
+    command's rules before any of them runs."""
+    spec = COMMANDS[command]
+    keys = spec.sweep_keys
     if all(getattr(config, k) is None for k in keys):
-        return list(sweep)
-    return [tuple(getattr(config, k) for k in keys)]
+        cells = list(sweep)
+    else:
+        cells = [tuple(getattr(config, k) for k in keys)]
+    _check_rules(spec.rules, [config.to_dict() | dict(zip(keys, c)) for c in cells])
+    return cells
 
 
 def _require(config: ExperimentConfig, experiment: str) -> None:
@@ -352,8 +367,7 @@ def run_table1(config: ExperimentConfig) -> ExperimentResult:
     standard-normal CDF-transformed sampling, over the (alpha, N, n) grid."""
     _require(config, "table1")
     trials, master = config.trials, config.seed
-    cells = _cells(config, [(a, a, N, n) for a, N, n in TABLE1_SWEEP],
-                   COMMANDS["table1"].sweep_keys)
+    cells = _cells(config, "table1", [(a, a, N, n) for a, N, n in TABLE1_SWEEP])
 
     def work(cell):
         alpha, beta, N, n = cell
@@ -388,7 +402,7 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
     against the 2^s 1.72 log(N) / (0.63 log 2) ceiling."""
     _require(config, "table2")
     trials, master = config.trials, config.seed
-    cells = _cells(config, TABLE2_SWEEP, COMMANDS["table2"].sweep_keys)
+    cells = _cells(config, "table2", TABLE2_SWEEP)
 
     def work(cell):
         s, N, n = cell
@@ -432,7 +446,7 @@ def run_table3(config: ExperimentConfig) -> ExperimentResult:
     _require(config, "table3")
     trials, n, alpha, beta = config.trials, config.n, config.alpha, config.beta
     grid, master = tuple(config.lambda_grid), config.seed
-    cells = _cells(config, TABLE3_SWEEP, COMMANDS["table3"].sweep_keys)
+    cells = _cells(config, "table3", TABLE3_SWEEP)
     params = JacobiParams(alpha, beta)
 
     def work(cell):
@@ -483,7 +497,7 @@ def run_table4(config: ExperimentConfig) -> ExperimentResult:
     alternating quadratic-decay slope, over (s, n) at fixed N and sigma."""
     _require(config, "table4")
     trials, N, sigma, master = config.trials, config.N, config.sigma, config.seed
-    cells = _cells(config, TABLE4_SWEEP, COMMANDS["table4"].sweep_keys)
+    cells = _cells(config, "table4", TABLE4_SWEEP)
 
     def work(cell):
         s, n = cell

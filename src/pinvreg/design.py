@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .jacobi import JacobiBasis, JacobiParams, eta_ab
 from .sampling import cdf_transform, derive_seed, sample_beta_on_I
@@ -205,6 +204,7 @@ def mc_condition_number(
         if transform is None:
             samples = sample_beta_on_I(params, n, seed)
         else:
+            from scipy.special import ndtr   # loaded only where the transform runs
             z = np.random.default_rng(seed).standard_normal(n)
             samples = cdf_transform(z, ndtr, params)
         report = spectral_report(build_design(basis, samples).gram())

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import beta as beta_function
-from scipy.special import gammaln, roots_jacobi
 
 __all__ = [
     "JacobiParams",
@@ -60,10 +58,10 @@ class JacobiParams:
 
     @cached_property
     def gamma_ab(self) -> float:
-        # total mass of the weight: integral of omega over [-1, 1]
-        return 2.0 ** (self.alpha + self.beta + 1.0) * beta_function(
-            self.alpha + 1.0, self.beta + 1.0
-        )
+        # total mass of the weight, 2^(a+b+1) B(a+1, b+1), in log space
+        a, b = self.alpha, self.beta
+        return math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                        + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
 
 
 def omega_weight(params: JacobiParams, x):
@@ -85,11 +83,11 @@ def norm_constant(params: JacobiParams, k: int) -> float:
         return params.gamma_ab
     return math.exp(
         (a + b + 1.0) * math.log(2.0)
-        + gammaln(k + a + 1.0)
-        + gammaln(k + b + 1.0)
-        - gammaln(k + 1.0)
+        + math.lgamma(k + a + 1.0)
+        + math.lgamma(k + b + 1.0)
+        - math.lgamma(k + 1.0)
         - math.log(2.0 * k + a + b + 1.0)
-        - gammaln(k + a + b + 1.0)
+        - math.lgamma(k + a + b + 1.0)
     )
 
 
@@ -172,12 +170,15 @@ class JacobiBasis:
 
 
 def eta_ab(params: JacobiParams) -> float:
-    """Printed constant eta_{a,b} of the sup-norm majorant."""
+    """Printed constant eta_{a,b} of the sup-norm majorant; inf when it
+    passes the float range, as a vacuous bound reads."""
     a, b = params.alpha, params.beta
     mu = params.mu
-    return math.exp(2.0 * max(mu, 0.0) / 12.0 + max(mu * mu + a * b, 0.0) / 8.0) / (
-        2.0 ** ((a + b) / 2.0) * math.gamma(mu + 1.0)
-    )
+    try:
+        return math.exp(2.0 * max(mu, 0.0) / 12.0 + max(mu * mu + a * b, 0.0) / 8.0
+                        - (a + b) / 2.0 * math.log(2.0) - math.lgamma(mu + 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def uniform_bound(params: JacobiParams, k: int) -> float:
@@ -205,6 +206,7 @@ def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    from scipy.special import roots_jacobi   # loaded only where quadrature runs
     nodes, weights = roots_jacobi(order, params.alpha, params.beta)
     return QuadratureRule(nodes=nodes, weights=weights)
 

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import RegularizationError
 from .sampling import derive_rng
@@ -58,6 +57,7 @@ def _ridge_solve(G: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
     cho_solve call, without their per-call finiteness scans, so callers check
     G, rhs and the ridge once.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs   # loaded only where KRR runs
     A = G.copy()
     A.flat[:: len(A) + 1] += ridge
     factor, info = dpotrf(A, lower=1, clean=0)

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import ValidationError
 from .jacobi import JacobiParams
@@ -116,6 +115,7 @@ def inverse_beta_cdf(params: JacobiParams, t, method: str = "auto"):
         raise ValueError("closed form only available for alpha = beta = -1/2")
     if closed and method in ("auto", "closed"):
         return arcsine_quantile(t)
+    from scipy.special import betaincinv   # loaded only where the transform runs
     return betaincinv(*_beta_shapes(params), t)
 
 

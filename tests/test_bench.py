@@ -14,6 +14,7 @@ import pytest
 from pinvreg.bench import (
     COMMANDS,
     TABLE1_SWEEP,
+    TABLE3_SWEEP,
     ExperimentConfig,
     ExperimentResult,
     run_lfr_sim,
@@ -167,6 +168,14 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(experiment=COMMANDS[command].experiment, command=command,
                              **keys)
+
+    def test_sweep_cells_are_held_to_the_rules(self):
+        # table3's sweep leaves N unset in the config; its cells run N = 10..30
+        config = ExperimentConfig(experiment="table3", n=30, trials=1)
+        with pytest.raises(ValidationError, match="^n must be > N, got n=30, N=30$"):
+            run_table3(config)
+        config = ExperimentConfig(experiment="table3", n=31, trials=1)
+        assert len(run_table3(config).rows) == 3 * len(TABLE3_SWEEP)
 
     def test_cross_key_rules_hold_at_their_edges(self):
         assert ExperimentConfig(experiment="table1", N=24).n == 25

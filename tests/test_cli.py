@@ -6,6 +6,7 @@ import dataclasses
 import datetime
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import pinvreg
+from pinvreg import bench
 from pinvreg.bench import COMMANDS, COMMON_KEYS, ExperimentConfig
 from pinvreg.cli import main
 from pinvreg.design import build_design, spectral_report
@@ -123,6 +125,19 @@ class TestBenchmarkCommands:
         assert code == 0
         assert "cumulative_kappa" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, alpha, metrics", [
+        ("table1", "512", ("mean_kappa2_direct", "mean_kappa2_transformed")),
+        ("table3", "600", ("mse_npreg", "mse_krr")),
+    ])
+    def test_large_alpha_runs(self, tmp_path, command, alpha, metrics):
+        # the weight's mass 2^(2a+1) B(a+1, a+1) used to overflow on its power
+        out = tmp_path / "out.json"
+        assert main([command, "--alpha", alpha, "--N", "5", "--trials", "1",
+                     "--format", "json", "--out", str(out)]) == 0
+        values = {r["metric"]: r["value"] for r in json.loads(out.read_text())["rows"]}
+        assert all(isinstance(values[m], float) and math.isfinite(values[m])
+                   for m in metrics), values
+
     def test_rerun_does_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["table1", "--trials", "2", "--seed", "9"]
@@ -175,6 +190,14 @@ class TestDiagnose:
         assert len(rows) == 1
         assert float(rows[0]["kappa2"]) >= 1.0
         assert rows[0]["N"] == "5" and rows[0]["n"] == "25"
+
+    def test_overflowing_constant_reads_inf(self, capsys):
+        # eta_{53,53}^2 passes the float range: the bounds are vacuous
+        assert main(["diagnose", "--alpha", "53", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["L_N"] == "inf" and doc["kappa_bound_delta=0.1"] == "inf"
+        assert doc["condition1_satisfied"] is False
+        assert 1.0 <= doc["kappa2"] < math.inf
 
     def test_low_degree_skips_theory(self, capsys):
         code = main(["diagnose", "--N", "1", "--n", "10", "--format", "json"])
@@ -438,6 +461,19 @@ class TestErrorPaths:
         missing = tmp_path / "missing.csv"
         assert main(["fit-series", "--csv", str(missing)] + argv) == 1
         assert one_error_line(capsys) == {"error": "ValidationError", "message": message}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_cells_are_held_to_the_rules_before_any_runs(
+            self, tmp_path, capsys, monkeypatch):
+        # n = 15 suits the sweep's N = 10 cells but not its N = 20 and 30 ones
+        def no_cell_work(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "sample_beta_on_I", no_cell_work)
+        out = tmp_path / "t3.csv"
+        assert main(["table3", "--n", "15", "--trials", "1", "--out", str(out)]) == 1
+        assert one_error_line(capsys) == {"error": "ValidationError",
+                                          "message": "n must be > N, got n=15, N=30"}
         assert list(tmp_path.iterdir()) == []
 
     def test_ransac_degeneracy_exits_two(self, series_csv, capsys):

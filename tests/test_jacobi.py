@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import binom, eval_jacobi, gammaln
+from scipy.special import betaln, binom, eval_jacobi, gammaln
 
 from pinvreg.jacobi import (
     SYMMETRIC,
     UNIT,
     JacobiBasis,
     JacobiParams,
+    eta_ab,
     gauss_jacobi_rule,
     norm_constant,
     norm_constants,
@@ -52,6 +53,12 @@ class TestJacobiParams:
             params = JacobiParams(a, b)
             mass, _ = quad(lambda x: omega_weight(params, x), -1, 1)
             assert_allclose(params.gamma_ab, mass, rtol=1e-9)
+
+    @pytest.mark.parametrize("a, b", [(511.0, 511.0), (600.0, 600.0), (900.0, 3.0)])
+    def test_gamma_at_large_exponents(self, a, b):
+        # 2^(a+b+1) alone passes the float range here; the mass does not
+        expected = math.exp((a + b + 1.0) * math.log(2.0) + betaln(a + 1.0, b + 1.0))
+        assert_allclose(JacobiParams(a, b).gamma_ab, expected, rtol=1e-12)
 
 
 class TestRecurrence:
@@ -225,6 +232,22 @@ class TestQuadrature:
         params = JacobiParams(-0.5, -0.5)
         rule = gauss_jacobi_rule(params, 8)
         assert_allclose(omega_norm(np.ones(8), rule), math.sqrt(math.pi), rtol=1e-13)
+
+
+class TestEta:
+    @pytest.mark.parametrize("a, b", PAIRS + [(3.0, 1.0), (40.0, 40.0)])
+    def test_matches_the_printed_formula(self, a, b):
+        mu = max(a, b)
+        printed = math.exp(2.0 * max(mu, 0.0) / 12.0 + max(mu * mu + a * b, 0.0) / 8.0) / (
+            2.0 ** ((a + b) / 2.0) * math.gamma(mu + 1.0))
+        assert_allclose(eta_ab(JacobiParams(a, b)), printed, rtol=1e-12)
+
+    def test_past_the_float_range_is_inf(self):
+        # at 53 only the printed numerator overflows; from about 70 eta itself
+        # does, since exp(mu^2 / 4) outgrows the gamma factor
+        assert math.isfinite(eta_ab(JacobiParams(53.0, 53.0)))
+        assert eta_ab(JacobiParams(70.0, 70.0)) == math.inf
+        assert eta_ab(JacobiParams(900.0, 900.0)) == math.inf
 
 
 class TestUniformBound:

@@ -1,9 +1,19 @@
-"""The package root re-exports the public names of every library module."""
+"""The package root re-exports the public names of every library module, and
+importing it or the CLI does not load scipy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import pinvreg
 from pinvreg import bench, cli, design, errors, jacobi, krr, lfr, regression, sampling
 from pinvreg import timeseries
 
+SRC = str(Path(pinvreg.__file__).resolve().parents[1])   # the package's import root
 LIBRARY = (design, errors, jacobi, krr, lfr, regression, sampling, timeseries)
 
 # every name the package root exported before it was built from the lists
@@ -46,3 +56,50 @@ def test_every_earlier_root_name_still_imports():
     assert len(ROOT_NAMES) == 63
     for name in ROOT_NAMES:
         assert name in pinvreg.__all__ and hasattr(pinvreg, name), name
+
+
+# A fresh interpreter imports the package, builds the CLI parser and runs each
+# argv in process; it prints, per step, the exit code and whether scipy is loaded.
+PROBE = """
+import json, sys
+import pinvreg
+steps = [["import pinvreg", 0, "scipy" in sys.modules]]
+from pinvreg import cli
+cli.build_parser()
+steps.append(["build_parser", 0, "scipy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    steps.append([argv[0], cli.main(argv), "scipy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def probe(tmp_path, *argvs) -> list:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")]))
+    argvs = [list(argv) + ["--out", str(tmp_path / f"{i}.out")]
+             for i, argv in enumerate(argvs)]
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # only the exact-CDF transform, Gauss-Jacobi quadrature and KRR load scipy
+    series = tmp_path / "series.csv"
+    series.write_text("date,location,new_cases\n" + "".join(
+        f"2020-03-{d + 1:02d},X,{50 + d}\n" for d in range(30)))
+    steps = probe(tmp_path, ["diagnose"],
+                  ["fit-series", "--csv", str(series), "--n", "20", "--N", "4"],
+                  ["table2", "--trials", "1"], ["table4", "--trials", "1"],
+                  ["simulate-lfr", "--trials", "1"])
+    assert [step[0] for step in steps] == [
+        "import pinvreg", "build_parser", "diagnose", "fit-series", "table2", "table4",
+        "simulate-lfr"]
+    assert all(code == 0 and not loaded for _, code, loaded in steps), steps
+
+
+@pytest.mark.parametrize("command", ["table1", "table3"])
+def test_transform_quadrature_and_krr_still_load_scipy(tmp_path, command):
+    steps = probe(tmp_path, [command, "--trials", "1"])
+    assert steps == [["import pinvreg", 0, False], ["build_parser", 0, False],
+                     [command, 0, True]]

@@ -26,7 +26,8 @@ from .krr import DEFAULT_LAMBDA_GRID, cross_validate, krr_fit
 from .lfr import (
     EXAMPLE3,
     TABLE2,
-    block_gram,
+    _scores,
+    _weights,
     ineq47_bound,
     lfr_errors,
     lfr_fit,
@@ -355,6 +356,11 @@ def _cells(config: ExperimentConfig, command: str, sweep) -> list:
     return cells
 
 
+def _mean(values) -> float:
+    """Mean over the trials that were not singular; inf when none was."""
+    return float(np.mean(values)) if values else math.inf
+
+
 def _require(config: ExperimentConfig, experiment: str) -> None:
     if config.experiment != experiment:
         raise ValidationError(
@@ -408,13 +414,14 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
         s, N, n = cell
         labels = ("table2", f"s={s}", N, n)
         lineage = _lineage(master, *labels)
-        grams = []        # per trial: the Gram of each block
+        part, xi = _weights(n, N, s, TABLE2)
+        # per trial: the Gram F'F of each block, F = xi Z / sqrt(n) over the
+        # block's columns as in lfr.block_gram, from the scores alone
+        grams = []
         for t in range(trials):
-            problem = simulate_problem(
-                n, N, s, sigma=0.0, variant=TABLE2,
-                seed=derive_seed(master, *labels, t),
-            )
-            grams.append([block_gram(problem, k)[1] for k in range(problem.partition.K)])
+            Z = _scores(n, N, derive_seed(master, *labels, t))
+            factors = (Z[:, sl] * xi[sl] / math.sqrt(n) for sl in part.slices())
+            grams.append([F.T @ F for F in factors])
         # one batched eigvalsh per block index, over all trials
         reports = [spectral_reports(np.stack(block)) for block in zip(*grams)]
         sums = []
@@ -425,7 +432,7 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
                 n_singular += 1
                 continue
             sums.append(total)
-        mean = float(np.mean(sums)) if sums else math.inf
+        mean = _mean(sums)
         bound = ineq47_bound(s, N)
         base = {"experiment": "table2", "s": s, "N": N, "n": n, "trials": trials,
                 "seed": lineage}
@@ -459,12 +466,14 @@ def run_table3(config: ExperimentConfig) -> ExperimentResult:
         f_nodes = f(rule.nodes)
         labels = ("table3", f"sigma={sigma}", f"s={s}", N)
         lineage = _lineage(master, *labels)
+        xs = np.stack([sample_beta_on_I(params, n, derive_seed(master, *labels, t, "x"))
+                       for t in range(trials)])
+        f_xs = f(xs)      # one target evaluation over all trials' points
         mse_np, mse_kr = [], []
         n_singular = 0
-        for t in range(trials):
-            samples = sample_beta_on_I(params, n, derive_seed(master, *labels, t, "x"))
+        for t, (samples, f_samples) in enumerate(zip(xs, f_xs)):
             eps = make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
-            y = f(samples) + eps
+            y = f_samples + eps
             try:
                 model = fit(build_design(basis, samples), y)
             except StabilityError:
@@ -481,10 +490,8 @@ def run_table3(config: ExperimentConfig) -> ExperimentResult:
                 "sigma": sigma, "N": N, "n": n, "c": c, "trials": trials,
                 "seed": lineage}
         return [
-            base | {"metric": "mse_npreg",
-                    "value": float(np.mean(mse_np)) if mse_np else math.inf},
-            base | {"metric": "mse_krr",
-                    "value": float(np.mean(mse_kr)) if mse_kr else math.inf},
+            base | {"metric": "mse_npreg", "value": _mean(mse_np)},
+            base | {"metric": "mse_krr", "value": _mean(mse_kr)},
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 
@@ -521,10 +528,9 @@ def run_table4(config: ExperimentConfig) -> ExperimentResult:
         base = {"experiment": "table4", "s": s, "sigma": sigma, "N": N, "n": n,
                 "trials": trials, "seed": lineage}
         return [
-            base | {"metric": "e0", "value": float(np.mean(e0s)) if e0s else math.inf},
-            base | {"metric": "e2", "value": float(np.mean(e2s)) if e2s else math.inf},
-            base | {"metric": "cumulative_kappa",
-                    "value": float(np.mean(kappas)) if kappas else math.inf},
+            base | {"metric": "e0", "value": _mean(e0s)},
+            base | {"metric": "e2", "value": _mean(e2s)},
+            base | {"metric": "cumulative_kappa", "value": _mean(kappas)},
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 

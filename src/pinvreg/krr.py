@@ -58,9 +58,9 @@ def _ridge_solve(G: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
     G, rhs and the ridge once.
     """
     from scipy.linalg.lapack import dpotrf, dpotrs   # loaded only where KRR runs
-    A = G.copy()
-    A.flat[:: len(A) + 1] += ridge
-    factor, info = dpotrf(A, lower=1, clean=0)
+    A = np.array(G, order="F")    # Fortran order: potrf factors it in place, uncopied
+    A.ravel(order="F")[:: len(A) + 1] += ridge
+    factor, info = dpotrf(A, lower=1, clean=0, overwrite_a=1)
     if info > 0:              # leading minor not positive definite
         raise RegularizationError(
             f"regularized kernel Gram not positive definite at ridge={ridge:g}"
@@ -127,7 +127,7 @@ def cross_validate(
     K = sinc_kernel(x[:, None], x[None, :], bandwidth)
     perm = derive_rng(seed, "cv-folds").permutation(n)
     parts = np.array_split(perm, folds)
-    fold_mse = [[] for _ in grid]     # per ridge, in fold order
+    fold_mse = []     # per fold: the held-out MSE of each ridge
     for k in range(folds):
         test = parts[k]
         train = np.concatenate([parts[j] for j in range(folds) if j != k])
@@ -136,14 +136,15 @@ def cross_validate(
         K_test = K[np.ix_(test, train)]
         rhs = y[train] / m
         y_test = y[test]
+        R = np.full((len(grid), len(test)), math.inf)   # held-out residuals
         for i, ridge in enumerate(grid):
             try:
-                w = _ridge_solve(G, rhs, ridge)
+                R[i] = K_test @ _ridge_solve(G, rhs, ridge) - y_test
             except RegularizationError:
-                fold_mse[i].append(math.inf)
-                continue
-            fold_mse[i].append(float(np.mean((K_test @ w - y_test) ** 2)))
-    errors = {float(ridge): float(np.mean(mse)) for ridge, mse in zip(grid, fold_mse)}
+                continue      # the ridge's row stays inf: it scores inf here
+        fold_mse.append(np.mean(R**2, axis=1))
+    errors = {float(ridge): float(np.mean(mse))
+              for ridge, mse in zip(grid, np.transpose(fold_mse))}
     # minimal error; among ties prefer the strongest regularization
     best = max(sorted(errors), key=lambda r: (-errors[r], r))
     weights = _ridge_solve(K / n, y / n, best)

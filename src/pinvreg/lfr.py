@@ -118,6 +118,32 @@ class LfrProblem:
         return self.Z.shape[1]
 
 
+def _weights(n: int, size: int, s: float, variant: str) -> tuple:
+    """The partition and the weights xi of the instances simulate_problem
+    draws, once its arguments are checked."""
+    if s <= 0:
+        raise ValueError(f"decay exponent s must be > 0, got {s}")
+    if variant not in (EXAMPLE3, TABLE2):
+        raise ValueError(f"unknown variant {variant!r}")
+    part = dyadic_partition(size)
+    widest = max(hi - lo + 1 for lo, hi in part.blocks)
+    if n < widest:
+        raise ValueError(f"need n >= widest block ({widest}), got n={n}")
+    j = np.arange(1, size + 1, dtype=float)
+    if variant == EXAMPLE3:
+        xi = (-1.0) ** (j + 1.0) * j ** (-s / 2.0)
+    else:
+        xi = j ** (-s)
+    return part, xi
+
+
+def _scores(n: int, size: int, seed) -> np.ndarray:
+    """The n x size scores Z simulate_problem draws, from the seed's "lfr-z"
+    stream."""
+    root3 = math.sqrt(3.0)
+    return derive_rng(seed, "lfr-z").uniform(-root3, root3, size=(n, size))
+
+
 def simulate_problem(
     n: int,
     size: int,
@@ -132,22 +158,9 @@ def simulate_problem(
     slope; table2: xi_j = j^(-s) (conditioning experiments). Responses are
     generated block by block: Y_i^k = sum_{j in I_k} xi_j Z_ij c_j + eps_i^k.
     """
-    if s <= 0:
-        raise ValueError(f"decay exponent s must be > 0, got {s}")
-    if variant not in (EXAMPLE3, TABLE2):
-        raise ValueError(f"unknown variant {variant!r}")
-    part = dyadic_partition(size)
-    widest = max(hi - lo + 1 for lo, hi in part.blocks)
-    if n < widest:
-        raise ValueError(f"need n >= widest block ({widest}), got n={n}")
-    j = np.arange(1, size + 1, dtype=float)
-    if variant == EXAMPLE3:
-        xi = (-1.0) ** (j + 1.0) * j ** (-s / 2.0)
-    else:
-        xi = j ** (-s)
+    part, xi = _weights(n, size, s, variant)
+    Z = _scores(n, size, seed)
     c = example3_coeffs(size)
-    root3 = math.sqrt(3.0)
-    Z = derive_rng(seed, "lfr-z").uniform(-root3, root3, size=(n, size))
     y_blocks = []
     for k, sl in enumerate(part.slices()):
         y = Z[:, sl] @ (xi[sl] * c[sl])

@@ -25,8 +25,11 @@ from pinvreg.bench import (
     run_timeseries,
     timing_comparison,
 )
+from pinvreg.design import spectral_report
 from pinvreg.errors import ValidationError
-from pinvreg.lfr import ineq47_bound
+from pinvreg.jacobi import JacobiBasis
+from pinvreg.lfr import TABLE2, block_gram, ineq47_bound, simulate_problem
+from pinvreg.sampling import derive_seed
 
 
 def write_series_csv(path, m=60, location="X"):
@@ -247,6 +250,19 @@ class TestRunTable1:
         assert vals["mean_kappa2_transformed"] == pytest.approx(1.0)
         assert vals["singular_trials_direct"] == 0.0
 
+    def test_one_basis_table_per_cell_and_transform(self, monkeypatch):
+        table = JacobiBasis.table
+        points = []
+
+        def counted(self, x):
+            points.append(len(x))
+            return table(self, x)
+
+        monkeypatch.setattr(JacobiBasis, "table", counted)
+        run_table1(ExperimentConfig(experiment="table1", trials=3))
+        # each (cell, transform) pair evaluates its 3 trials' points in one call
+        assert sorted(points) == sorted(3 * n for _, _, n in TABLE1_SWEEP for _ in range(2))
+
     def test_sweep_covers_grid(self):
         res = run_table1(ExperimentConfig(experiment="table1", trials=1))
         assert len(res.rows) == 4 * len(TABLE1_SWEEP)
@@ -290,6 +306,20 @@ class TestRunTable2:
         assert vals["bound_exceeded"] in (0.0, 1.0)
         assert vals["singular_trials"] == 0.0
         assert 1.0 < vals["cumulative_kappa"] < vals["ineq47_bound"]
+
+    def test_matches_per_trial_reference(self):
+        # reference: a full problem and one block Gram and report per trial
+        res = run_table2(ExperimentConfig(experiment="table2", s=1.5, N=20, n=60,
+                                          trials=4, seed=3))
+        vals = {r["metric"]: r["value"] for r in res.rows}
+        sums = []
+        for t in range(4):
+            problem = simulate_problem(60, 20, 1.5, sigma=0.0, variant=TABLE2,
+                                       seed=derive_seed(3, "table2", "s=1.5", 20, 60, t))
+            sums.append(float(sum(spectral_report(block_gram(problem, k)[1]).kappa2
+                                  for k in range(problem.partition.K))))
+        assert vals["cumulative_kappa"] == float(np.mean(sums))
+        assert vals["singular_trials"] == 0.0
 
     def test_deterministic(self):
         cfg = ExperimentConfig(experiment="table2", s=1.5, N=8, n=80, trials=2)

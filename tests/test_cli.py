@@ -199,6 +199,13 @@ class TestDiagnose:
         assert doc["condition1_satisfied"] is False
         assert 1.0 <= doc["kappa2"] < math.inf
 
+    def test_overflowing_power_reads_inf(self, capsys):
+        # (N+1)^(2 mu + 2) at mu = 198 passes the float range
+        assert main(["diagnose", "--alpha", "198", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["L_N"] == "inf" and doc["kappa_bound_delta=0.1"] == "inf"
+        assert doc["condition1_satisfied"] is False
+
     def test_low_degree_skips_theory(self, capsys):
         code = main(["diagnose", "--N", "1", "--n", "10", "--format", "json"])
         assert code == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pinvreg import design
 from pinvreg.design import (
     build_design,
     least_squares,
@@ -15,7 +16,7 @@ from pinvreg.design import (
     theory_bounds,
 )
 from pinvreg.jacobi import JacobiBasis, JacobiParams
-from pinvreg.sampling import sample_beta_on_I
+from pinvreg.sampling import cdf_transform, derive_seed, sample_beta_on_I
 
 
 class TestBuildDesign:
@@ -135,6 +136,13 @@ class TestTheoryBounds:
         with pytest.raises(ValueError, match="sharp"):
             theory_bounds(JacobiParams(0.0, 0.0), 100, 3, chebyshev_sharp=True)
 
+    def test_overflowing_power_reads_inf(self):
+        # eta_{30,30}^2 is finite, but (N+1)^(2 mu + 2) passes the float range
+        tb = theory_bounds(JacobiParams(30.0, 30.0), 10**6, 10**5)
+        assert math.isfinite(tb.m_sq)
+        assert tb.L_N == math.inf and tb.kappa_bound(0.1) == math.inf
+        assert tb.condition1_ok is False
+
     def test_sharp_chebyshev_l_n(self):
         # mu = -1/2 so (N+1)^(2 mu + 2) = N + 1
         tb = theory_bounds(JacobiParams(-0.5, -0.5), 400, 5, chebyshev_sharp=True)
@@ -208,6 +216,50 @@ class TestMcConditionNumber:
         with pytest.raises(ValueError, match="transform"):
             mc_condition_number(JacobiParams(0.0, 0.0), 30, 3, trials=2,
                                 transform="cauchy")
+        for transform in (None, "standard_normal"):
+            with pytest.raises(ValueError, match="underdetermined"):
+                mc_condition_number(JacobiParams(0.0, 0.0), 3, 3, trials=2,
+                                    transform=transform)
+
+    @pytest.mark.parametrize("transform", [None, "standard_normal"])
+    @pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (0.5, 0.0)])
+    def test_matches_per_trial_reference(self, alpha, beta, transform):
+        # reference: one design, Gram and spectral report per trial
+        from scipy.special import ndtr
+        params = JacobiParams(alpha, beta)
+        basis = JacobiBasis(params, 6)
+        mc = mc_condition_number(params, 40, 6, trials=9, transform=transform,
+                                 master_seed=11)
+        tag = "direct" if transform is None else transform
+        kappas = []
+        for t in range(9):
+            seed = derive_seed(11, f"mc-{tag}", t)
+            if transform is None:
+                samples = sample_beta_on_I(params, 40, seed)
+            else:
+                z = np.random.default_rng(seed).standard_normal(40)
+                samples = cdf_transform(z, ndtr, params)
+            kappas.append(spectral_report(build_design(basis, samples).gram()).kappa2)
+        assert mc.n_singular == 0
+        np.testing.assert_array_equal(mc.kappas, np.sort(kappas))
+
+    def test_singular_trial_is_counted(self, monkeypatch):
+        draw = design.sample_beta_on_I
+        seeds = []
+
+        def sampler(params, n, seed):
+            # the second trial draws one point n times: a rank-one Gram
+            x = draw(params, n, seed)
+            seeds.append(seed)
+            return np.full(n, x[0]) if len(seeds) == 2 else x
+
+        params = JacobiParams(0.0, 0.0)
+        monkeypatch.setattr(design, "sample_beta_on_I", sampler)
+        mc = mc_condition_number(params, 30, 3, trials=4, master_seed=5)
+        monkeypatch.undo()
+        full = mc_condition_number(params, 30, 3, trials=4, master_seed=5)
+        assert mc.n_singular == 1 and full.n_singular == 0
+        assert len(mc.kappas) == 3 and set(mc.kappas) < set(full.kappas)
 
 
 class TestLeastSquares:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import build_design, mc_condition_number, spectral_reports
+from .design import _mean, build_design, mc_condition_number, spectral_reports
 from .errors import SingularBlockError, StabilityError, ValidationError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
 from .krr import DEFAULT_LAMBDA_GRID, cross_validate, krr_fit
@@ -354,11 +354,6 @@ def _cells(config: ExperimentConfig, command: str, sweep) -> list:
         cells = [tuple(getattr(config, k) for k in keys)]
     _check_rules(spec.rules, [config.to_dict() | dict(zip(keys, c)) for c in cells])
     return cells
-
-
-def _mean(values) -> float:
-    """Mean over the trials that were not singular; inf when none was."""
-    return float(np.mean(values)) if values else math.inf
 
 
 def _require(config: ExperimentConfig, experiment: str) -> None:

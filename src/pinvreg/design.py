@@ -57,7 +57,6 @@ def _check_rows(n: int, basis: JacobiBasis) -> None:
 @dataclass(frozen=True)
 class SpectralReport:
     eigenvalues: np.ndarray   # ascending
-    tolerance: float
     near_singular: bool
 
     @property
@@ -75,14 +74,13 @@ class SpectralReport:
         return self.lambda_max / self.lambda_min
 
 
-def _report(eigenvalues: np.ndarray, tolerance: float | None = None) -> SpectralReport:
+def _report(eigenvalues: np.ndarray) -> SpectralReport:
     # the one place that decides the rule lambda_min <= 1e-12 lambda_max
-    if tolerance is None:
-        tolerance = 1e-12 * max(float(eigenvalues[-1]), 0.0)
-    return SpectralReport(eigenvalues, tolerance, bool(eigenvalues[0] <= tolerance))
+    tolerance = 1e-12 * max(float(eigenvalues[-1]), 0.0)
+    return SpectralReport(eigenvalues, bool(eigenvalues[0] <= tolerance))
 
 
-def spectral_reports(A: np.ndarray, tolerance: float | None = None) -> list:
+def spectral_reports(A: np.ndarray) -> list:
     """Eigenvalues and near-singularity verdicts for a stack of symmetric
     matrices, shape (k, m, m): one batched eigvalsh call, which runs the same
     LAPACK routine on each matrix, so report i equals spectral_report(A[i])."""
@@ -93,15 +91,15 @@ def spectral_reports(A: np.ndarray, tolerance: float | None = None) -> list:
     asym = float(np.max(np.abs(A - At))) if A.size else 0.0
     if asym > 1e-8:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return [_report(e, tolerance) for e in np.linalg.eigvalsh(0.5 * (A + At))]
+    return [_report(e) for e in np.linalg.eigvalsh(0.5 * (A + At))]
 
 
-def spectral_report(A: np.ndarray, tolerance: float | None = None) -> SpectralReport:
+def spectral_report(A: np.ndarray) -> SpectralReport:
     """Eigenvalues and a near-singularity verdict for symmetric A."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return spectral_reports(A[None], tolerance)[0]
+    return spectral_reports(A[None])[0]
 
 
 def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -172,6 +170,11 @@ def theory_bounds(
     )
 
 
+def _mean(values) -> float:
+    """Mean over the trials that were not singular; inf when none was."""
+    return float(np.mean(values)) if len(values) else math.inf
+
+
 @dataclass(frozen=True)
 class McSummary:
     """Per-trial Gram condition numbers of repeated random designs, sorted."""
@@ -181,7 +184,7 @@ class McSummary:
 
     @property
     def mean_kappa2(self) -> float:
-        return float(np.mean(self.kappas)) if len(self.kappas) else math.inf
+        return _mean(self.kappas)
 
 
 def mc_condition_number(

@@ -58,10 +58,14 @@ class JacobiParams:
 
     @cached_property
     def gamma_ab(self) -> float:
-        # total mass of the weight, 2^(a+b+1) B(a+1, b+1), in log space
+        # total mass of the weight, 2^(a+b+1) B(a+1, b+1), in log space; inf
+        # past the float range, as eta_ab reads
         a, b = self.alpha, self.beta
-        return math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
-                        + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+        try:
+            return math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                            + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+        except OverflowError:
+            return math.inf
 
 
 def omega_weight(params: JacobiParams, x):
@@ -74,21 +78,25 @@ def norm_constant(params: JacobiParams, k: int) -> float:
     """Squared weighted L2 norm h_k of the classical Jacobi polynomial.
 
     h_0 is the limit value gamma_ab, which agrees with the k=0 closed form
-    whenever the latter is defined (it is 0/0 at alpha+beta+1 = 0).
+    whenever the latter is defined (it is 0/0 at alpha+beta+1 = 0). Past the
+    float range h_k reads inf, as gamma_ab does.
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     a, b = params.alpha, params.beta
     if k == 0:
         return params.gamma_ab
-    return math.exp(
-        (a + b + 1.0) * math.log(2.0)
-        + math.lgamma(k + a + 1.0)
-        + math.lgamma(k + b + 1.0)
-        - math.lgamma(k + 1.0)
-        - math.log(2.0 * k + a + b + 1.0)
-        - math.lgamma(k + a + b + 1.0)
-    )
+    try:
+        return math.exp(
+            (a + b + 1.0) * math.log(2.0)
+            + math.lgamma(k + a + 1.0)
+            + math.lgamma(k + b + 1.0)
+            - math.lgamma(k + 1.0)
+            - math.log(2.0 * k + a + b + 1.0)
+            - math.lgamma(k + a + b + 1.0)
+        )
+    except OverflowError:
+        return math.inf
 
 
 def norm_constants(params: JacobiParams, degree_max: int) -> np.ndarray:
@@ -130,10 +138,18 @@ class JacobiBasis:
             raise ValueError(f"degree_max must be >= 0, got {degree_max}")
         if domain not in (SYMMETRIC, UNIT):
             raise ValueError(f"unknown domain {domain!r}")
+        h = norm_constants(params, degree_max)
+        # |P_k| peaks at x = -1 or 1 once max(alpha, beta) >= -1/2 (Szego
+        # 7.32.2), so a recurrence finite there is finite on all of [-1, 1]
+        with np.errstate(all="ignore"):
+            ends = _recurrence_table(params, np.array([-1.0, 1.0]), degree_max)
+        if not (np.all(np.isfinite(h) & (h > 0.0)) and np.all(np.isfinite(ends))):
+            raise ValueError(f"Jacobi basis at alpha={params.alpha}, beta={params.beta}, "
+                             f"N={degree_max} is not representable in floats")
         self.params = params
         self.degree_max = int(degree_max)
         self.domain = domain
-        self._sqrt_h = np.sqrt(norm_constants(params, degree_max))
+        self._sqrt_h = np.sqrt(h)
 
     @property
     def size(self) -> int:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import least_squares
+from .design import _mean, least_squares
 from .errors import SingularBlockError, ValidationError
 from .sampling import derive_rng, derive_seed
 
@@ -31,9 +31,7 @@ __all__ = [
     "block_gram",
     "lfr_fit",
     "lfr_errors",
-    "theorem6_bound",
     "ineq47_bound",
-    "truncate_beta",
     "theorem7_bound",
     "lfr_risk_mc",
     "EXAMPLE3",
@@ -246,51 +244,11 @@ def lfr_errors(model: LfrModel, problem: LfrProblem) -> LfrErrors:
     )
 
 
-def theorem6_bound(
-    problem: LfrProblem,
-    block_index: int,
-    eta: float,
-    score_bound: float | None = None,
-) -> float:
-    """High-probability per-block condition-number ceiling for unit-variance
-    scores.
-
-    Evaluates (1.72 max xi^2 + (M_xi/n) log 2^(k-1) + eta) /
-    (0.63 min xi^2 - (M_xi/n) log 2^(k-1) - eta) over the block, with
-    M_xi = M^2 max|xi| ||xi||_1 and M an a.s. bound on the scores (sqrt(3)
-    for the uniform family). Nonpositive denominator means the bound is not
-    applicable at this n; inf is returned rather than raising.
-    """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    M = math.sqrt(3.0) if score_bound is None else score_bound
-    if M < np.max(np.abs(problem.Z)):
-        raise ValueError("score_bound must dominate max|Z|")
-    sl = problem.partition.slices()[block_index]
-    xi_sq = problem.xi[sl] ** 2
-    m_xi = M**2 * float(np.max(np.abs(problem.xi))) * float(np.sum(np.abs(problem.xi)))
-    log_term = (m_xi / problem.n) * block_index * math.log(2.0)  # log 2^(k-1)
-    denominator = 0.63 * float(np.min(xi_sq)) - log_term - eta
-    if denominator <= 0:
-        return math.inf
-    return (1.72 * float(np.max(xi_sq)) + log_term + eta) / denominator
-
-
 def ineq47_bound(s: float, size: int) -> float:
     """Cumulative condition-number ceiling 2^s 1.72 log(size) / (0.63 log 2)."""
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
     return 2.0**s * 1.72 * math.log(size) / (0.63 * math.log(2.0))
-
-
-def truncate_beta(model: LfrModel, level: float, grid=None) -> np.ndarray:
-    """Clamped slope values sign(b) min(level, |b|) on an evaluation grid."""
-    if level <= 0:
-        raise ValueError(f"level must be > 0, got {level}")
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 1001)
-    vals = eval_slope(model.coeffs, grid)
-    return np.clip(vals, -level, level)
 
 
 def theorem7_bound(
@@ -383,7 +341,7 @@ def lfr_risk_mc(
     risks = np.sort(np.array(risks))
     return LfrRiskSummary(
         risks=risks,
-        mean_risk=float(np.mean(risks)) if len(risks) else math.inf,
+        mean_risk=_mean(risks),
         bound=float(bound) if bound is not None else math.inf,
         n_singular=n_singular,
         truncation_active=active,

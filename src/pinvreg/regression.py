@@ -1,5 +1,5 @@
 """Least-squares regression over a random Jacobi design, with robust and
-truncated variants and the printed error/risk budgets."""
+truncated variants and the printed risk budget."""
 
 import json
 import math
@@ -7,19 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, build_design, least_squares, theory_bounds
+from .design import DesignMatrix, _mean, build_design, least_squares, theory_bounds
 from .errors import RobustFitError, StabilityError
-from .jacobi import SYMMETRIC, UNIT, JacobiBasis, JacobiParams, QuadratureRule, omega_norm
+from .jacobi import JacobiBasis, JacobiParams, omega_norm
 from .sampling import derive_rng, derive_seed, make_noise, sample_beta_on_I
 
 __all__ = [
     "NpregModel",
-    "FitDiagnostics",
     "RansacResult",
     "RiskSummary",
     "fit",
     "ransac_fit",
-    "error_report",
     "l2_risk_mc",
     "weierstrass",
     "save_model",
@@ -28,7 +26,7 @@ __all__ = [
     "model_from_dict",
 ]
 
-_GRID_SIZE = 2001   # uniform grid points behind every sup-norm
+_GRID_SIZE = 2001   # uniform grid points of the clamp checks
 
 
 @dataclass
@@ -48,10 +46,6 @@ class NpregModel:
             # sign(v) * min(M, |v|), written as a clamp
             vals = np.clip(vals, -M, M)
         return vals
-
-    @property
-    def kappa2(self) -> float:
-        return self.fit_report.kappa2 if self.fit_report is not None else math.nan
 
 
 def fit(design: DesignMatrix, y) -> NpregModel:
@@ -141,92 +135,6 @@ def ransac_fit(
 
 
 @dataclass(frozen=True)
-class FitDiagnostics:
-    residual_mse: float
-    kappa2: float
-    theory: object                 # TheoryBounds, or None when N < 2
-    omega_error: float             # ||f - fhat||_omega
-    proj_error_omega: float        # ||f - pi_N f||_omega
-    proj_error_sup: float
-    eta_n: float
-    delta: float
-    rhs_bound: float | None        # printed error budget; None when not applicable
-    bound_satisfied: bool | None
-
-
-def error_report(
-    model: NpregModel,
-    true_f,
-    x=None,
-    y=None,
-    noise=None,
-    delta: float = 0.05,
-    rule: QuadratureRule | None = None,
-) -> FitDiagnostics:
-    """Weighted-L2 error of the fit plus the printed high-probability budget.
-
-    The omega-norms use rule (default: Gauss-Jacobi of order N + 12) and the
-    sup-norms a uniform grid of 2001 points.
-
-    The budget denominator can be nonpositive at small n; in that regime
-    rhs_bound and bound_satisfied are None rather than a negative bound.
-    """
-    basis = model.basis
-    N = basis.degree_max
-    if rule is None:
-        rule = basis.quadrature(N + 12)
-    gamma = basis.params.gamma_ab
-    lo, hi = (0.0, 1.0) if basis.domain == UNIT else (-1.0, 1.0)
-    grid = np.linspace(lo, hi, _GRID_SIZE)
-
-    node_table = basis.table(rule.nodes)
-    grid_table = basis.table(grid)
-    fhat_nodes = node_table @ model.coeffs   # untruncated
-    f_nodes = true_f(rule.nodes)
-    omega_error = omega_norm(f_nodes - fhat_nodes, rule)
-
-    proj = node_table.T @ (rule.weights * f_nodes)   # quadrature projection
-    proj_nodes = node_table @ proj
-    proj_error_omega = omega_norm(f_nodes - proj_nodes, rule)
-    resid_grid = true_f(grid) - grid_table @ proj
-    proj_error_sup = float(np.max(np.abs(resid_grid)))
-    proj_sup = float(np.max(np.abs(grid_table @ proj)))
-    proj_norm = float(np.linalg.norm(proj))
-
-    eta_n = float(np.max(np.abs(noise))) if noise is not None else 0.0
-    residual_mse = math.nan
-    if x is not None and y is not None:
-        residual_mse = float(np.mean((model.predict(np.asarray(x, float)) - y) ** 2))
-
-    kappa2 = model.kappa2
-    n = model.n_samples
-    rhs = satisfied = None
-    if n > 0 and math.isfinite(kappa2) and proj_norm > 0:
-        t = (math.log(2.0 / delta) / n) ** 0.25
-        denominator = 1.0 / math.sqrt(gamma) - t * proj_sup / proj_norm
-        if denominator > 0:
-            numerator = t * proj_error_sup + proj_error_omega / math.sqrt(gamma) + eta_n
-            rhs = proj_error_omega + math.sqrt(2.0 * kappa2) * numerator / denominator
-            satisfied = bool(omega_error <= rhs)
-
-    theory = None
-    if N >= 2 and n >= 1 and basis.domain == SYMMETRIC:
-        theory = theory_bounds(basis.params, n, N)
-    return FitDiagnostics(
-        residual_mse=residual_mse,
-        kappa2=kappa2,
-        theory=theory,
-        omega_error=omega_error,
-        proj_error_omega=proj_error_omega,
-        proj_error_sup=proj_error_sup,
-        eta_n=eta_n,
-        delta=delta,
-        rhs_bound=rhs,
-        bound_satisfied=satisfied,
-    )
-
-
-@dataclass(frozen=True)
 class RiskSummary:
     risks: np.ndarray              # per-trial ||f - truncated fit||_omega^2, sorted
     mean_risk: float
@@ -310,7 +218,7 @@ def l2_risk_mc(
     risks = np.sort(np.array(risks))
     return RiskSummary(
         risks=risks,
-        mean_risk=float(np.mean(risks)) if len(risks) else math.inf,
+        mean_risk=_mean(risks),
         bound=bound,
         proj_error_omega=proj_error_omega,
         condition_ok=condition_ok,
@@ -320,16 +228,16 @@ def l2_risk_mc(
     )
 
 
-def weierstrass(s: float, x, tol: float = 1e-12):
-    """Lacunary cosine series sum_k cos(2^k pi x) / 2^(k s), truncated below tol.
+def weierstrass(s: float, x):
+    """Lacunary cosine series sum_k cos(2^k pi x) / 2^(k s), truncated below 1e-12.
 
     The truncation depth comes from the geometric tail bound
-    2^{-(K+1)s} / (1 - 2^{-s}) < tol. Requires s > 0.
+    2^{-(K+1)s} / (1 - 2^{-s}) < 1e-12. Requires s > 0.
     """
     if s <= 0:
         raise ValueError(f"smoothness s must be > 0, got {s}")
     q = 2.0 ** (-s)
-    K = max(0, math.ceil(math.log(tol * (1.0 - q)) / math.log(q) - 1.0))
+    K = max(0, math.ceil(math.log(1e-12 * (1.0 - q)) / math.log(q) - 1.0))
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for k in range(K + 1):

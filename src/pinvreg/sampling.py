@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,7 +9,6 @@ from .errors import ValidationError
 from .jacobi import JacobiParams
 
 __all__ = [
-    "EmpiricalCdf",
     "derive_seed",
     "derive_rng",
     "sample_beta_on_I",
@@ -117,27 +115,6 @@ def inverse_beta_cdf(params: JacobiParams, t, method: str = "auto"):
         return arcsine_quantile(t)
     from scipy.special import betaincinv   # loaded only where the transform runs
     return betaincinv(*_beta_shapes(params), t)
-
-
-@dataclass
-class EmpiricalCdf:
-    """Standard n-denominator step ECDF with optional interpolation."""
-
-    samples: np.ndarray
-    interpolate: bool = False
-
-    def __post_init__(self):
-        self.samples = np.sort(np.asarray(self.samples, dtype=float))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        n = len(self.samples)
-        if self.interpolate:
-            # linear between order statistics; ties collapse to averaged ranks
-            uniq, counts = np.unique(self.samples, return_counts=True)
-            ranks = np.cumsum(counts) - (counts - 1) / 2.0
-            return np.interp(x, uniq, ranks / n, left=0.0, right=1.0)
-        return np.searchsorted(self.samples, x, side="right") / n
 
 
 def cdf_transform(points, cdf, params: JacobiParams, to_symmetric: bool = True) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve numbered end-to-end checks, each printing one
+"""Acceptance suite: thirteen numbered end-to-end checks, each printing one
 PASS/FAIL summary line (run with -s to see them). Two audits are genuine
 expected failures and are marked xfail(strict=True): the degree-2 envelope
 violation in criterion 2 and the noisy functional-regression error floor in
@@ -20,6 +20,7 @@ from pinvreg.lfr import (
     ineq47_bound,
     lfr_errors,
     lfr_fit,
+    lfr_risk_mc,
     simulate_problem,
 )
 from pinvreg.regression import fit, l2_risk_mc, weierstrass
@@ -260,3 +261,21 @@ class TestAcceptance:
             assert identical, cmd
         _line(12, all(pairs), "table1 csv and table4 json byte-identical "
                               "across two reruns")
+
+    def test_criterion_13_truncated_lfr_risk(self):
+        """Theorem 7: the clamped block estimator's mean L2 risk stays below
+        the printed ceiling, and vanishes without noise."""
+        kw = dict(n=300, size=50, s=2.0, level=6.0, trials=20,
+                  seed=derive_seed(SEED, "crit13"))
+        noisy = lfr_risk_mc(sigma=0.5, **kw)
+        noiseless = lfr_risk_mc(sigma=0.0, **kw)
+        worst = float(np.max(noiseless.risks))
+        ok = (noisy.mean_risk <= noisy.bound and noisy.n_singular == 0
+              and noisy.truncation_active and worst <= 1e-10)
+        # the ceiling is about two orders of magnitude loose here
+        _line(13, ok, f"mean risk {noisy.mean_risk:.3e} <= bound {noisy.bound:.3e} "
+                      f"(bound/risk {noisy.bound / noisy.mean_risk:.0f}x, a loose "
+                      f"ceiling); clamp active; noiseless worst risk {worst:.1e}")
+        assert noisy.n_singular == 0 and noisy.truncation_active
+        assert noisy.mean_risk <= noisy.bound
+        assert len(noiseless.risks) == 20 and worst <= 1e-10

@@ -292,6 +292,23 @@ class TestErrorPaths:
         assert json.loads(lines[0]) == {"error": "ValidationError", "message": message}
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--alpha", "-0.5", "--beta", "1e5"],
+        ["diagnose", "--alpha", "1e18"],
+        ["diagnose", "--alpha", "1e30"],
+        ["diagnose", "--alpha", "1e60", "--N", "6"],
+        ["table1", "--alpha", "1e30", "--trials", "1"],
+        ["table3", "--alpha", "1e30", "--trials", "1"],
+    ])
+    def test_unrepresentable_basis_exits_one_before_writing(self, tmp_path, capsys,
+                                                            argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        doc = one_error_line(capsys)
+        assert doc["error"] == "ValueError" and "not representable" in doc["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("level", ["-5", "0"])
     def test_nonpositive_truncation_exits_one_before_writing(
         self, tmp_path, series_csv, capsys, level

@@ -65,10 +65,10 @@ class TestSpectralReport:
         assert r.near_singular
         assert r.kappa2 == math.inf
 
-    def test_tolerance_override(self):
-        A = np.diag([1.0, 1e-6])
-        assert not spectral_report(A).near_singular
-        assert spectral_report(A, tolerance=1e-3).near_singular
+    def test_fixed_rule_boundary(self):
+        # near singular means lambda_min <= 1e-12 lambda_max
+        assert spectral_report(np.diag([1.0, 1e-13])).near_singular
+        assert not spectral_report(np.diag([1.0, 1e-11])).near_singular
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -102,14 +102,13 @@ class TestSpectralReports:
         for A, r in zip(stack, reports):
             single = spectral_report(A)
             np.testing.assert_array_equal(r.eigenvalues, single.eigenvalues)
-            assert r.tolerance == single.tolerance
             assert r.near_singular == single.near_singular
             assert r.kappa2 == single.kappa2
         assert [r.near_singular for r in reports] == [False, False, True, False, False, False]
 
-    def test_tolerance_override_applies_to_each(self):
-        stack = np.stack([np.diag([1.0, 1e-6]), np.diag([1.0, 1e-2])])
-        assert [r.near_singular for r in spectral_reports(stack, tolerance=1e-3)] == [True, False]
+    def test_fixed_rule_boundary_applies_to_each(self):
+        stack = np.stack([np.diag([1.0, 1e-13]), np.diag([1.0, 1e-11])])
+        assert [r.near_singular for r in spectral_reports(stack)] == [True, False]
 
     def test_rejects_any_asymmetric_member(self):
         stack = self._stack()
@@ -273,7 +272,6 @@ class TestLeastSquares:
         direct = spectral_report(design.gram())
         assert_allclose(report.eigenvalues, direct.eigenvalues, rtol=1e-12)
         assert_allclose(report.kappa2, direct.kappa2, rtol=1e-12)
-        assert report.tolerance == pytest.approx(direct.tolerance, rel=1e-12)
         assert not report.near_singular
         assert_allclose(coeffs, np.linalg.pinv(design.matrix) @ y, rtol=1e-12, atol=1e-13)
 

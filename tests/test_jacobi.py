@@ -61,6 +61,13 @@ class TestJacobiParams:
         assert_allclose(JacobiParams(a, b).gamma_ab, expected, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("a, b", [(-0.5, 1e5), (1e18, 1e18), (1e306, 1e306)])
+    def test_gamma_past_the_float_range_is_inf(self, a, b):
+        params = JacobiParams(a, b)
+        assert params.gamma_ab == math.inf
+        assert norm_constant(params, 3) == math.inf
+
+
 class TestRecurrence:
     """The recurrence evaluator against scipy's independent Jacobi evaluator."""
 
@@ -125,6 +132,22 @@ class TestNormConstants:
         params = JacobiParams(0.0, 0.5)
         vec = norm_constants(params, 7)
         assert_allclose(vec, [norm_constant(params, k) for k in range(8)], rtol=1e-15)
+
+
+class TestRepresentableBasis:
+    @pytest.mark.parametrize("a, b, N", [
+        (-0.5, 1e5, 5),        # h_k overflows
+        (1e30, 1e30, 5),
+        (1000.0, -0.5, 1000),  # every h_k is finite; P_N(1) = C(2000, 1000) is not
+    ])
+    def test_unrepresentable_basis_raises(self, a, b, N):
+        with pytest.raises(ValueError, match="not representable"):
+            JacobiBasis(JacobiParams(a, b), N)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_symmetric_exponents_still_build(self):
+        basis = JacobiBasis(JacobiParams(1e5, 1e5), 40)
+        assert np.all(np.isfinite(basis.table(np.linspace(-1, 1, 9))))
 
 
 class TestOrthonormality:

@@ -26,9 +26,7 @@ from pinvreg.lfr import (
     lfr_fit,
     lfr_risk_mc,
     simulate_problem,
-    theorem6_bound,
     theorem7_bound,
-    truncate_beta,
 )
 from pinvreg.sampling import derive_rng
 
@@ -236,14 +234,6 @@ class TestLfrFit:
             lfr_fit(broken)
         assert err.value.block_index == 1
 
-    def test_truncated_predict_clamps(self):
-        p = simulate_problem(80, 16, 1.5, 0.0, seed=7)
-        model = lfr_fit(p)
-        grid = np.linspace(0, 1, 301)
-        assert np.max(np.abs(eval_slope(model.coeffs, grid))) > 1.0
-        vals = truncate_beta(model, 1.0, grid)
-        assert np.max(np.abs(vals)) <= 1.0
-
 
 class TestLfrErrors:
     def test_zero_for_perfect_fit(self):
@@ -285,31 +275,6 @@ class TestLfrErrors:
 
 
 class TestConditionBounds:
-    def test_singleton_block_limit(self):
-        # one unit-weight block at vanishing eta: (1.72 + eta)/(0.63 - eta)
-        p = simulate_problem(10, 1, 1.0, 0.0, seed=1)
-        assert theorem6_bound(p, 0, 1e-9) == pytest.approx(1.72 / 0.63, rel=1e-6)
-
-    def test_eta_validation(self):
-        p = simulate_problem(20, 4, 1.0, 0.0, seed=2)
-        with pytest.raises(ValueError, match="eta"):
-            theorem6_bound(p, 0, 0.0)
-
-    def test_score_bound_must_dominate(self):
-        p = simulate_problem(20, 4, 1.0, 0.0, seed=2)
-        with pytest.raises(ValueError, match="score_bound"):
-            theorem6_bound(p, 0, 0.1, score_bound=0.5)
-
-    def test_vacuous_when_eta_large(self):
-        p = simulate_problem(20, 4, 1.0, 0.0, seed=2)
-        assert theorem6_bound(p, 1, 10.0) == math.inf
-
-    def test_bounds_list_covers_partition(self):
-        p = simulate_problem(200, 16, 1.0, 0.0, seed=3)
-        bounds = [theorem6_bound(p, k, 1e-3) for k in range(p.partition.K)]
-        assert len(bounds) == p.partition.K
-        assert all(b > 0 for b in bounds)
-
     def test_cumulative_bound_value(self):
         s, size = 1.5, 40
         expected = 2.0**s * 1.72 * math.log(size) / (0.63 * math.log(2.0))
@@ -318,31 +283,6 @@ class TestConditionBounds:
     def test_cumulative_bound_validation(self):
         with pytest.raises(ValueError, match="size"):
             ineq47_bound(1.0, 1)
-
-
-class TestTruncateBeta:
-    def test_identity_at_huge_level(self):
-        p = simulate_problem(80, 16, 1.5, 0.0, seed=12)
-        model = lfr_fit(p)
-        grid = np.linspace(0, 1, 1001)
-        assert_allclose(truncate_beta(model, 1e6), eval_slope(model.coeffs, grid),
-                        rtol=0)
-
-    def test_clamps_at_small_level(self):
-        p = simulate_problem(80, 16, 1.5, 0.0, seed=12)
-        model = lfr_fit(p)
-        out = truncate_beta(model, 0.01)
-        assert np.max(np.abs(out)) <= 0.01
-
-    def test_constant_slope_saturates(self):
-        p = simulate_problem(10, 1, 1.0, 0.0, seed=13)
-        model = lfr_fit(p)   # beta(x) = 4 everywhere
-        assert_allclose(truncate_beta(model, 1.0), np.ones(1001), rtol=1e-10)
-
-    def test_level_validation(self):
-        p = simulate_problem(10, 1, 1.0, 0.0, seed=13)
-        with pytest.raises(ValueError, match="level"):
-            truncate_beta(lfr_fit(p), 0.0)
 
 
 class TestTheorem7:

@@ -16,17 +16,18 @@ from pinvreg import timeseries
 SRC = str(Path(pinvreg.__file__).resolve().parents[1])   # the package's import root
 LIBRARY = (design, errors, jacobi, krr, lfr, regression, sampling, timeseries)
 
-# every name the package root exported before it was built from the lists
+# every name the package root exported before it was built from the lists, less
+# the ones since deleted with their code
 ROOT_NAMES = """
 __version__ JacobiParams JacobiBasis QuadratureRule gauss_jacobi_rule norm_constant
-omega_weight omega_norm uniform_bound EmpiricalCdf derive_seed derive_rng
+omega_weight omega_norm uniform_bound derive_seed derive_rng
 sample_beta_on_I sample_beta_unit make_noise arcsine_quantile inverse_beta_cdf
 cdf_transform DesignMatrix build_design SpectralReport spectral_report TheoryBounds
-theory_bounds McSummary mc_condition_number NpregModel FitDiagnostics RansacResult
-RiskSummary fit ransac_fit error_report l2_risk_mc weierstrass save_model load_model
+theory_bounds McSummary mc_condition_number NpregModel RansacResult
+RiskSummary fit ransac_fit l2_risk_mc weierstrass save_model load_model
 KrrModel sinc_kernel krr_fit cross_validate DyadicPartition LfrProblem LfrModel
-dyadic_partition simulate_problem lfr_fit lfr_errors theorem6_bound theorem7_bound
-ineq47_bound truncate_beta lfr_risk_mc TimeSeriesDataset load_series_csv fit_series
+dyadic_partition simulate_problem lfr_fit lfr_errors theorem7_bound
+ineq47_bound lfr_risk_mc TimeSeriesDataset load_series_csv fit_series
 ValidationError DataError NumericalError StabilityError SingularBlockError
 RobustFitError RegularizationError
 """.split()
@@ -53,7 +54,7 @@ def test_each_public_name_has_one_module():
 
 
 def test_every_earlier_root_name_still_imports():
-    assert len(ROOT_NAMES) == 63
+    assert len(ROOT_NAMES) == 58
     for name in ROOT_NAMES:
         assert name in pinvreg.__all__ and hasattr(pinvreg, name), name
 

@@ -12,7 +12,6 @@ from pinvreg.design import build_design
 from pinvreg.errors import ValidationError
 from pinvreg.jacobi import SYMMETRIC, UNIT, JacobiBasis, JacobiParams
 from pinvreg.sampling import (
-    EmpiricalCdf,
     arcsine_quantile,
     cdf_transform,
     derive_rng,
@@ -161,22 +160,6 @@ class TestQuantiles:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             inverse_beta_cdf(JacobiParams(0.0, 0.0), [0.5], method="magic")
-
-
-class TestEmpiricalCdf:
-    def test_step_values(self):
-        ecdf = EmpiricalCdf(np.array([1.0, 2.0, 3.0]))
-        assert_allclose(ecdf([0.0, 1.0, 1.5, 3.0, 4.0]),
-                        [0.0, 1 / 3, 1 / 3, 1.0, 1.0], rtol=0)
-
-    def test_interpolated_values(self):
-        ecdf = EmpiricalCdf(np.array([1.0, 2.0, 3.0]), interpolate=True)
-        assert_allclose(ecdf([1.0, 1.5, 2.0]), [1 / 3, 0.5, 2 / 3], rtol=1e-14)
-        assert ecdf(0.0) == 0.0 and ecdf(9.0) == 1.0
-
-    def test_sorts_input(self):
-        ecdf = EmpiricalCdf(np.array([3.0, 1.0, 2.0]))
-        assert ecdf(1.5) == 1 / 3
 
 
 class TestCdfTransform:

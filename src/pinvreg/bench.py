@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import _mean, build_design, mc_condition_number, spectral_reports
+from .design import (DesignMatrix, _check_rows, _kappas, _mean, build_design,
+                     mc_condition_number)
 from .errors import SingularBlockError, StabilityError, ValidationError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
 from .krr import DEFAULT_LAMBDA_GRID, cross_validate, krr_fit
@@ -410,24 +411,17 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
         labels = ("table2", f"s={s}", N, n)
         lineage = _lineage(master, *labels)
         part, xi = _weights(n, N, s, TABLE2)
-        # per trial: the Gram F'F of each block, F = xi Z / sqrt(n) over the
-        # block's columns as in lfr.block_gram, from the scores alone
-        grams = []
+        # per trial: F = xi Z / sqrt(n) from the scores alone, and the Gram
+        # F_k'F_k of each block's columns F_k, as in lfr.block_gram
+        grams = [[] for _ in part.blocks]
         for t in range(trials):
-            Z = _scores(n, N, derive_seed(master, *labels, t))
-            factors = (Z[:, sl] * xi[sl] / math.sqrt(n) for sl in part.slices())
-            grams.append([F.T @ F for F in factors])
-        # one batched eigvalsh per block index, over all trials
-        reports = [spectral_reports(np.stack(block)) for block in zip(*grams)]
-        sums = []
-        n_singular = 0
-        for trial in zip(*reports):
-            total = float(sum(r.kappa2 for r in trial))
-            if not math.isfinite(total):
-                n_singular += 1
-                continue
-            sums.append(total)
-        mean = _mean(sums)
+            F = _scores(n, N, derive_seed(master, *labels, t)) * xi / math.sqrt(n)
+            for block, sl in zip(grams, part.slices()):
+                block.append(F[:, sl].T @ F[:, sl])
+        # one batched eigvalsh per block; the trial's kappas summed in block order
+        sums = sum(_kappas(np.stack(block)) for block in grams)
+        finite = np.isfinite(sums)
+        mean, n_singular = _mean(sums[finite]), int(np.count_nonzero(~finite))
         bound = ineq47_bound(s, N)
         base = {"experiment": "table2", "s": s, "N": N, "n": n, "trials": trials,
                 "seed": lineage}
@@ -464,13 +458,17 @@ def run_table3(config: ExperimentConfig) -> ExperimentResult:
         xs = np.stack([sample_beta_on_I(params, n, derive_seed(master, *labels, t, "x"))
                        for t in range(trials)])
         f_xs = f(xs)      # one target evaluation over all trials' points
+        # one basis table over all trials' points: build_design(basis, xs[t])
+        _check_rows(n, basis)
+        tables = basis.table(xs.ravel()).reshape(trials, n, basis.size)
+        tables /= math.sqrt(n)
         mse_np, mse_kr = [], []
         n_singular = 0
         for t, (samples, f_samples) in enumerate(zip(xs, f_xs)):
             eps = make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
             y = f_samples + eps
             try:
-                model = fit(build_design(basis, samples), y)
+                model = fit(DesignMatrix(tables[t], basis), y)
             except StabilityError:
                 n_singular += 1
                 continue

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import JacobiBasis, JacobiParams, eta_ab
-from .sampling import cdf_transform, derive_seed, sample_beta_on_I
+from .sampling import cdf_transform, derive_rng, derive_seed, sample_beta_on_I
 
 __all__ = [
     "DesignMatrix",
@@ -74,16 +74,18 @@ class SpectralReport:
         return self.lambda_max / self.lambda_min
 
 
+def _near_singular(eigenvalues: np.ndarray):
+    # the one rule, lambda_min <= 1e-12 lambda_max, for a spectrum or a stack
+    return eigenvalues[..., 0] <= 1e-12 * np.maximum(eigenvalues[..., -1], 0.0)
+
+
 def _report(eigenvalues: np.ndarray) -> SpectralReport:
-    # the one place that decides the rule lambda_min <= 1e-12 lambda_max
-    tolerance = 1e-12 * max(float(eigenvalues[-1]), 0.0)
-    return SpectralReport(eigenvalues, bool(eigenvalues[0] <= tolerance))
+    return SpectralReport(eigenvalues, bool(_near_singular(eigenvalues)))
 
 
-def spectral_reports(A: np.ndarray) -> list:
-    """Eigenvalues and near-singularity verdicts for a stack of symmetric
-    matrices, shape (k, m, m): one batched eigvalsh call, which runs the same
-    LAPACK routine on each matrix, so report i equals spectral_report(A[i])."""
+def _eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of symmetric matrices, shape (k, m, m),
+    from one batched eigvalsh: the same LAPACK routine on each matrix."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
@@ -91,7 +93,20 @@ def spectral_reports(A: np.ndarray) -> list:
     asym = float(np.max(np.abs(A - At))) if A.size else 0.0
     if asym > 1e-8:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return [_report(e) for e in np.linalg.eigvalsh(0.5 * (A + At))]
+    return np.linalg.eigvalsh(0.5 * (A + At))
+
+
+def spectral_reports(A: np.ndarray) -> list:
+    """Eigenvalues and near-singularity verdicts for a stack of symmetric
+    matrices, shape (k, m, m); report i equals spectral_report(A[i])."""
+    return [_report(e) for e in _eigenvalues(A)]
+
+
+def _kappas(A: np.ndarray) -> np.ndarray:
+    """kappa2 of each matrix of a stack, as its spectral_report reads it."""
+    e = _eigenvalues(A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(_near_singular(e), math.inf, e[:, -1] / e[:, 0])
 
 
 def spectral_report(A: np.ndarray) -> SpectralReport:
@@ -111,7 +126,9 @@ def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> tuple:
     silent truncation never decides an accepted solution."""
     coeffs, _, _, s = np.linalg.lstsq(matrix, rhs, rcond=None)
     # a wide matrix has fewer singular values than columns; the rest are zero
-    eigenvalues = np.pad(s[::-1] ** 2, (matrix.shape[1] - len(s), 0))
+    eigenvalues = s[::-1] ** 2
+    if len(s) < matrix.shape[1]:
+        eigenvalues = np.pad(eigenvalues, (matrix.shape[1] - len(s), 0))
     return coeffs, _report(eigenvalues)
 
 
@@ -215,13 +232,12 @@ def mc_condition_number(
         samples = np.concatenate([sample_beta_on_I(params, n, seed) for seed in seeds])
     else:
         from scipy.special import ndtr   # loaded only where the transform runs
-        z = np.concatenate([np.random.default_rng(seed).standard_normal(n)
-                            for seed in seeds])
+        z = np.concatenate([derive_rng(seed).standard_normal(n) for seed in seeds])
         samples = cdf_transform(z, ndtr, params)
     # one table over all trials' points; each trial's Gram A_t' A_t is the
     # same syrk call on the same bytes as build_design(...).gram()
     A = basis.table(samples).reshape(trials, n, basis.size)
     A /= math.sqrt(n)         # in place: the table is the largest array here
-    reports = spectral_reports(A.swapaxes(1, 2) @ A)
-    kappas = [r.kappa2 for r in reports if not r.near_singular]
-    return McSummary(kappas=np.sort(np.array(kappas)), n_singular=trials - len(kappas))
+    kappas = _kappas(A.swapaxes(1, 2) @ A)
+    kappas = kappas[kappas != math.inf]
+    return McSummary(kappas=np.sort(kappas), n_singular=trials - len(kappas))

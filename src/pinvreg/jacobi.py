@@ -12,7 +12,8 @@ orthonormal there against the weight ``4 * omega(2x - 1)``.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 
@@ -60,12 +61,7 @@ class JacobiParams:
     def gamma_ab(self) -> float:
         # total mass of the weight, 2^(a+b+1) B(a+1, b+1), in log space; inf
         # past the float range, as eta_ab reads
-        a, b = self.alpha, self.beta
-        try:
-            return math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
-                            + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
-        except OverflowError:
-            return math.inf
+        return _norm_constant(self, 0)[0]
 
 
 def omega_weight(params: JacobiParams, x):
@@ -83,20 +79,28 @@ def norm_constant(params: JacobiParams, k: int) -> float:
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
+    return params.gamma_ab if k == 0 else _norm_constant(params, k)[0]
+
+
+def _norm_constant(params: JacobiParams, k: int) -> tuple:
+    """h_k as the exp of a sum of log-space terms, and 2^-52 sum |terms|, the
+    rounding bound of that sum and so of h_k's relative error; both read inf
+    past the float range."""
     a, b = params.alpha, params.beta
-    if k == 0:
-        return params.gamma_ab
+    log2 = (a + b + 1.0) * math.log(2.0)
     try:
-        return math.exp(
-            (a + b + 1.0) * math.log(2.0)
-            + math.lgamma(k + a + 1.0)
-            + math.lgamma(k + b + 1.0)
-            - math.lgamma(k + 1.0)
-            - math.log(2.0 * k + a + b + 1.0)
-            - math.lgamma(k + a + b + 1.0)
-        )
+        if k == 0:
+            terms = (log2, math.lgamma(a + 1.0), math.lgamma(b + 1.0),
+                     -math.lgamma(a + b + 2.0))
+        else:
+            terms = (log2, math.lgamma(k + a + 1.0), math.lgamma(k + b + 1.0),
+                     -math.lgamma(k + 1.0), -math.log(2.0 * k + a + b + 1.0),
+                     -math.lgamma(k + a + b + 1.0))
+        # added left to right, as written out in one expression
+        return (math.exp(reduce(add, terms)),
+                2.0**-52 * math.fsum(map(abs, terms)))
     except OverflowError:
-        return math.inf
+        return math.inf, math.inf
 
 
 def norm_constants(params: JacobiParams, degree_max: int) -> np.ndarray:
@@ -138,12 +142,15 @@ class JacobiBasis:
             raise ValueError(f"degree_max must be >= 0, got {degree_max}")
         if domain not in (SYMMETRIC, UNIT):
             raise ValueError(f"unknown domain {domain!r}")
-        h = norm_constants(params, degree_max)
+        h, rounding = np.array([_norm_constant(params, k)
+                                for k in range(degree_max + 1)]).T
         # |P_k| peaks at x = -1 or 1 once max(alpha, beta) >= -1/2 (Szego
         # 7.32.2), so a recurrence finite there is finite on all of [-1, 1]
         with np.errstate(all="ignore"):
             ends = _recurrence_table(params, np.array([-1.0, 1.0]), degree_max)
-        if not (np.all(np.isfinite(h) & (h > 0.0)) and np.all(np.isfinite(ends))):
+        # a rounding bound past 1e-7: the log-space terms cancelled h_k's digits
+        if not (np.all(np.isfinite(h) & (h > 0.0) & (rounding <= 1e-7))
+                and np.all(np.isfinite(ends))):
             raise ValueError(f"Jacobi basis at alpha={params.alpha}, beta={params.beta}, "
                              f"N={degree_max} is not representable in floats")
         self.params = params

@@ -50,25 +50,30 @@ class KrrModel:
         return K @ self.weights
 
 
-def _ridge_solve(G: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
-    """Weights w solving (G + ridge I) w = rhs by Cholesky factorization.
+def _ridge_solves(G: np.ndarray, rhs: np.ndarray, ridges):
+    """Per ridge, w solving (G + ridge I) w = rhs, or None where that is not
+    positive definite: one LAPACK dposv (Cholesky factor and solve) in one
+    reused Fortran-order buffer, without cho_factor's and cho_solve's
+    finiteness scans, so callers check G, rhs and the ridges."""
+    from scipy.linalg.lapack import dposv   # loaded only where KRR runs
+    G = np.asfortranarray(G)
+    A = np.empty_like(G, order="F")
+    diagonal = A.ravel(order="F")[:: len(A) + 1]    # a view: A is F-contiguous
+    for ridge in ridges:
+        np.copyto(A, G)
+        diagonal += ridge
+        _, w, info = dposv(A, rhs, lower=1, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK posv")
+        yield w if info == 0 else None    # info > 0: a leading minor is not PD
 
-    Calls LAPACK's dpotrf and dpotrs directly: the routines cho_factor and
-    cho_solve call, without their per-call finiteness scans, so callers check
-    G, rhs and the ridge once.
-    """
-    from scipy.linalg.lapack import dpotrf, dpotrs   # loaded only where KRR runs
-    A = np.array(G, order="F")    # Fortran order: potrf factors it in place, uncopied
-    A.ravel(order="F")[:: len(A) + 1] += ridge
-    factor, info = dpotrf(A, lower=1, clean=0, overwrite_a=1)
-    if info > 0:              # leading minor not positive definite
+
+def _ridge_solve(G: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
+    (w,) = _ridge_solves(G, rhs, (ridge,))
+    if w is None:
         raise RegularizationError(
             f"regularized kernel Gram not positive definite at ridge={ridge:g}"
         )
-    if info == 0:
-        w, info = dpotrs(factor, rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf/potrs")
     return w
 
 
@@ -112,7 +117,7 @@ def cross_validate(
 
     Folds are a seeded shuffle split into `folds` nearly equal parts. The n x n
     kernel is built once per call and each fold's slices of it once per fold;
-    each ridge then costs one Cholesky factor and solve (`_ridge_solve`). A
+    each ridge then costs one Cholesky factor and solve (`_ridge_solves`). A
     ridge whose regularized fold Gram is not positive definite scores inf on
     that fold. The returned model is refit on all data at the selected ridge
     from the same kernel.
@@ -137,11 +142,9 @@ def cross_validate(
         rhs = y[train] / m
         y_test = y[test]
         R = np.full((len(grid), len(test)), math.inf)   # held-out residuals
-        for i, ridge in enumerate(grid):
-            try:
-                R[i] = K_test @ _ridge_solve(G, rhs, ridge) - y_test
-            except RegularizationError:
-                continue      # the ridge's row stays inf: it scores inf here
+        for i, w in enumerate(_ridge_solves(G, rhs, grid)):
+            if w is not None:     # else the row stays inf: it scores inf here
+                R[i] = K_test @ w - y_test
         fold_mse.append(np.mean(R**2, axis=1))
     errors = {float(ridge): float(np.mean(mse))
               for ridge, mse in zip(grid, np.transpose(fold_mse))}

@@ -1,5 +1,6 @@
 """Random sample generation, seed derivation, and the Beta CDF transform."""
 
+import functools
 import hashlib
 import math
 
@@ -20,8 +21,9 @@ __all__ = [
 ]
 
 
-def _label_hash(label) -> int:
-    digest = hashlib.blake2b(str(label).encode(), digest_size=8).digest()
+@functools.lru_cache(maxsize=4096)
+def _label_hash(text: str) -> int:
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -38,12 +40,25 @@ def derive_seed(master_seed, *labels) -> tuple:
     else:
         parts = [int(master_seed)]
     for label in labels:
-        parts.append(label if isinstance(label, int) else _label_hash(label))
+        # cached on the text: np.int64(5) and 5.0 are equal keys with two texts
+        parts.append(label if isinstance(label, int) else _label_hash(str(label)))
     return tuple(parts)
 
 
 def derive_rng(master_seed, *labels) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master_seed, *labels))
+    """np.random.default_rng(derive_seed(master_seed, *labels)), same state:
+    each part is split here into the little-endian uint32 words SeedSequence
+    would split it into, which it then takes without coercing them."""
+    words = []
+    for part in derive_seed(master_seed, *labels):
+        if part < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(part & 0xFFFFFFFF)
+        while part > 0xFFFFFFFF:
+            part >>= 32
+            words.append(part & 0xFFFFFFFF)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _beta_shapes(params: JacobiParams) -> tuple:

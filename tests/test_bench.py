@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from pinvreg import bench
 from pinvreg.bench import (
     COMMANDS,
     TABLE1_SWEEP,
@@ -320,6 +321,33 @@ class TestRunTable2:
                                   for k in range(problem.partition.K))))
         assert vals["cumulative_kappa"] == float(np.mean(sums))
         assert vals["singular_trials"] == 0.0
+
+    def test_counts_a_singular_trial(self, monkeypatch):
+        # trial 1 repeats a score column inside block (9, 16): that block's
+        # Gram is rank deficient, so its kappa and its trial's sum read inf
+        draw = bench._scores
+        calls = []
+
+        def scores(n, size, seed):
+            Z = draw(n, size, seed)
+            calls.append(seed)
+            if len(calls) == 2:
+                Z[:, 8] = Z[:, 9]
+            return Z
+
+        monkeypatch.setattr(bench, "_scores", scores)
+        res = run_table2(ExperimentConfig(experiment="table2", s=1.5, N=20, n=60,
+                                          trials=4, seed=3))
+        vals = {r["metric"]: r["value"] for r in res.rows}
+        sums = []
+        for t in (0, 2, 3):
+            problem = simulate_problem(60, 20, 1.5, sigma=0.0, variant=TABLE2,
+                                       seed=derive_seed(3, "table2", "s=1.5", 20, 60, t))
+            sums.append(sum(spectral_report(block_gram(problem, k)[1]).kappa2
+                            for k in range(problem.partition.K)))
+        assert len(calls) == 4
+        assert vals["singular_trials"] == 1.0
+        assert vals["cumulative_kappa"] == float(np.mean(sums))
 
     def test_deterministic(self):
         cfg = ExperimentConfig(experiment="table2", s=1.5, N=8, n=80, trials=2)

@@ -309,6 +309,13 @@ class TestErrorPaths:
         assert doc["error"] == "ValueError" and "not representable" in doc["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["1e8", "1e16"])
+    def test_digitless_constants_exit_one(self, capsys, alpha):
+        # gamma_ab is finite here, but its log-space terms have cancelled
+        assert main(["diagnose", "--alpha", alpha]) == 1
+        doc = one_error_line(capsys)
+        assert doc["error"] == "ValueError" and "not representable" in doc["message"]
+
     @pytest.mark.parametrize("level", ["-5", "0"])
     def test_nonpositive_truncation_exits_one_before_writing(
         self, tmp_path, series_csv, capsys, level

@@ -126,6 +126,34 @@ class TestSpectralReports:
             spectral_report(np.ones((1, 2, 2)))
 
 
+class TestKappas:
+    """The stacked kappa2 helper against the per-matrix reports."""
+
+    def test_matches_spectral_report_kappa2(self):
+        stack = TestSpectralReports()._stack()
+        kappas = design._kappas(stack)
+        assert kappas.tolist() == [spectral_report(A).kappa2 for A in stack]
+        assert kappas[2] == math.inf
+
+    def test_fixed_rule_boundary(self):
+        stack = np.stack([np.diag([1.0, 1e-13]), np.diag([1.0, 1e-11])])
+        kappas = design._kappas(stack)
+        assert kappas.tolist() == [spectral_report(A).kappa2 for A in stack]
+        assert kappas[0] == math.inf and kappas[1] == pytest.approx(1e11)
+
+    def test_nonpositive_spectrum_is_singular(self):
+        stack = np.stack([np.zeros((2, 2)), -np.eye(2), np.diag([-1.0, 1.0])])
+        assert design._kappas(stack).tolist() == [math.inf] * 3
+
+    def test_checks_like_spectral_reports(self):
+        stack = TestSpectralReports()._stack()
+        stack[5][0, 3] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            design._kappas(stack)
+        with pytest.raises(ValueError, match="square"):
+            design._kappas(np.ones((4, 4)))
+
+
 class TestTheoryBounds:
     def test_sharp_constant_is_two_over_pi(self):
         tb = theory_bounds(JacobiParams(-0.5, -0.5), 100, 3, chebyshev_sharp=True)

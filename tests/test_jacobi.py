@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import betaln, binom, eval_jacobi, gammaln
 
+from pinvreg import jacobi
 from pinvreg.jacobi import (
     SYMMETRIC,
     UNIT,
@@ -148,6 +149,53 @@ class TestRepresentableBasis:
     def test_large_symmetric_exponents_still_build(self):
         basis = JacobiBasis(JacobiParams(1e5, 1e5), 40)
         assert np.all(np.isfinite(basis.table(np.linspace(-1, 1, 9))))
+
+
+class TestExactnessLimit:
+    """h_k is the exp of a log-space sum whose terms cancel as alpha and beta
+    grow; the basis is refused once 2^-52 sum |terms| passes 1e-7."""
+
+    @staticmethod
+    def exact_relative_error(a, b, k):
+        # 60-digit log-space h_k: its terms cancel, but not at these digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            log_h = ((a + b + 1) * mpmath.log(2) + mpmath.loggamma(k + a + 1)
+                     + mpmath.loggamma(k + b + 1))
+            if k == 0:
+                log_h -= mpmath.loggamma(a + b + 2)
+            else:
+                log_h -= (mpmath.loggamma(k + 1) + mpmath.log(2 * k + a + b + 1)
+                          + mpmath.loggamma(k + a + b + 1))
+            return float(abs(norm_constant(JacobiParams(float(a), float(b)), k)
+                             / mpmath.exp(log_h) - 1))
+
+    @pytest.mark.parametrize("a, b", [(10.0**e, 10.0**e) for e in range(1, 15)]
+                             + [(10.0**e, -0.5) for e in (3, 7, 11)]
+                             + [(3.0, 10.0**e) for e in (4, 9, 13)])
+    @pytest.mark.parametrize("k", [0, 1, 40])
+    def test_rounding_bound_covers_the_true_error(self, a, b, k):
+        _, bound = jacobi._norm_constant(JacobiParams(a, b), k)
+        # plus the final exp's own rounding, a few units in the last place
+        assert self.exact_relative_error(a, b, k) <= 2.0 * bound + 1e-15
+
+    def test_digits_lost_past_the_limit(self):
+        # gamma_ab is off by 7e-7 at alpha = beta = 1e8 and by about 1e-2 at 1e12
+        assert self.exact_relative_error(1e8, 1e8, 0) > 1e-7
+        assert self.exact_relative_error(1e12, 1e12, 0) > 1e-3
+
+    @pytest.mark.parametrize("a, b", [(1e7, 1e7), (1e8, 1e8), (1e16, 1e16),
+                                      (-0.5, 1e15), (1e12, 3.0)])
+    def test_digitless_basis_raises(self, a, b):
+        with pytest.raises(ValueError, match="not representable"):
+            JacobiBasis(JacobiParams(a, b), 5)
+
+    def test_accepted_basis_keeps_its_digits(self):
+        params = JacobiParams(2e6, 2e6)
+        JacobiBasis(params, 40)
+        for k in (0, 1, 40):
+            assert self.exact_relative_error(params.alpha, params.beta, k) < 1e-7
 
 
 class TestOrthonormality:

@@ -171,6 +171,35 @@ class TestCrossValidate:
         assert math.isfinite(res.cv_errors[1e-3])
         assert res.ridge == 1e-3
 
+    def test_failed_factorisation_does_not_leak(self):
+        # the first ridge fails to factor in the fold's reused buffer; every
+        # later ridge still equals its own per-fold krr_fit exactly
+        x = np.repeat(np.linspace(-1, 1, 10), 3)
+        y = np.sin(3 * x)
+        grid, folds = (1e-300, 1e-3, 1e-1), 5
+        res = cross_validate(x, y, grid=grid, folds=folds, seed=0)
+        parts = np.array_split(derive_rng(0, "cv-folds").permutation(30), folds)
+        for ridge in grid[1:]:
+            mse = []
+            for k in range(folds):
+                test = parts[k]
+                train = np.concatenate([parts[j] for j in range(folds) if j != k])
+                model = krr_fit(x[train], y[train], ridge)
+                mse.append(np.mean((model.predict(x[test]) - y[test]) ** 2))
+            assert res.cv_errors[ridge] == float(np.mean(mse))
+        assert res.cv_errors[1e-300] == math.inf
+        with pytest.raises(RegularizationError):
+            krr_fit(x, y, 1e-300)
+
+    def test_illegal_lapack_argument_raises(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dposv",
+                            lambda a, b, **kwargs: (a, b, -4))
+        x = np.linspace(-1, 1, 20)
+        with pytest.raises(ValueError, match="argument 4"):
+            krr_fit(x, np.sin(x), 1e-3)
+
     def test_builds_kernel_once(self, monkeypatch):
         calls = []
 

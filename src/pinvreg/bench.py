@@ -13,7 +13,9 @@ import json
 import math
 import numbers
 import operator
+import os
 import time
+import warnings
 from dataclasses import MISSING, InitVar, dataclass, field, fields
 from typing import NamedTuple
 
@@ -357,6 +359,48 @@ def _cells(config: ExperimentConfig, command: str, sweep) -> list:
     return cells
 
 
+_cell_work = None     # a forked worker's work(cell); None in the calling process
+
+
+def _start_worker(work) -> None:
+    # a fork passes the closure to the worker as it is, without pickling it
+    global _cell_work
+    _cell_work = work
+
+
+def _run_cell(cell) -> list:
+    return _cell_work(cell)
+
+
+def _run_cells(work, cells) -> list:
+    """The rows of work(cell) over the cells, in cell order.
+
+    The first cell runs here, which loads the lazy scipy imports and fills
+    the caches before any fork; the others run on up to one forked worker per
+    usable CPU. Each cell derives its own seeds, so the rows do not depend on
+    where or in what order the cells run. Every cell runs here where fewer
+    than two workers would run or the platform cannot fork."""
+    rows = work(cells[0])
+    # no sched_getaffinity (macOS, Windows): no fork that is safe to use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(len(cells) - 1, cpus)
+    if k >= 2:
+        import multiprocessing   # with its pool, ~20 ms of import: only if used
+        if "fork" in multiprocessing.get_all_start_methods():
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on a fork of any process with threads;
+                # BLAS shuts its threads down across a fork
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pool = multiprocessing.get_context("fork").Pool(k, _start_worker, (work,))
+            with pool:      # terminated on an error
+                parts = pool.map(_run_cell, cells[1:], chunksize=1)
+                pool.close()
+                pool.join()
+            return rows + [row for part in parts for row in part]
+    return rows + [row for cell in cells[1:] for row in work(cell)]
+
+
 def _require(config: ExperimentConfig, experiment: str) -> None:
     if config.experiment != experiment:
         raise ValidationError(
@@ -405,6 +449,10 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
     _require(config, "table2")
     trials, master = config.trials, config.seed
     cells = _cells(config, "table2", TABLE2_SWEEP)
+    bounds = {(s, N): ineq47_bound(s, N) for s, N, _ in cells}
+    for (s, N), bound in bounds.items():
+        if bound == math.inf:
+            raise ValidationError(f"s={s} puts the ineq47 bound past the float range")
 
     def work(cell):
         s, N, n = cell
@@ -422,7 +470,7 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
         sums = sum(_kappas(np.stack(block)) for block in grams)
         finite = np.isfinite(sums)
         mean, n_singular = _mean(sums[finite]), int(np.count_nonzero(~finite))
-        bound = ineq47_bound(s, N)
+        bound = bounds[s, N]
         base = {"experiment": "table2", "s": s, "N": N, "n": n, "trials": trials,
                 "seed": lineage}
         return [
@@ -432,7 +480,7 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 
-    rows = [row for cell in cells for row in work(cell)]
+    rows = _run_cells(work, cells)
     return ExperimentResult(config=_echo(config), rows=rows)
 
 
@@ -488,7 +536,7 @@ def run_table3(config: ExperimentConfig) -> ExperimentResult:
             base | {"metric": "singular_trials", "value": float(n_singular)},
         ]
 
-    rows = [row for cell in cells for row in work(cell)]
+    rows = _run_cells(work, cells)
     return ExperimentResult(config=_echo(config), rows=rows)
 
 

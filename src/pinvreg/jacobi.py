@@ -34,6 +34,7 @@ __all__ = [
 
 SYMMETRIC = "symmetric"   # the interval [-1, 1]
 UNIT = "unit"             # the interval [0, 1], rescaled basis
+_ROUNDING_LIMIT = 1e-7    # largest relative rounding bound of an accepted h_k
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,13 @@ class JacobiParams:
     @cached_property
     def gamma_ab(self) -> float:
         # total mass of the weight, 2^(a+b+1) B(a+1, b+1), in log space; inf
-        # past the float range, as eta_ab reads
-        return _norm_constant(self, 0)[0]
+        # past the float range, as eta_ab reads, and refused where the
+        # log-space terms cancelled its digits, as JacobiBasis refuses h_k
+        gamma, rounding = _norm_constant(self, 0)
+        if gamma < math.inf and rounding > _ROUNDING_LIMIT:
+            raise ValueError(f"gamma_ab at alpha={self.alpha}, beta={self.beta} is not "
+                             f"representable in floats")
+        return gamma
 
 
 def omega_weight(params: JacobiParams, x):
@@ -75,11 +81,13 @@ def norm_constant(params: JacobiParams, k: int) -> float:
 
     h_0 is the limit value gamma_ab, which agrees with the k=0 closed form
     whenever the latter is defined (it is 0/0 at alpha+beta+1 = 0). Past the
-    float range h_k reads inf, as gamma_ab does.
+    float range h_k reads inf, as gamma_ab does. This is the raw log-space
+    value: where its rounding bound passes 1e-7 (from about alpha = beta =
+    7e6) its digits are gone, and JacobiBasis and gamma_ab refuse it.
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    return params.gamma_ab if k == 0 else _norm_constant(params, k)[0]
+    return _norm_constant(params, k)[0]
 
 
 def _norm_constant(params: JacobiParams, k: int) -> tuple:
@@ -148,8 +156,8 @@ class JacobiBasis:
         # 7.32.2), so a recurrence finite there is finite on all of [-1, 1]
         with np.errstate(all="ignore"):
             ends = _recurrence_table(params, np.array([-1.0, 1.0]), degree_max)
-        # a rounding bound past 1e-7: the log-space terms cancelled h_k's digits
-        if not (np.all(np.isfinite(h) & (h > 0.0) & (rounding <= 1e-7))
+        # a rounding bound past the limit: the log-space terms cancelled h_k's digits
+        if not (np.all(np.isfinite(h) & (h > 0.0) & (rounding <= _ROUNDING_LIMIT))
                 and np.all(np.isfinite(ends))):
             raise ValueError(f"Jacobi basis at alpha={params.alpha}, beta={params.beta}, "
                              f"N={degree_max} is not representable in floats")

@@ -163,7 +163,10 @@ def simulate_problem(
     for k, sl in enumerate(part.slices()):
         y = Z[:, sl] @ (xi[sl] * c[sl])
         if sigma != 0:    # signal + 0 * eps is the signal: skip drawing eps
-            y = y + sigma * derive_rng(seed, "lfr-eps", k).standard_normal(n)
+            with np.errstate(over="ignore"):      # refused below
+                y = y + sigma * derive_rng(seed, "lfr-eps", k).standard_normal(n)
+            if not np.all(np.isfinite(y)):
+                raise ValueError(f"sigma={sigma} puts a response past the float range")
         y_blocks.append(y)
     return LfrProblem(
         xi=xi,
@@ -245,10 +248,14 @@ def lfr_errors(model: LfrModel, problem: LfrProblem) -> LfrErrors:
 
 
 def ineq47_bound(s: float, size: int) -> float:
-    """Cumulative condition-number ceiling 2^s 1.72 log(size) / (0.63 log 2)."""
+    """Cumulative condition-number ceiling 2^s 1.72 log(size) / (0.63 log 2);
+    inf past the float range, as L_N reads."""
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
-    return 2.0**s * 1.72 * math.log(size) / (0.63 * math.log(2.0))
+    try:
+        return 2.0**s * 1.72 * math.log(size) / (0.63 * math.log(2.0))
+    except OverflowError:
+        return math.inf
 
 
 def theorem7_bound(

@@ -232,12 +232,18 @@ def weierstrass(s: float, x):
     """Lacunary cosine series sum_k cos(2^k pi x) / 2^(k s), truncated below 1e-12.
 
     The truncation depth comes from the geometric tail bound
-    2^{-(K+1)s} / (1 - 2^{-s}) < 1e-12. Requires s > 0.
+    2^{-(K+1)s} / (1 - 2^{-s}) < 1e-12. Requires s > 0, and a depth at which
+    2^K pi is a float (K <= 1022, s above about 0.044).
     """
     if s <= 0:
         raise ValueError(f"smoothness s must be > 0, got {s}")
     q = 2.0 ** (-s)
-    K = max(0, math.ceil(math.log(1e-12 * (1.0 - q)) / math.log(q) - 1.0))
+    # q rounds to 1 below s = 2^-53 or so: no depth reaches the tolerance
+    K = math.inf if q == 1.0 else max(0, math.ceil(math.log(1e-12 * (1.0 - q))
+                                                   / math.log(q) - 1.0))
+    if K > 1022:
+        raise ValueError(f"smoothness s={s} needs more than 1023 Weierstrass terms; "
+                         f"their frequencies 2^k pi pass the float range")
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for k in range(K + 1):

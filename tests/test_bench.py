@@ -5,7 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import numbers
+import os
 import re
 
 import numpy as np
@@ -26,8 +28,9 @@ from pinvreg.bench import (
     run_timeseries,
     timing_comparison,
 )
+from pinvreg.cli import main
 from pinvreg.design import spectral_report
-from pinvreg.errors import ValidationError
+from pinvreg.errors import RegularizationError, ValidationError
 from pinvreg.jacobi import JacobiBasis
 from pinvreg.lfr import TABLE2, block_gram, ineq47_bound, simulate_problem
 from pinvreg.sampling import derive_seed
@@ -378,6 +381,53 @@ class TestRunTable3:
                                           s=1.0, N=10, trials=1,
                                           lambda_grid=[1e-6, 1e-3]))
         assert res.config["lambda_grid"] == [1e-6, 1e-3]
+
+
+def cpus(monkeypatch, count):
+    """Make the runners see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestForkedCells:
+    """table2 and table3 run all cells but the first on forked workers."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("runner, keys", [
+        (run_table2, {"experiment": "table2", "trials": 2}),
+        (run_table3, {"experiment": "table3", "trials": 1, "n": 40}),
+    ])
+    def test_serial_rows_equal_the_pooled_ones(self, monkeypatch, runner, keys, seed):
+        cfg = ExperimentConfig(**keys, seed=seed)
+        cpus(monkeypatch, 2)
+        pooled = runner(cfg).to_json_text()
+        cpus(monkeypatch, 1)
+        assert runner(cfg).to_json_text() == pooled
+
+    def test_a_workers_numerical_error_exits_two(self, monkeypatch, tmp_path, capsys):
+        parent, solve = os.getpid(), bench.cross_validate
+
+        def fails_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RegularizationError("kernel system is not positive definite")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "cross_validate", fails_in_a_worker)
+        cpus(monkeypatch, 2)
+        out = tmp_path / "table3.json"
+        argv = ["table3", "--trials", "1", "--n", "40", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "RegularizationError"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_the_run(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        run_table3(ExperimentConfig(experiment="table3", trials=1, n=40))
+        assert multiprocessing.active_children() == []
 
 
 class TestRunTable4:

@@ -309,6 +309,24 @@ class TestErrorPaths:
         assert doc["error"] == "ValueError" and "not representable" in doc["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["table2", "--s", "2000", "--trials", "1"], "s=2000.0 puts the ineq47 bound"),
+        (["table3", "--s", "1e-3", "--sigma", "0.1", "--N", "10", "--trials", "1"],
+         "s=0.001 needs more than 1023"),
+        (["table3", "--s", "1e-300", "--trials", "1"], "s=1e-300 needs more than 1023"),
+        (["simulate-lfr", "--sigma", "1e308"], "sigma=1e+308 puts a response"),
+        (["table4", "--sigma", "1e308", "--s", "1.5", "--n", "100", "--trials", "1"],
+         "sigma=1e+308 puts a response"),
+    ])
+    def test_values_past_the_float_range_exit_one(self, tmp_path, capsys, monkeypatch,
+                                                  argv, message):
+        # table2 refuses its cell before drawing any trial's scores
+        monkeypatch.setattr(bench, "_scores", None)
+        out = tmp_path / "out.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 1
+        assert message in one_error_line(capsys)["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["1e8", "1e16"])
     def test_digitless_constants_exit_one(self, capsys, alpha):
         # gamma_ab is finite here, but its log-space terms have cancelled

@@ -68,6 +68,12 @@ class TestJacobiParams:
         assert params.gamma_ab == math.inf
         assert norm_constant(params, 3) == math.inf
 
+    @pytest.mark.parametrize("a, b", [(1e8, 1e8), (1e12, 1e12), (1e16, 1e16)])
+    def test_digitless_gamma_raises(self, a, b):
+        # finite, but its log-space terms cancelled: 3.9e55 for 1.8e-8 at 1e16
+        with pytest.raises(ValueError, match="not representable"):
+            JacobiParams(a, b).gamma_ab
+
 
 class TestRecurrence:
     """The recurrence evaluator against scipy's independent Jacobi evaluator."""

@@ -121,6 +121,10 @@ class TestSimulateProblem:
         col_var = p.Z.var(axis=0)
         assert np.all(np.abs(col_var - 1.0) < 0.05)
 
+    def test_refuses_responses_past_the_float_range(self):
+        with pytest.raises(ValueError, match="sigma=1e"):
+            simulate_problem(300, 50, 2.0, 1e308, seed=0)
+
     def test_weight_families(self):
         j = np.arange(1, 7, dtype=float)
         pa = simulate_problem(50, 6, 1.2, 0.0, variant=EXAMPLE3, seed=3)
@@ -283,6 +287,10 @@ class TestConditionBounds:
     def test_cumulative_bound_validation(self):
         with pytest.raises(ValueError, match="size"):
             ineq47_bound(1.0, 1)
+
+    @pytest.mark.parametrize("s", [1023.9, 1024.0, 2000.0, 1e300])
+    def test_cumulative_bound_past_the_float_range_is_inf(self, s):
+        assert ineq47_bound(s, 20) == math.inf
 
 
 class TestTheorem7:

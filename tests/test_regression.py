@@ -348,3 +348,12 @@ class TestWeierstrass:
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError, match="s must"):
             weierstrass(0.0, 0.5)
+
+    @pytest.mark.parametrize("s", [0.0439, 1e-3, 1e-300])
+    def test_rejects_depths_past_the_float_range(self, s):
+        # 2^1023 pi is not a float; below s = 2^-53 or so, 2^-s rounds to 1
+        with pytest.raises(ValueError, match=f"s={s} needs more than 1023"):
+            weierstrass(s, np.linspace(-1, 1, 5))
+
+    def test_deepest_accepted_depth_is_finite(self):
+        assert np.all(np.isfinite(weierstrass(0.044, np.linspace(-1, 1, 5))))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import (DesignMatrix, _check_rows, _kappas, _mean, build_design,
+from .design import (DesignMatrix, _check_rows, _kappas, _mean, _trials, build_design,
                      mc_condition_number)
 from .errors import SingularBlockError, StabilityError, ValidationError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
@@ -54,9 +54,7 @@ __all__ = [
     "COMMON_KEYS",
     "Command",
     "TABLE1_SWEEP",
-    "TABLE2_SWEEP",
     "TABLE3_SWEEP",
-    "TABLE4_SWEEP",
 ]
 
 # (alpha, N, n) grid of the symmetric-Jacobi conditioning sweep
@@ -401,6 +399,14 @@ def _run_cells(work, cells) -> list:
     return rows + [row for cell in cells[1:] for row in work(cell)]
 
 
+def _mean_rows(base: dict, metrics: tuple, values: list, n_singular: int) -> list:
+    """A cell's rows: per metric, the mean of its entry of each kept trial's
+    values (inf when none was kept), then the singular-trial count."""
+    means = np.reshape(values, (-1, len(metrics))).T
+    return [base | {"metric": m, "value": _mean(v)} for m, v in zip(metrics, means)] + [
+        base | {"metric": "singular_trials", "value": float(n_singular)}]
+
+
 def _require(config: ExperimentConfig, experiment: str) -> None:
     if config.experiment != experiment:
         raise ValidationError(
@@ -510,34 +516,37 @@ def run_table3(config: ExperimentConfig) -> ExperimentResult:
         _check_rows(n, basis)
         tables = basis.table(xs.ravel()).reshape(trials, n, basis.size)
         tables /= math.sqrt(n)
-        mse_np, mse_kr = [], []
-        n_singular = 0
-        for t, (samples, f_samples) in enumerate(zip(xs, f_xs)):
-            eps = make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
-            y = f_samples + eps
-            try:
-                model = fit(DesignMatrix(tables[t], basis), y)
-            except StabilityError:
-                n_singular += 1
-                continue
-            fhat_nodes = node_table @ model.coeffs
-            mse_np.append(omega_norm(f_nodes - fhat_nodes, rule) ** 2)
+
+        def trial(t):
+            y = f_xs[t] + make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
+            model = fit(DesignMatrix(tables[t], basis), y)
             cv = cross_validate(
-                samples, y, grid=grid, bandwidth=c,
+                xs[t], y, grid=grid, bandwidth=c,
                 seed=derive_seed(master, *labels, t, "cv"),
             )
-            mse_kr.append(omega_norm(f_nodes - cv.model.predict(rule.nodes), rule) ** 2)
+            return (omega_norm(f_nodes - node_table @ model.coeffs, rule) ** 2,
+                    omega_norm(f_nodes - cv.model.predict(rule.nodes), rule) ** 2)
+
+        n_singular, mses = _trials(trials, trial, StabilityError)
         base = {"experiment": "table3", "alpha": alpha, "beta": beta, "s": s,
                 "sigma": sigma, "N": N, "n": n, "c": c, "trials": trials,
                 "seed": lineage}
-        return [
-            base | {"metric": "mse_npreg", "value": _mean(mse_np)},
-            base | {"metric": "mse_krr", "value": _mean(mse_kr)},
-            base | {"metric": "singular_trials", "value": float(n_singular)},
-        ]
+        return _mean_rows(base, ("mse_npreg", "mse_krr"), mses, n_singular)
 
     rows = _run_cells(work, cells)
     return ExperimentResult(config=_echo(config), rows=rows)
+
+
+_LFR_METRICS = ("e0", "e2", "cumulative_kappa")
+
+
+def _lfr_trial(n, N, s, sigma, variant, seed) -> tuple:
+    """The _LFR_METRICS of one simulated LFR fit; SingularBlockError where a
+    block Gram is near singular."""
+    problem = simulate_problem(n, N, s, sigma, variant=variant, seed=seed)
+    model = lfr_fit(problem)
+    err = lfr_errors(model, problem)
+    return err.e0, err.e2, model.cumulative_kappa
 
 
 def run_table4(config: ExperimentConfig) -> ExperimentResult:
@@ -551,29 +560,14 @@ def run_table4(config: ExperimentConfig) -> ExperimentResult:
         s, n = cell
         labels = ("table4", f"s={s}", n)
         lineage = _lineage(master, *labels)
-        e0s, e2s, kappas = [], [], []
-        n_singular = 0
-        for t in range(trials):
-            problem = simulate_problem(
-                n, N, s, sigma, variant=EXAMPLE3, seed=derive_seed(master, *labels, t)
-            )
-            try:
-                model = lfr_fit(problem)
-            except SingularBlockError:
-                n_singular += 1
-                continue
-            err = lfr_errors(model, problem)
-            e0s.append(err.e0)
-            e2s.append(err.e2)
-            kappas.append(model.cumulative_kappa)
+        n_singular, values = _trials(
+            trials,
+            lambda t: _lfr_trial(n, N, s, sigma, EXAMPLE3, derive_seed(master, *labels, t)),
+            SingularBlockError,
+        )
         base = {"experiment": "table4", "s": s, "sigma": sigma, "N": N, "n": n,
                 "trials": trials, "seed": lineage}
-        return [
-            base | {"metric": "e0", "value": _mean(e0s)},
-            base | {"metric": "e2", "value": _mean(e2s)},
-            base | {"metric": "cumulative_kappa", "value": _mean(kappas)},
-            base | {"metric": "singular_trials", "value": float(n_singular)},
-        ]
+        return _mean_rows(base, _LFR_METRICS, values, n_singular)
 
     rows = [row for cell in cells for row in work(cell)]
     return ExperimentResult(config=_echo(config), rows=rows)
@@ -585,21 +579,15 @@ def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     for t in range(trials):
         labels = ("lfr-sim", f"s={s}", n, t)
-        problem = simulate_problem(
-            n, N, s, sigma, variant=config.variant, seed=derive_seed(config.seed, *labels)
-        )
         base = {"experiment": config.experiment, "s": s, "sigma": sigma, "N": N,
                 "n": n, "trials": trials, "seed": _lineage(config.seed, *labels)}
-        try:
-            model = lfr_fit(problem)
+        try:     # one row per singular trial, so not through design._trials
+            values = _lfr_trial(n, N, s, sigma, config.variant,
+                                derive_seed(config.seed, *labels))
         except SingularBlockError:
             rows.append(base | {"metric": "singular_trial", "value": float(t)})
             continue
-        err = lfr_errors(model, problem)
-        rows.append(base | {"metric": "e0", "value": err.e0})
-        rows.append(base | {"metric": "e2", "value": err.e2})
-        rows.append(base | {"metric": "cumulative_kappa",
-                            "value": model.cumulative_kappa})
+        rows += [base | {"metric": m, "value": v} for m, v in zip(_LFR_METRICS, values)]
     return ExperimentResult(config=_echo(config), rows=rows)
 
 

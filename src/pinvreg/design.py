@@ -192,6 +192,20 @@ def _mean(values) -> float:
     return float(np.mean(values)) if len(values) else math.inf
 
 
+def _trials(trials: int, trial, singular) -> tuple:
+    """The count of the trials t < trials whose trial(t) raised `singular`,
+    and the values trial(t) of the others, in trial order: the one place
+    where a singular trial is counted, not averaged. Any other error
+    escapes."""
+    values = []
+    for t in range(trials):
+        try:
+            values.append(trial(t))
+        except singular:
+            pass
+    return trials - len(values), values
+
+
 @dataclass(frozen=True)
 class McSummary:
     """Per-trial Gram condition numbers of repeated random designs, sorted."""

@@ -22,7 +22,6 @@ __all__ = [
     "JacobiBasis",
     "QuadratureRule",
     "norm_constant",
-    "norm_constants",
     "omega_weight",
     "eta_ab",
     "uniform_bound",
@@ -109,10 +108,6 @@ def _norm_constant(params: JacobiParams, k: int) -> tuple:
                 2.0**-52 * math.fsum(map(abs, terms)))
     except OverflowError:
         return math.inf, math.inf
-
-
-def norm_constants(params: JacobiParams, degree_max: int) -> np.ndarray:
-    return np.array([norm_constant(params, k) for k in range(degree_max + 1)])
 
 
 def _recurrence_table(params: JacobiParams, x: np.ndarray, degree_max: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import _mean, least_squares
+from .design import _mean, _trials, least_squares
 from .errors import SingularBlockError, ValidationError
 from .sampling import derive_rng, derive_seed
 
@@ -239,12 +239,16 @@ class LfrErrors:
 
 
 def lfr_errors(model: LfrModel, problem: LfrProblem) -> LfrErrors:
-    diff_sq = (problem.true_coeffs - model.coeffs) ** 2
+    """E0 and E2 of the fit; a ValueError naming sigma where E2 passes the
+    float range."""
+    with np.errstate(over="ignore"):      # refused below
+        diff_sq = (problem.true_coeffs - model.coeffs) ** 2
+        e2 = float(np.sum(diff_sq))
+    if not math.isfinite(e2):
+        raise ValueError(f"sigma={problem.sigma} puts the coefficient error past the "
+                         f"float range")
     j = np.arange(1, problem.size + 1, dtype=float)
-    return LfrErrors(
-        e0=float(np.sum(j ** (-problem.s) * diff_sq)),
-        e2=float(np.sum(diff_sq)),
-    )
+    return LfrErrors(e0=float(np.sum(j ** (-problem.s) * diff_sq)), e2=e2)
 
 
 def ineq47_bound(s: float, size: int) -> float:
@@ -322,34 +326,30 @@ def lfr_risk_mc(
     beta0 = eval_slope(c, nodes)
     if np.max(np.abs(eval_slope(c, np.linspace(0.0, 1.0, 1001)))) > level + 1e-12:
         raise ValidationError("true slope exceeds the clamp level")
-    risks = []
-    n_singular = 0
-    active = False
-    bound = None
-    for t in range(trials):
-        problem = simulate_problem(n, size, s, sigma, variant, derive_seed(seed, "risk", t))
-        if bound is None:
-            bound = theorem7_bound(problem, level, r=r, eta_k=eta_k)
-        try:
-            model = lfr_fit(problem)
-        except SingularBlockError:
-            n_singular += 1
-            continue
-        base = float(np.sum((model.coeffs - problem.true_coeffs) ** 2))
+
+    def problem(t):
+        return simulate_problem(n, size, s, sigma, variant, derive_seed(seed, "risk", t))
+
+    # the bound reads only the partition, xi, sigma and n, none of them drawn
+    bound = theorem7_bound(problem(0), level, r=r, eta_k=eta_k) if trials else math.inf
+
+    def trial(t):
+        p = problem(t)
+        model = lfr_fit(p)
+        risk = lfr_errors(model, p).e2      # Parseval
         raw = eval_slope(model.coeffs, nodes)
         clamped = np.clip(raw, -level, level)
-        if np.any(raw != clamped):
-            active = True
-            correction = float(
-                np.sum(weights * ((clamped - beta0) ** 2 - (raw - beta0) ** 2))
-            )
-            base += correction
-        risks.append(base)
-    risks = np.sort(np.array(risks))
+        if np.all(raw == clamped):
+            return risk, False
+        return risk + float(
+            np.sum(weights * ((clamped - beta0) ** 2 - (raw - beta0) ** 2))), True
+
+    n_singular, kept = _trials(trials, trial, SingularBlockError)
+    risks = np.sort([risk for risk, _ in kept])
     return LfrRiskSummary(
         risks=risks,
         mean_risk=_mean(risks),
-        bound=float(bound) if bound is not None else math.inf,
+        bound=float(bound),
         n_singular=n_singular,
-        truncation_active=active,
+        truncation_active=any(active for _, active in kept),
     )

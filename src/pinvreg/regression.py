@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, _mean, build_design, least_squares, theory_bounds
+from .design import (DesignMatrix, _mean, _trials, build_design, least_squares,
+                     theory_bounds)
 from .errors import RobustFitError, StabilityError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
 from .sampling import derive_rng, derive_seed, make_noise, sample_beta_on_I
@@ -112,23 +113,17 @@ def ransac_fit(
         score_table, ys = table, y
     else:
         score_table, ys = basis.table(scoring[0]), np.asarray(scoring[1], dtype=float)
-    best = None
-    n_failed = 0
-    for it in range(iterations):
+
+    def attempt(it):
         rng = derive_rng(seed, "ransac", it)
         idx = np.sort(rng.choice(n, size=subset_size, replace=False))
-        design = DesignMatrix(table[idx] / math.sqrt(subset_size), basis)
-        try:
-            model = fit(design, y[idx])
-        except StabilityError:
-            n_failed += 1
-            continue
-        score = float(np.mean((score_table @ model.coeffs - ys) ** 2))
-        if best is None or score < best[0]:
-            best = (score, it, model)
-    if best is None:
+        model = fit(DesignMatrix(table[idx] / math.sqrt(subset_size), basis), y[idx])
+        return float(np.mean((score_table @ model.coeffs - ys) ** 2)), it, model
+
+    n_failed, fits = _trials(iterations, attempt, StabilityError)
+    if not fits:
         raise RobustFitError(f"all {iterations} subsample fits were near singular")
-    score, it, model = best
+    score, it, model = min(fits, key=lambda f: f[0])     # the first lowest score
     model.truncation_level = truncation_level
     return RansacResult(model=model, score=score, iteration=it, n_failed=n_failed,
                         table=table, score_table=score_table)
@@ -195,35 +190,28 @@ def l2_risk_mc(
         + 4.0 * M * M * gamma * n ** (-r)
     )
 
-    risks = []
-    n_singular = 0
-    contraction_ok = level_ok = True
-    for t in range(trials):
+    def trial(t):
         samples = sample_beta_on_I(params, n, derive_seed(seed, "risk-x", t))
         eps = make_noise(n, sigma, family=noise_family, seed=derive_seed(seed, "risk-e", t))
-        try:
-            model = fit(build_design(basis, samples), true_f(samples) + eps)
-        except StabilityError:
-            n_singular += 1
-            continue
+        model = fit(build_design(basis, samples), true_f(samples) + eps)
         raw_grid = grid_table @ model.coeffs
         clamped_grid = np.clip(raw_grid, -M, M)
-        contraction_ok &= bool(
-            np.all(np.abs(f_grid - clamped_grid) <= np.abs(f_grid - raw_grid) + 1e-12)
-        )
-        level_ok &= bool(np.max(np.abs(clamped_grid)) <= M + 1e-12)
-        raw_nodes = node_table @ model.coeffs
-        clamped_nodes = np.clip(raw_nodes, -M, M)
-        risks.append(omega_norm(f_nodes - clamped_nodes, rule) ** 2)
-    risks = np.sort(np.array(risks))
+        clamped_nodes = np.clip(node_table @ model.coeffs, -M, M)
+        return (omega_norm(f_nodes - clamped_nodes, rule) ** 2,
+                bool(np.all(np.abs(f_grid - clamped_grid)
+                            <= np.abs(f_grid - raw_grid) + 1e-12)),
+                bool(np.max(np.abs(clamped_grid)) <= M + 1e-12))
+
+    n_singular, kept = _trials(trials, trial, StabilityError)
+    risks = np.sort([risk for risk, _, _ in kept])
     return RiskSummary(
         risks=risks,
         mean_risk=_mean(risks),
         bound=bound,
         proj_error_omega=proj_error_omega,
         condition_ok=condition_ok,
-        clamp_contraction_ok=contraction_ok,
-        clamp_level_ok=level_ok,
+        clamp_contraction_ok=all(ok for _, ok, _ in kept),
+        clamp_level_ok=all(ok for _, _, ok in kept),
         n_singular=n_singular,
     )
 

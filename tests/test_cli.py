@@ -317,6 +317,9 @@ class TestErrorPaths:
         (["simulate-lfr", "--sigma", "1e308"], "sigma=1e+308 puts a response"),
         (["table4", "--sigma", "1e308", "--s", "1.5", "--n", "100", "--trials", "1"],
          "sigma=1e+308 puts a response"),
+        (["simulate-lfr", "--sigma", "1e160"], "sigma=1e+160 puts the coefficient error"),
+        (["table4", "--sigma", "1e160", "--s", "1.5", "--n", "100", "--trials", "1"],
+         "sigma=1e+160 puts the coefficient error"),
     ])
     def test_values_past_the_float_range_exit_one(self, tmp_path, capsys, monkeypatch,
                                                   argv, message):

@@ -18,7 +18,6 @@ from pinvreg.jacobi import (
     eta_ab,
     gauss_jacobi_rule,
     norm_constant,
-    norm_constants,
     omega_norm,
     omega_weight,
     uniform_bound,
@@ -134,11 +133,6 @@ class TestNormConstants:
                     1,
                 )
                 assert_allclose(norm_constant(params, k), val, rtol=1e-8)
-
-    def test_vector_agrees_with_scalar(self):
-        params = JacobiParams(0.0, 0.5)
-        vec = norm_constants(params, 7)
-        assert_allclose(vec, [norm_constant(params, k) for k in range(8)], rtol=1e-15)
 
 
 class TestRepresentableBasis:

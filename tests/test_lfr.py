@@ -2,6 +2,7 @@
 simulation, per-block fitting, error norms, and the printed bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,15 @@ class TestLfrErrors:
         errs = lfr_errors(crafted, p)
         assert errs.e2 == pytest.approx(0.04, rel=1e-6)
         assert errs.e0 == pytest.approx(0.04, rel=1e-6)
+
+    @pytest.mark.parametrize("sigma", [1e160, 1e200])
+    def test_refuses_errors_past_the_float_range(self, sigma):
+        # the responses are finite; the squared coefficient error is not, and
+        # the refusal comes without an overflow warning
+        p = simulate_problem(300, 50, 2.0, sigma, seed=0)
+        model = lfr_fit(p)
+        with pytest.raises(ValueError, match=re.escape(f"sigma={sigma} puts the coeff")):
+            lfr_errors(model, p)
 
 
 class TestConditionBounds:

@@ -345,9 +345,11 @@ def _echo(config: ExperimentConfig) -> dict:
 
 def _cells(config: ExperimentConfig, command: str, sweep) -> list:
     """The one cell the config picks (its values of the command's sweep keys),
-    or the whole sweep when it sets none of them. Every cell is held to the
-    command's rules before any of them runs."""
+    or the whole sweep when it sets none of them. The config must run the
+    command's experiment, and every cell is held to the command's rules
+    before any of them runs."""
     spec = COMMANDS[command]
+    _require(config, spec.experiment)
     keys = spec.sweep_keys
     if all(getattr(config, k) is None for k in keys):
         cells = list(sweep)
@@ -357,32 +359,23 @@ def _cells(config: ExperimentConfig, command: str, sweep) -> list:
     return cells
 
 
-_cell_work = None     # a forked worker's work(cell); None in the calling process
-
-
-def _start_worker(work) -> None:
-    # a fork passes the closure to the worker as it is, without pickling it
-    global _cell_work
-    _cell_work = work
-
-
-def _run_cell(cell) -> list:
-    return _cell_work(cell)
-
-
-def _run_cells(work, cells) -> list:
-    """The rows of work(cell) over the cells, in cell order.
+def _sweep(config: ExperimentConfig, cell, cells: list, forked: bool) -> ExperimentResult:
+    """The config's result: the rows of cell(config, c) over the cells, in
+    cell order.
 
     The first cell runs here, which loads the lazy scipy imports and fills
-    the caches before any fork; the others run on up to one forked worker per
-    usable CPU. Each cell derives its own seeds, so the rows do not depend on
-    where or in what order the cells run. Every cell runs here where fewer
-    than two workers would run or the platform cannot fork."""
-    rows = work(cells[0])
+    the caches before any fork. Where forked is set, the others run on up to
+    one forked worker per usable CPU, which gets the module-level cell by
+    name and each (config, c) pickled. Each cell derives its own seeds, so
+    the rows do not depend on where or in what order the cells run. Every
+    cell runs here where forked is not set, fewer than two workers would run
+    or the platform cannot fork."""
+    parts = [cell(config, cells[0])]
+    rest = [(config, c) for c in cells[1:]]
     # no sched_getaffinity (macOS, Windows): no fork that is safe to use
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(len(cells) - 1, cpus)
-    if k >= 2:
+    k = min(len(rest), cpus)
+    if forked and k >= 2:
         import multiprocessing   # with its pool, ~20 ms of import: only if used
         if "fork" in multiprocessing.get_all_start_methods():
             with warnings.catch_warnings():
@@ -390,13 +383,15 @@ def _run_cells(work, cells) -> list:
                 # BLAS shuts its threads down across a fork
                 warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                         DeprecationWarning)
-                pool = multiprocessing.get_context("fork").Pool(k, _start_worker, (work,))
+                pool = multiprocessing.get_context("fork").Pool(k)
             with pool:      # terminated on an error
-                parts = pool.map(_run_cell, cells[1:], chunksize=1)
+                parts += pool.starmap(cell, rest, chunksize=1)
                 pool.close()
                 pool.join()
-            return rows + [row for part in parts for row in part]
-    return rows + [row for cell in cells[1:] for row in work(cell)]
+            rest = []       # every cell has run
+    parts += [cell(*args) for args in rest]
+    rows = [row for part in parts for row in part]
+    return ExperimentResult(config=_echo(config), rows=rows)
 
 
 def _mean_rows(base: dict, metrics: tuple, values: list, n_singular: int) -> list:
@@ -414,127 +409,121 @@ def _require(config: ExperimentConfig, experiment: str) -> None:
         )
 
 
+def _table1_cell(config: ExperimentConfig, cell) -> list:
+    alpha, beta, N, n = cell
+    trials, master = config.trials, config.seed
+    params = JacobiParams(alpha, beta)
+    base = {
+        "experiment": "table1", "alpha": alpha, "beta": beta,
+        "N": N, "n": n, "trials": trials,
+    }
+    rows = []
+    for tag, transform in (("direct", None), ("transformed", "standard_normal")):
+        labels = ("table1", tag, f"a={alpha}", f"b={beta}", N, n)
+        mc = mc_condition_number(
+            params, n, N, trials, transform=transform,
+            master_seed=derive_seed(master, *labels),
+        )
+        lineage = _lineage(master, *labels)
+        rows.append(base | {
+            "metric": f"mean_kappa2_{tag}", "value": mc.mean_kappa2, "seed": lineage,
+        })
+        rows.append(base | {
+            "metric": f"singular_trials_{tag}",
+            "value": float(mc.n_singular), "seed": lineage,
+        })
+    return rows
+
+
 def run_table1(config: ExperimentConfig) -> ExperimentResult:
     """Mean condition number of the random Gram, direct Beta sampling vs the
     standard-normal CDF-transformed sampling, over the (alpha, N, n) grid."""
-    _require(config, "table1")
-    trials, master = config.trials, config.seed
     cells = _cells(config, "table1", [(a, a, N, n) for a, N, n in TABLE1_SWEEP])
+    return _sweep(config, _table1_cell, cells, forked=False)
 
-    def work(cell):
-        alpha, beta, N, n = cell
-        params = JacobiParams(alpha, beta)
-        base = {
-            "experiment": "table1", "alpha": alpha, "beta": beta,
-            "N": N, "n": n, "trials": trials,
-        }
-        rows = []
-        for tag, transform in (("direct", None), ("transformed", "standard_normal")):
-            labels = ("table1", tag, f"a={alpha}", f"b={beta}", N, n)
-            mc = mc_condition_number(
-                params, n, N, trials, transform=transform,
-                master_seed=derive_seed(master, *labels),
-            )
-            lineage = _lineage(master, *labels)
-            rows.append(base | {
-                "metric": f"mean_kappa2_{tag}", "value": mc.mean_kappa2, "seed": lineage,
-            })
-            rows.append(base | {
-                "metric": f"singular_trials_{tag}",
-                "value": float(mc.n_singular), "seed": lineage,
-            })
-        return rows
 
-    rows = [row for cell in cells for row in work(cell)]
-    return ExperimentResult(config=_echo(config), rows=rows)
+def _table2_cell(config: ExperimentConfig, cell) -> list:
+    s, N, n = cell
+    trials, master = config.trials, config.seed
+    labels = ("table2", f"s={s}", N, n)
+    part, xi = _weights(n, N, s, TABLE2)
+    # per trial: F = xi Z / sqrt(n) from the scores alone, and the Gram
+    # F_k'F_k of each block's columns F_k, as in lfr.block_gram
+    grams = [[] for _ in part.blocks]
+    for t in range(trials):
+        F = _scores(n, N, derive_seed(master, *labels, t)) * xi / math.sqrt(n)
+        for block, sl in zip(grams, part.slices()):
+            block.append(F[:, sl].T @ F[:, sl])
+    # one batched eigvalsh per block; the trial's kappas summed in block order
+    sums = sum(_kappas(np.stack(block)) for block in grams)
+    finite = np.isfinite(sums)
+    mean, n_singular = _mean(sums[finite]), int(np.count_nonzero(~finite))
+    bound = ineq47_bound(s, N)
+    base = {"experiment": "table2", "s": s, "N": N, "n": n, "trials": trials,
+            "seed": _lineage(master, *labels)}
+    return [
+        base | {"metric": "cumulative_kappa", "value": mean},
+        base | {"metric": "ineq47_bound", "value": bound},
+        base | {"metric": "bound_exceeded", "value": float(mean > bound)},
+        base | {"metric": "singular_trials", "value": float(n_singular)},
+    ]
 
 
 def run_table2(config: ExperimentConfig) -> ExperimentResult:
     """Mean cumulative block condition number for xi_j = j^(-s) designs,
     against the 2^s 1.72 log(N) / (0.63 log 2) ceiling."""
-    _require(config, "table2")
-    trials, master = config.trials, config.seed
     cells = _cells(config, "table2", TABLE2_SWEEP)
-    bounds = {(s, N): ineq47_bound(s, N) for s, N, _ in cells}
-    for (s, N), bound in bounds.items():
-        if bound == math.inf:
+    for s, N, _ in cells:
+        if ineq47_bound(s, N) == math.inf:
             raise ValidationError(f"s={s} puts the ineq47 bound past the float range")
+    return _sweep(config, _table2_cell, cells, forked=True)
 
-    def work(cell):
-        s, N, n = cell
-        labels = ("table2", f"s={s}", N, n)
-        lineage = _lineage(master, *labels)
-        part, xi = _weights(n, N, s, TABLE2)
-        # per trial: F = xi Z / sqrt(n) from the scores alone, and the Gram
-        # F_k'F_k of each block's columns F_k, as in lfr.block_gram
-        grams = [[] for _ in part.blocks]
-        for t in range(trials):
-            F = _scores(n, N, derive_seed(master, *labels, t)) * xi / math.sqrt(n)
-            for block, sl in zip(grams, part.slices()):
-                block.append(F[:, sl].T @ F[:, sl])
-        # one batched eigvalsh per block; the trial's kappas summed in block order
-        sums = sum(_kappas(np.stack(block)) for block in grams)
-        finite = np.isfinite(sums)
-        mean, n_singular = _mean(sums[finite]), int(np.count_nonzero(~finite))
-        bound = bounds[s, N]
-        base = {"experiment": "table2", "s": s, "N": N, "n": n, "trials": trials,
-                "seed": lineage}
-        return [
-            base | {"metric": "cumulative_kappa", "value": mean},
-            base | {"metric": "ineq47_bound", "value": bound},
-            base | {"metric": "bound_exceeded", "value": float(mean > bound)},
-            base | {"metric": "singular_trials", "value": float(n_singular)},
-        ]
 
-    rows = _run_cells(work, cells)
-    return ExperimentResult(config=_echo(config), rows=rows)
+def _table3_cell(config: ExperimentConfig, cell) -> list:
+    sigma, s, N = cell
+    trials, n, alpha, beta = config.trials, config.n, config.alpha, config.beta
+    grid, master = tuple(config.lambda_grid), config.seed
+    c = float(N) if config.bandwidth is None else config.bandwidth
+    params = JacobiParams(alpha, beta)
+    basis = JacobiBasis(params, N)
+    rule = basis.quadrature(N + 12)
+    node_table = basis.table(rule.nodes)
+    f = lambda x: weierstrass(s, x)
+    f_nodes = f(rule.nodes)
+    labels = ("table3", f"sigma={sigma}", f"s={s}", N)
+    xs = np.stack([sample_beta_on_I(params, n, derive_seed(master, *labels, t, "x"))
+                   for t in range(trials)])
+    f_xs = f(xs)      # one target evaluation over all trials' points
+    # one basis table over all trials' points: build_design(basis, xs[t])
+    _check_rows(n, basis)
+    tables = basis.table(xs.ravel()).reshape(trials, n, basis.size)
+    tables /= math.sqrt(n)
+
+    def trial(t):
+        y = f_xs[t] + make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
+        model = fit(DesignMatrix(tables[t], basis), y)
+        cv = cross_validate(
+            xs[t], y, grid=grid, bandwidth=c,
+            seed=derive_seed(master, *labels, t, "cv"),
+        )
+        return (omega_norm(f_nodes - node_table @ model.coeffs, rule) ** 2,
+                omega_norm(f_nodes - cv.model.predict(rule.nodes), rule) ** 2)
+
+    with np.errstate(over="ignore", invalid="ignore"):      # refused below
+        n_singular, mses = _trials(trials, trial, StabilityError)
+    if not np.all(np.isfinite(mses)):
+        raise ValueError(f"sigma={sigma} puts an MSE past the float range")
+    base = {"experiment": "table3", "alpha": alpha, "beta": beta, "s": s,
+            "sigma": sigma, "N": N, "n": n, "c": c, "trials": trials,
+            "seed": _lineage(master, *labels)}
+    return _mean_rows(base, ("mse_npreg", "mse_krr"), mses, n_singular)
 
 
 def run_table3(config: ExperimentConfig) -> ExperimentResult:
     """Weighted-L2 MSE of the polynomial estimator vs sinc-kernel ridge
     regression on Weierstrass targets, over (sigma, s, N) with c = N."""
-    _require(config, "table3")
-    trials, n, alpha, beta = config.trials, config.n, config.alpha, config.beta
-    grid, master = tuple(config.lambda_grid), config.seed
-    cells = _cells(config, "table3", TABLE3_SWEEP)
-    params = JacobiParams(alpha, beta)
-
-    def work(cell):
-        sigma, s, N = cell
-        c = float(N) if config.bandwidth is None else config.bandwidth
-        basis = JacobiBasis(params, N)
-        rule = basis.quadrature(N + 12)
-        node_table = basis.table(rule.nodes)
-        f = lambda x: weierstrass(s, x)
-        f_nodes = f(rule.nodes)
-        labels = ("table3", f"sigma={sigma}", f"s={s}", N)
-        lineage = _lineage(master, *labels)
-        xs = np.stack([sample_beta_on_I(params, n, derive_seed(master, *labels, t, "x"))
-                       for t in range(trials)])
-        f_xs = f(xs)      # one target evaluation over all trials' points
-        # one basis table over all trials' points: build_design(basis, xs[t])
-        _check_rows(n, basis)
-        tables = basis.table(xs.ravel()).reshape(trials, n, basis.size)
-        tables /= math.sqrt(n)
-
-        def trial(t):
-            y = f_xs[t] + make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
-            model = fit(DesignMatrix(tables[t], basis), y)
-            cv = cross_validate(
-                xs[t], y, grid=grid, bandwidth=c,
-                seed=derive_seed(master, *labels, t, "cv"),
-            )
-            return (omega_norm(f_nodes - node_table @ model.coeffs, rule) ** 2,
-                    omega_norm(f_nodes - cv.model.predict(rule.nodes), rule) ** 2)
-
-        n_singular, mses = _trials(trials, trial, StabilityError)
-        base = {"experiment": "table3", "alpha": alpha, "beta": beta, "s": s,
-                "sigma": sigma, "N": N, "n": n, "c": c, "trials": trials,
-                "seed": lineage}
-        return _mean_rows(base, ("mse_npreg", "mse_krr"), mses, n_singular)
-
-    rows = _run_cells(work, cells)
-    return ExperimentResult(config=_echo(config), rows=rows)
+    return _sweep(config, _table3_cell, _cells(config, "table3", TABLE3_SWEEP),
+                  forked=True)
 
 
 _LFR_METRICS = ("e0", "e2", "cumulative_kappa")
@@ -549,28 +538,25 @@ def _lfr_trial(n, N, s, sigma, variant, seed) -> tuple:
     return err.e0, err.e2, model.cumulative_kappa
 
 
+def _table4_cell(config: ExperimentConfig, cell) -> list:
+    s, n = cell
+    trials, N, sigma, master = config.trials, config.N, config.sigma, config.seed
+    labels = ("table4", f"s={s}", n)
+    n_singular, values = _trials(
+        trials,
+        lambda t: _lfr_trial(n, N, s, sigma, EXAMPLE3, derive_seed(master, *labels, t)),
+        SingularBlockError,
+    )
+    base = {"experiment": "table4", "s": s, "sigma": sigma, "N": N, "n": n,
+            "trials": trials, "seed": _lineage(master, *labels)}
+    return _mean_rows(base, _LFR_METRICS, values, n_singular)
+
+
 def run_table4(config: ExperimentConfig) -> ExperimentResult:
     """Functional-regression prediction/estimation errors E0 and E2 for the
     alternating quadratic-decay slope, over (s, n) at fixed N and sigma."""
-    _require(config, "table4")
-    trials, N, sigma, master = config.trials, config.N, config.sigma, config.seed
-    cells = _cells(config, "table4", TABLE4_SWEEP)
-
-    def work(cell):
-        s, n = cell
-        labels = ("table4", f"s={s}", n)
-        lineage = _lineage(master, *labels)
-        n_singular, values = _trials(
-            trials,
-            lambda t: _lfr_trial(n, N, s, sigma, EXAMPLE3, derive_seed(master, *labels, t)),
-            SingularBlockError,
-        )
-        base = {"experiment": "table4", "s": s, "sigma": sigma, "N": N, "n": n,
-                "trials": trials, "seed": lineage}
-        return _mean_rows(base, _LFR_METRICS, values, n_singular)
-
-    rows = [row for cell in cells for row in work(cell)]
-    return ExperimentResult(config=_echo(config), rows=rows)
+    return _sweep(config, _table4_cell, _cells(config, "table4", TABLE4_SWEEP),
+                  forked=False)
 
 
 def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:

@@ -108,8 +108,9 @@ def _emit(result: bench.ExperimentResult, config) -> None:
 def _run_diagnose(config) -> int:
     alpha, beta, N, n = config.alpha, config.beta, config.N, config.n
     params = JacobiParams(alpha, beta)
+    basis = JacobiBasis(params, N)      # refuses an unrepresentable basis first
     samples = sample_beta_on_I(params, n, config.seed)
-    report = spectral_report(build_design(JacobiBasis(params, N), samples).gram())
+    report = spectral_report(build_design(basis, samples).gram())
     payload = {
         "alpha": alpha,
         "beta": beta,

@@ -15,7 +15,6 @@ __all__ = [
     "McSummary",
     "build_design",
     "spectral_report",
-    "spectral_reports",
     "least_squares",
     "theory_bounds",
     "mc_condition_number",
@@ -96,12 +95,6 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (A + At))
 
 
-def spectral_reports(A: np.ndarray) -> list:
-    """Eigenvalues and near-singularity verdicts for a stack of symmetric
-    matrices, shape (k, m, m); report i equals spectral_report(A[i])."""
-    return [_report(e) for e in _eigenvalues(A)]
-
-
 def _kappas(A: np.ndarray) -> np.ndarray:
     """kappa2 of each matrix of a stack, as its spectral_report reads it."""
     e = _eigenvalues(A)
@@ -114,7 +107,7 @@ def spectral_report(A: np.ndarray) -> SpectralReport:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return spectral_reports(A[None])[0]
+    return _report(_eigenvalues(A[None])[0])
 
 
 def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -188,8 +181,16 @@ def theory_bounds(
 
 
 def _mean(values) -> float:
-    """Mean over the trials that were not singular; inf when none was."""
-    return float(np.mean(values)) if len(values) else math.inf
+    """Mean over the trials that were not singular; inf when none was. Where
+    their sum passes the float range, the mean of finite values is taken as
+    the sum of each over their count."""
+    if not len(values):
+        return math.inf
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+    if not math.isfinite(mean) and np.all(np.isfinite(values)):
+        mean = float(np.sum(np.divide(values, len(values))))
+    return mean
 
 
 def _trials(trials: int, trial, singular) -> tuple:

@@ -29,12 +29,17 @@ def sinc_kernel(x, y, c: float = 10.0) -> np.ndarray:
     """K(x, y) = sin(c (x - y)) / (pi (x - y)), broadcast over inputs.
 
     Written as (c/pi) sinc(c (x - y) / pi) with numpy's normalized sinc,
-    which takes the diagonal limit c/pi exactly.
+    which takes the diagonal limit c/pi exactly. A ValueError names c where
+    c (x - y) passes the float range.
     """
     if c <= 0:
         raise ValueError(f"bandwidth c must be > 0, got {c}")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return (c / math.pi) * np.sinc(c * d / math.pi)
+    with np.errstate(over="ignore"):      # refused below
+        cd = c * d
+    if not np.all(np.isfinite(cd)):
+        raise ValueError(f"bandwidth c={c} puts c (x - y) past the float range")
+    return (c / math.pi) * np.sinc(cd / math.pi)
 
 
 @dataclass

@@ -283,9 +283,9 @@ def theorem7_bound(
     widths = np.array([hi - lo + 1 for lo, hi in part.blocks], dtype=float)
     xi_sq_norm = float(np.sum(problem.xi**2))
     n = problem.n
-    variance_term = (
-        xi_sq_norm / n**2 * float(np.sum(problem.sigma**2 * widths / eta_k**2))
-    )
+    with np.errstate(over="ignore"):    # inf past the float range, as L_N reads
+        variance_term = xi_sq_norm / n**2 * float(
+            np.sum(np.float64(problem.sigma) ** 2 * widths / eta_k**2))
     return variance_term + 4.0 * level**2 * part.K / n**r
 
 

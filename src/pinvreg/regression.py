@@ -23,8 +23,6 @@ __all__ = [
     "weierstrass",
     "save_model",
     "load_model",
-    "model_to_dict",
-    "model_from_dict",
 ]
 
 _GRID_SIZE = 2001   # uniform grid points of the clamp checks
@@ -226,9 +224,12 @@ def weierstrass(s: float, x):
     if s <= 0:
         raise ValueError(f"smoothness s must be > 0, got {s}")
     q = 2.0 ** (-s)
-    # q rounds to 1 below s = 2^-53 or so: no depth reaches the tolerance
-    K = math.inf if q == 1.0 else max(0, math.ceil(math.log(1e-12 * (1.0 - q))
-                                                   / math.log(q) - 1.0))
+    if q == 0.0:        # past s = 1074 every term after k = 0 is 0 in doubles
+        K = 0
+    elif q == 1.0:      # below s = 2^-53 or so no depth reaches the tolerance
+        K = math.inf
+    else:
+        K = max(0, math.ceil(math.log(1e-12 * (1.0 - q)) / math.log(q) - 1.0))
     if K > 1022:
         raise ValueError(f"smoothness s={s} needs more than 1023 Weierstrass terms; "
                          f"their frequencies 2^k pi pass the float range")
@@ -239,22 +240,31 @@ def weierstrass(s: float, x):
     return out
 
 
-def model_to_dict(model: NpregModel) -> dict:
-    return {
-        "alpha": model.basis.params.alpha,
-        "beta": model.basis.params.beta,
-        "degree_max": model.basis.degree_max,
-        "domain": model.basis.domain,
+def save_model(model: NpregModel, path) -> None:
+    """Write the model as strict JSON; a non-finite value raises ValueError
+    before the file is opened."""
+    basis = model.basis
+    d = {
+        "alpha": basis.params.alpha,
+        "beta": basis.params.beta,
+        "degree_max": basis.degree_max,
+        "domain": basis.domain,
         "coeffs": [float(c) for c in model.coeffs],
         "truncation_level": model.truncation_level,
         "n_samples": model.n_samples,
     }
+    text = json.dumps(d, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
-def model_from_dict(d: dict) -> NpregModel:
-    basis = JacobiBasis(
-        JacobiParams(d["alpha"], d["beta"]), d["degree_max"], d["domain"]
-    )
+def load_model(path) -> NpregModel:
+    """The model save_model wrote; truncation_level and n_samples may be
+    left out. A ValueError where the coefficients do not fit the basis or
+    are not finite."""
+    with open(path) as fh:
+        d = json.load(fh)
+    basis = JacobiBasis(JacobiParams(d["alpha"], d["beta"]), d["degree_max"], d["domain"])
     coeffs = np.array(d["coeffs"], dtype=float)
     if coeffs.shape != (basis.size,) or not np.all(np.isfinite(coeffs)):
         raise ValueError(
@@ -267,16 +277,3 @@ def model_from_dict(d: dict) -> NpregModel:
         truncation_level=d.get("truncation_level"),
         n_samples=d.get("n_samples", 0),
     )
-
-
-def save_model(model: NpregModel, path) -> None:
-    """Write the model as strict JSON; a non-finite value raises ValueError
-    before the file is opened."""
-    text = json.dumps(model_to_dict(model), indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
-def load_model(path) -> NpregModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

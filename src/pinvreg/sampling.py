@@ -132,14 +132,12 @@ def inverse_beta_cdf(params: JacobiParams, t, method: str = "auto"):
     return betaincinv(*_beta_shapes(params), t)
 
 
-def cdf_transform(points, cdf, params: JacobiParams, to_symmetric: bool = True) -> np.ndarray:
+def cdf_transform(points, cdf, params: JacobiParams) -> np.ndarray:
     """Map arbitrary-law samples to the law of the basis weight.
 
     Evaluates u = cdf(x), validates it is a monotone map into [0, 1], then
-    applies the Beta(beta+1, alpha+1) quantile. Returns points tau on [0, 1],
-    drawn from the unit basis' weight, or 2*tau - 1 on [-1, 1] when
-    to_symmetric is set (the default), drawn from omega / gamma like
-    sample_beta_on_I.
+    applies the Beta(beta+1, alpha+1) quantile tau. Returns 2*tau - 1 on
+    [-1, 1], drawn from omega / gamma like sample_beta_on_I.
     """
     raw = np.asarray(points, dtype=float)
     u = np.asarray(cdf(raw), dtype=float)
@@ -149,4 +147,4 @@ def cdf_transform(points, cdf, params: JacobiParams, to_symmetric: bool = True) 
     if np.any(np.diff(u[order]) < -1e-12):
         raise ValidationError("non-monotone cdf detected")
     tau = inverse_beta_cdf(params, np.clip(u, 0.0, 1.0))
-    return 2.0 * tau - 1.0 if to_symmetric else tau
+    return 2.0 * tau - 1.0

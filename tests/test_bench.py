@@ -389,7 +389,27 @@ def cpus(monkeypatch, count):
 
 
 class TestForkedCells:
-    """table2 and table3 run all cells but the first on forked workers."""
+    """table2 and table3 run all cells but the first on forked workers;
+    table1 and table4 run every cell in the calling process."""
+
+    @pytest.mark.parametrize("runner, keys, forks", [
+        (run_table1, {"experiment": "table1", "trials": 1}, False),
+        (run_table2, {"experiment": "table2", "trials": 1}, True),
+        (run_table3, {"experiment": "table3", "trials": 1, "n": 40}, True),
+        (run_table4, {"experiment": "table4", "trials": 1}, False),
+    ])
+    def test_only_table2_and_table3_start_a_pool(self, monkeypatch, runner, keys,
+                                                 forks):
+        def starts_a_pool(method):
+            raise RuntimeError(f"a {method} pool starts")
+
+        monkeypatch.setattr(multiprocessing, "get_context", starts_a_pool)
+        cpus(monkeypatch, 2)
+        if forks:
+            with pytest.raises(RuntimeError, match="a fork pool starts"):
+                runner(ExperimentConfig(**keys))
+        else:
+            assert len(runner(ExperimentConfig(**keys)).rows) > 4
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("runner, keys", [
@@ -421,6 +441,28 @@ class TestForkedCells:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "RegularizationError"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_workers_refusal_exits_one(self, monkeypatch, tmp_path, capsys):
+        # noise past the float range in the workers' cells only: their MSE
+        # refusal reaches the caller as the one error line
+        parent, noise = os.getpid(), bench.make_noise
+
+        def huge_in_a_worker(n, sigma, **kwargs):
+            return noise(n, sigma if os.getpid() == parent else 1e160, **kwargs)
+
+        monkeypatch.setattr(bench, "make_noise", huge_in_a_worker)
+        cpus(monkeypatch, 2)
+        out = tmp_path / "table3.json"
+        argv = ["table3", "--trials", "1", "--n", "40", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "ValueError" and "puts an MSE past" in doc["message"]
         assert not out.exists()
         assert multiprocessing.active_children() == []
 

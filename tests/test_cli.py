@@ -1,20 +1,25 @@
 """End-to-end tests of the command line interface: exit codes, output files,
 error stream formatting, and rerun determinism."""
 
+import contextlib
 import csv
 import dataclasses
 import datetime
 import io
 import json
 import math
+import numbers
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinvreg
 from pinvreg import bench
@@ -40,8 +45,18 @@ UNREAD = [(command, f.name) for command, spec in COMMANDS.items()
           if f.name not in spec.keys and f.name not in COMMON_KEYS]
 
 
+FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+# size keys are drawn up to these caps, to keep each run short
+SIZE_CAPS = {"N": 40, "n": 200, "trials": 2, "ransac_iterations": 10}
+SERIES_DAYS = 400      # past fit-series' default n = 340
+
+
 def flag(key):
     return "--" + key.replace("_", "-")
+
+
+def reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
 
 
 def one_error_line(capsys) -> dict:
@@ -111,11 +126,7 @@ class TestBenchmarkCommands:
         code = main(["table1", "--alpha", "3", "--N", "30", "--n", "31",
                      "--trials", "2", "--format", "json", "--out", str(out)])
         assert code == 0
-
-        def reject(name):
-            raise AssertionError(f"non-standard JSON constant {name}")
-
-        doc = json.loads(out.read_text(), parse_constant=reject)
+        doc = json.loads(out.read_text(), parse_constant=reject_constant)
         values = {r["metric"]: r["value"] for r in doc["rows"]}
         assert values["mean_kappa2_direct"] == "inf"
         assert values["singular_trials_direct"] == 2.0
@@ -300,6 +311,8 @@ class TestErrorPaths:
         ["diagnose", "--alpha", "1e60", "--N", "6"],
         ["table1", "--alpha", "1e30", "--trials", "1"],
         ["table3", "--alpha", "1e30", "--trials", "1"],
+        ["diagnose", "--alpha", "1e308"],
+        ["diagnose", "--beta", "1e308"],
     ])
     def test_unrepresentable_basis_exits_one_before_writing(self, tmp_path, capsys,
                                                             argv):
@@ -320,6 +333,9 @@ class TestErrorPaths:
         (["simulate-lfr", "--sigma", "1e160"], "sigma=1e+160 puts the coefficient error"),
         (["table4", "--sigma", "1e160", "--s", "1.5", "--n", "100", "--trials", "1"],
          "sigma=1e+160 puts the coefficient error"),
+        (["table3", "--bandwidth", "1e308", "--N", "10", "--trials", "1"],
+         "bandwidth c=1e+308 puts c (x - y) past the float range"),
+        (["table3", "--sigma", "1e160", "--trials", "1"], "sigma=1e+160 puts an MSE"),
     ])
     def test_values_past_the_float_range_exit_one(self, tmp_path, capsys, monkeypatch,
                                                   argv, message):
@@ -329,6 +345,23 @@ class TestErrorPaths:
         assert main(argv + ["--format", "json", "--out", str(out)]) == 1
         assert message in one_error_line(capsys)["message"]
         assert not out.exists()
+
+    # 2^-s is subnormal or 0 past s = 1022: the target is cos(pi x) alone;
+    # at sigma 2e152 each trial's e2 is near 2e307, and their sum overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["table3", "--s", "1074", "--N", "10", "--trials", "1"],
+        ["table3", "--s", "1075", "--N", "10", "--trials", "1"],
+        ["table3", "--s", "1e300", "--N", "10", "--trials", "1"],
+        ["table4", "--sigma", "2e152", "--s", "2.0", "--n", "100"],
+    ])
+    def test_values_near_the_float_range_exit_zero(self, capsys, argv):
+        assert main(argv + ["--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = json.loads(captured.out)["rows"]
+        assert all(isinstance(r["value"], float) and math.isfinite(r["value"])
+                   for r in rows)
 
     @pytest.mark.parametrize("alpha", ["1e8", "1e16"])
     def test_digitless_constants_exit_one(self, capsys, alpha):
@@ -617,3 +650,82 @@ class TestHelp:
         keys = set(COMMANDS[command].keys) - {"lambda_grid"}
         assert set(help_flags(capsys, command)) == (
             {"-h", "--seed", "--config", "--out", "--format"} | {flag(k) for k in keys})
+
+
+@pytest.fixture(scope="module")
+def long_series(tmp_path_factory):
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["date", "location", "new_cases"])
+        for d in range(SERIES_DAYS):
+            day = (BASE + datetime.timedelta(days=d)).isoformat()
+            w.writerow([day, "Aland", f"{50 + d % 30 + 10 * (d % 7 == 0):.1f}"])
+    return path
+
+
+def key_values(key, series):
+    """Values of a config key, drawn from its field's kind and rule: reals
+    over the whole finite float range, integers up to the size caps, and any
+    text, besides a valid input path, location or date for fit-series."""
+    kind, rule = FIELDS[key].metadata["kind"], FIELDS[key].metadata["rule"]
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if kind is str:
+        days = st.dates(BASE, BASE + datetime.timedelta(days=SERIES_DAYS - 1))
+        valid = {"csv": st.just(str(series)), "location": st.just("Aland"),
+                 "start": days.map(datetime.date.isoformat),
+                 "end": days.map(datetime.date.isoformat)}
+        return st.one_of(valid[key], st.text()) if key in valid else st.text()
+    op, bound = rule.split() if rule else (None, None)
+    if kind is numbers.Integral:      # every integer rule is ">= b"
+        return st.integers(None if bound is None else int(bound), SIZE_CAPS.get(key))
+    reals = st.floats(float(bound), exclude_min=op == ">", allow_nan=False,
+                      allow_infinity=False)
+    return st.lists(reals, min_size=1, max_size=12) if kind is list else reals
+
+
+class TestConfigSpace:
+    """Any config a command reads, its keys drawn from their own kinds and
+    rules, ends in exit 0, 1 or 2 on the one-line stderr contract."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_every_config_keeps_the_exit_contract(self, long_series, command, data):
+        keys = [k for k in FIELDS
+                if k in COMMANDS[command].keys or k in ("seed", "format")]
+        config = {}
+        for key in keys:
+            values = key_values(key, long_series)
+            # a size left unset takes its default (trials 10, fit-series n 340),
+            # past the caps; an unset sweep key runs the sweep's own values
+            if key not in SIZE_CAPS or key in COMMANDS[command].sweep_keys:
+                values = st.none() | values
+            value = data.draw(values, label=key)
+            if value is not None:
+                config[key] = value
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "config.json")
+            path.write_text(json.dumps(config, allow_nan=False))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path)])
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        if code != 0:
+            assert out.getvalue() == ""
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            return
+        assert lines == []
+        body = out.getvalue()
+        if config.get("format") == "json":
+            doc = json.loads(body, parse_constant=reject_constant)
+            values = [v for row in doc.get("rows", [doc]) for v in row.values()]
+        else:
+            rows = body.splitlines()
+            if rows[0].startswith("# config "):
+                json.loads(rows.pop(0)[len("# config "):], parse_constant=reject_constant)
+            values = [v for row in csv.reader(rows) for v in row]
+        assert "nan" not in values

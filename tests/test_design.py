@@ -12,7 +12,6 @@ from pinvreg.design import (
     least_squares,
     mc_condition_number,
     spectral_report,
-    spectral_reports,
     theory_bounds,
 )
 from pinvreg.jacobi import JacobiBasis, JacobiParams
@@ -84,8 +83,11 @@ class TestSpectralReport:
         assert_allclose(r.eigenvalues, [1.0, 3.0], rtol=1e-9)
 
 
-class TestSpectralReports:
-    def _stack(self):
+class TestKappas:
+    """The stacked kappa2 helper against the per-matrix reports."""
+
+    @staticmethod
+    def _stack():
         rng = np.random.default_rng(3)
         stack = []
         for _ in range(6):
@@ -95,45 +97,12 @@ class TestSpectralReports:
         stack[4][0, 1] = stack[4][1, 0] + 1e-13        # symmetrized round-off
         return np.stack(stack)
 
-    def test_matches_per_matrix_reports_exactly(self):
-        stack = self._stack()
-        reports = spectral_reports(stack)
-        assert len(reports) == len(stack)
-        for A, r in zip(stack, reports):
-            single = spectral_report(A)
-            np.testing.assert_array_equal(r.eigenvalues, single.eigenvalues)
-            assert r.near_singular == single.near_singular
-            assert r.kappa2 == single.kappa2
-        assert [r.near_singular for r in reports] == [False, False, True, False, False, False]
-
-    def test_fixed_rule_boundary_applies_to_each(self):
-        stack = np.stack([np.diag([1.0, 1e-13]), np.diag([1.0, 1e-11])])
-        assert [r.near_singular for r in spectral_reports(stack)] == [True, False]
-
-    def test_rejects_any_asymmetric_member(self):
-        stack = self._stack()
-        stack[5][0, 3] += 1e-3
-        with pytest.raises(ValueError, match="symmetric"):
-            spectral_reports(stack)
-        with pytest.raises(ValueError, match="symmetric"):
-            spectral_report(stack[5])
-
-    def test_rejects_non_stack_shapes(self):
-        for shape in ((4, 4), (2, 3, 4)):
-            with pytest.raises(ValueError, match="square"):
-                spectral_reports(np.ones(shape))
-        with pytest.raises(ValueError, match="square"):
-            spectral_report(np.ones((1, 2, 2)))
-
-
-class TestKappas:
-    """The stacked kappa2 helper against the per-matrix reports."""
-
     def test_matches_spectral_report_kappa2(self):
-        stack = TestSpectralReports()._stack()
+        stack = self._stack()
         kappas = design._kappas(stack)
         assert kappas.tolist() == [spectral_report(A).kappa2 for A in stack]
-        assert kappas[2] == math.inf
+        assert [k == math.inf for k in kappas] == [False, False, True, False, False,
+                                                   False]
 
     def test_fixed_rule_boundary(self):
         stack = np.stack([np.diag([1.0, 1e-13]), np.diag([1.0, 1e-11])])
@@ -146,12 +115,18 @@ class TestKappas:
         assert design._kappas(stack).tolist() == [math.inf] * 3
 
     def test_checks_like_spectral_reports(self):
-        stack = TestSpectralReports()._stack()
+        # an asymmetric member fails the stack and its own report alike
+        stack = self._stack()
         stack[5][0, 3] += 1e-3
         with pytest.raises(ValueError, match="symmetric"):
             design._kappas(stack)
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_report(stack[5])
+        for shape in ((4, 4), (2, 3, 4)):
+            with pytest.raises(ValueError, match="square"):
+                design._kappas(np.ones(shape))
         with pytest.raises(ValueError, match="square"):
-            design._kappas(np.ones((4, 4)))
+            spectral_report(np.ones((1, 2, 2)))
 
 
 class TestTheoryBounds:

@@ -50,6 +50,13 @@ class TestSincKernel:
         with pytest.raises(ValueError, match="bandwidth"):
             sinc_kernel(0.0, 0.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_bandwidth_past_the_float_range(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        assert np.all(np.isfinite(sinc_kernel(x[:, None], x[None, :], 8e307)))
+        with pytest.raises(ValueError, match=r"bandwidth c=1e\+308 puts c \(x - y\)"):
+            sinc_kernel(x[:, None], x[None, :], 1e308)
+
 
 class TestKrrFit:
     def test_near_interpolation_at_tiny_ridge(self):

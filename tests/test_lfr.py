@@ -347,6 +347,15 @@ class TestLfrRiskMc:
         assert tight.truncation_active
         assert tight.mean_risk <= loose.mean_risk + 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_vacuous_bound_past_the_float_range(self):
+        # theorem7_bound reads inf without a warning: its sigma^2 |I_k| / eta_k^2
+        # overflows at 1e150 and sigma^2 itself at 1e160, where the trial's
+        # coefficient error is refused in turn
+        assert lfr_risk_mc(300, 50, 2.0, 1e150, level=6.0, trials=1).bound == math.inf
+        with pytest.raises(ValueError, match=re.escape("sigma=1e+160 puts the coeff")):
+            lfr_risk_mc(300, 50, 2.0, 1e160, level=6.0, trials=1)
+
     def test_rejects_clamp_below_target_sup(self):
         # sup |beta_0| is about 5.38 for the alternating quadratic slope
         with pytest.raises(ValidationError, match="clamp"):

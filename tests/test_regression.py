@@ -1,6 +1,7 @@
 """Tests for the pseudo-inverse regression fit, RANSAC, the clamped-risk
 Monte Carlo, and the lacunary cosine target."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -15,8 +16,6 @@ from pinvreg.regression import (
     fit,
     l2_risk_mc,
     load_model,
-    model_from_dict,
-    model_to_dict,
     ransac_fit,
     save_model,
     weierstrass,
@@ -135,22 +134,25 @@ class TestSerialization:
         grid = np.linspace(-1, 1, 50)
         assert_allclose(back.predict(grid), model.predict(grid), rtol=1e-15)
 
-    def test_dict_defaults(self):
+    def test_dict_defaults(self, tmp_path):
         basis = JacobiBasis(PARAMS, 1)
         s = sample_beta_on_I(PARAMS, 20, seed=6)
-        model = fit(build_design(basis, s), s)
-        d = model_to_dict(model)
+        path = tmp_path / "model.json"
+        save_model(fit(build_design(basis, s), s), path)
+        d = json.loads(path.read_text())
         d.pop("truncation_level")
         d.pop("n_samples")
-        back = model_from_dict(d)
+        path.write_text(json.dumps(d))
+        back = load_model(path)
         assert back.truncation_level is None and back.n_samples == 0
 
     @pytest.mark.parametrize("coeffs", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 0.0]])
-    def test_rejects_bad_coeffs_at_load(self, coeffs):
-        d = {"alpha": 0.0, "beta": 0.0, "degree_max": 2, "domain": "symmetric",
-             "coeffs": coeffs}
+    def test_rejects_bad_coeffs_at_load(self, tmp_path, coeffs):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"alpha": 0.0, "beta": 0.0, "degree_max": 2,
+                                    "domain": "symmetric", "coeffs": coeffs}))
         with pytest.raises(ValueError, match="coeffs"):
-            model_from_dict(d)
+            load_model(path)
 
     def test_save_is_strict_json(self, tmp_path):
         basis = JacobiBasis(PARAMS, 2)
@@ -357,3 +359,9 @@ class TestWeierstrass:
 
     def test_deepest_accepted_depth_is_finite(self):
         assert np.all(np.isfinite(weierstrass(0.044, np.linspace(-1, 1, 5))))
+
+    @pytest.mark.parametrize("s", [1074.0, 1075.0, 1e300])
+    def test_first_term_alone_past_the_float_range(self, s):
+        # 2^-s is subnormal or 0: every term after k = 0 is 0 in doubles
+        x = np.linspace(-1, 1, 41)
+        assert_array_equal(weierstrass(s, x), np.cos(math.pi * x))

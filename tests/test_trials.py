@@ -15,6 +15,7 @@ import pytest
 
 from pinvreg import bench, lfr, regression
 from pinvreg.bench import ExperimentConfig, run_lfr_sim, run_table3, run_table4
+from pinvreg.design import _mean
 from pinvreg.errors import (NumericalError, RobustFitError, SingularBlockError,
                             StabilityError)
 from pinvreg.jacobi import JacobiBasis, JacobiParams
@@ -162,3 +163,11 @@ def test_l2_risk_counts_natural_singular_trials():
                          M=1.5, trials=4, sigma=0.3, seed=0)
     assert summary.n_singular == 3
     assert len(summary.risks) == 1 and summary.mean_risk == summary.risks[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_mean_of_finite_values_is_finite():
+    # the plain sum passes the float range; the mean does not
+    assert _mean([1e308, 1.5e308, 1e308]) == pytest.approx(1e308 / 3 * 3.5, rel=1e-15)
+    assert _mean([1.0, 2.0]) == 1.5
+    assert _mean([]) == math.inf

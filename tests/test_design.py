@@ -83,22 +83,62 @@ class TestSpectralReport:
         assert_allclose(r.eigenvalues, [1.0, 3.0], rtol=1e-9)
 
 
+def _stack():
+    # six 5x5 Grams: one rank one, one symmetric only up to round-off
+    rng = np.random.default_rng(3)
+    stack = []
+    for _ in range(6):
+        F = rng.standard_normal((30, 5))
+        stack.append(F.T @ F)
+    stack[2] = np.ones((5, 5))                     # rank one: near singular
+    stack[4][0, 1] = stack[4][1, 0] + 1e-13        # symmetrized round-off
+    return np.stack(stack)
+
+
+def _stack_reports(stack):
+    # per-matrix reports read off the batched eigvalsh that _kappas uses
+    return [design._report(e) for e in design._eigenvalues(stack)]
+
+
+class TestSpectralReports:
+    """The batched eigenvalue path against the per-matrix reports."""
+
+    def test_matches_per_matrix_reports_exactly(self):
+        stack = _stack()
+        reports = _stack_reports(stack)
+        assert len(reports) == len(stack)
+        for A, r in zip(stack, reports):
+            single = spectral_report(A)
+            np.testing.assert_array_equal(r.eigenvalues, single.eigenvalues)
+            assert r.near_singular == single.near_singular
+            assert r.kappa2 == single.kappa2
+        assert [r.near_singular for r in reports] == [False, False, True, False, False, False]
+
+    def test_fixed_rule_boundary_applies_to_each(self):
+        stack = np.stack([np.diag([1.0, 1e-13]), np.diag([1.0, 1e-11])])
+        assert [r.near_singular for r in _stack_reports(stack)] == [True, False]
+
+    def test_rejects_any_asymmetric_member(self):
+        stack = _stack()
+        stack[5][0, 3] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            _stack_reports(stack)
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_report(stack[5])
+
+    def test_rejects_non_stack_shapes(self):
+        for shape in ((4, 4), (2, 3, 4)):
+            with pytest.raises(ValueError, match="square"):
+                _stack_reports(np.ones(shape))
+        with pytest.raises(ValueError, match="square"):
+            spectral_report(np.ones((1, 2, 2)))
+
+
 class TestKappas:
     """The stacked kappa2 helper against the per-matrix reports."""
 
-    @staticmethod
-    def _stack():
-        rng = np.random.default_rng(3)
-        stack = []
-        for _ in range(6):
-            F = rng.standard_normal((30, 5))
-            stack.append(F.T @ F)
-        stack[2] = np.ones((5, 5))                     # rank one: near singular
-        stack[4][0, 1] = stack[4][1, 0] + 1e-13        # symmetrized round-off
-        return np.stack(stack)
-
     def test_matches_spectral_report_kappa2(self):
-        stack = self._stack()
+        stack = _stack()
         kappas = design._kappas(stack)
         assert kappas.tolist() == [spectral_report(A).kappa2 for A in stack]
         assert [k == math.inf for k in kappas] == [False, False, True, False, False,
@@ -116,7 +156,7 @@ class TestKappas:
 
     def test_checks_like_spectral_reports(self):
         # an asymmetric member fails the stack and its own report alike
-        stack = self._stack()
+        stack = _stack()
         stack[5][0, 3] += 1e-3
         with pytest.raises(ValueError, match="symmetric"):
             design._kappas(stack)

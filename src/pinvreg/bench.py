@@ -359,19 +359,28 @@ def _cells(config: ExperimentConfig, command: str, sweep) -> list:
     return cells
 
 
+# the cell functions whose first cell has run in this process
+_warm = set()
+
+
 def _sweep(config: ExperimentConfig, cell, cells: list, forked: bool) -> ExperimentResult:
     """The config's result: the rows of cell(config, c) over the cells, in
     cell order.
 
-    The first cell runs here, which loads the lazy scipy imports and fills
-    the caches before any fork. Where forked is set, the others run on up to
-    one forked worker per usable CPU, which gets the module-level cell by
-    name and each (config, c) pickled. Each cell derives its own seeds, so
-    the rows do not depend on where or in what order the cells run. Every
-    cell runs here where forked is not set, fewer than two workers would run
-    or the platform cannot fork."""
-    parts = [cell(config, cells[0])]
-    rest = [(config, c) for c in cells[1:]]
+    On the first sweep of a cell function in this process, its first cell
+    runs here: that loads the lazy scipy imports and fills the caches before
+    any fork, and the function is warm once the cell returns. Where forked
+    is set, the other cells (all of them, once warm) run on up to one forked
+    worker per usable CPU, one cell at a time; each worker gets the
+    module-level cell by name and each (config, c) pickled. Each cell
+    derives its own seeds, so the rows do not depend on where or in what
+    order the cells run. Every cell runs here where forked is not set, fewer
+    than two workers would run or the platform cannot fork."""
+    parts = []
+    if cell not in _warm:
+        parts.append(cell(config, cells[0]))
+        _warm.add(cell)
+    rest = [(config, c) for c in cells[len(parts):]]
     # no sched_getaffinity (macOS, Windows): no fork that is safe to use
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = min(len(rest), cpus)
@@ -502,6 +511,8 @@ def _table3_cell(config: ExperimentConfig, cell) -> list:
     def trial(t):
         y = f_xs[t] + make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
         model = fit(DesignMatrix(tables[t], basis), y)
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"sigma={sigma} puts a response past the float range")
         cv = cross_validate(
             xs[t], y, grid=grid, bandwidth=c,
             seed=derive_seed(master, *labels, t, "cv"),
@@ -556,7 +567,7 @@ def run_table4(config: ExperimentConfig) -> ExperimentResult:
     """Functional-regression prediction/estimation errors E0 and E2 for the
     alternating quadratic-decay slope, over (s, n) at fixed N and sigma."""
     return _sweep(config, _table4_cell, _cells(config, "table4", TABLE4_SWEEP),
-                  forked=False)
+                  forked=True)
 
 
 def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:

@@ -263,6 +263,7 @@ class TestRunTable1:
             return table(self, x)
 
         monkeypatch.setattr(JacobiBasis, "table", counted)
+        cpus(monkeypatch, 1)       # every call counted here, wherever cells run
         run_table1(ExperimentConfig(experiment="table1", trials=3))
         # each (cell, transform) pair evaluates its 3 trials' points in one call
         assert sorted(points) == sorted(3 * n for _, _, n in TABLE1_SWEEP for _ in range(2))
@@ -388,18 +389,39 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def pid_cell(config, cell):
+    """A sweep cell that records the process it runs in; it raises where the
+    cell is negative."""
+    if cell < 0:
+        raise ValueError(f"cell {cell} refused")
+    return [{"cell": cell, "pid": os.getpid()}]
+
+
+def sweep_pids(cells) -> list:
+    config = ExperimentConfig(experiment="table1")
+    rows = bench._sweep(config, pid_cell, cells, forked=True).rows
+    assert [row["cell"] for row in rows] == cells
+    return [row["pid"] for row in rows]
+
+
 class TestForkedCells:
-    """table2 and table3 run all cells but the first on forked workers;
-    table1 and table4 run every cell in the calling process."""
+    """table2, table3 and table4 run their cells on forked workers, all but
+    the first on a cell function's first sweep in the process and every one
+    after it; table1 runs every cell in the calling process."""
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """Two usable CPUs, and no cell function warm yet."""
+        monkeypatch.setattr(bench, "_warm", set())
+        cpus(monkeypatch, 2)
 
     @pytest.mark.parametrize("runner, keys, forks", [
         (run_table1, {"experiment": "table1", "trials": 1}, False),
         (run_table2, {"experiment": "table2", "trials": 1}, True),
         (run_table3, {"experiment": "table3", "trials": 1, "n": 40}, True),
-        (run_table4, {"experiment": "table4", "trials": 1}, False),
+        (run_table4, {"experiment": "table4", "trials": 1}, True),
     ])
-    def test_only_table2_and_table3_start_a_pool(self, monkeypatch, runner, keys,
-                                                 forks):
+    def test_table2_to_table4_start_a_pool(self, monkeypatch, runner, keys, forks):
         def starts_a_pool(method):
             raise RuntimeError(f"a {method} pool starts")
 
@@ -410,18 +432,41 @@ class TestForkedCells:
                 runner(ExperimentConfig(**keys))
         else:
             assert len(runner(ExperimentConfig(**keys)).rows) > 4
+        assert multiprocessing.active_children() == []
+
+    def test_a_cold_sweep_runs_its_first_cell_here(self, cold):
+        pids = sweep_pids([0, 1, 2])
+        assert pids[0] == os.getpid()
+        assert os.getpid() not in pids[1:]
+        assert multiprocessing.active_children() == []
+
+    def test_a_warm_sweep_runs_no_cell_here(self, cold):
+        sweep_pids([0, 1, 2])
+        assert os.getpid() not in sweep_pids([0, 1, 2])
+        assert multiprocessing.active_children() == []
+
+    def test_a_first_cell_that_raises_leaves_the_sweep_cold(self, cold):
+        with pytest.raises(ValueError, match="cell -1 refused"):
+            sweep_pids([-1, 1, 2])
+        assert pid_cell not in bench._warm
+        assert sweep_pids([0, 1, 2])[0] == os.getpid()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("runner, keys", [
         (run_table2, {"experiment": "table2", "trials": 2}),
         (run_table3, {"experiment": "table3", "trials": 1, "n": 40}),
+        (run_table4, {"experiment": "table4", "trials": 1}),
     ])
-    def test_serial_rows_equal_the_pooled_ones(self, monkeypatch, runner, keys, seed):
+    def test_serial_rows_equal_the_pooled_ones(self, cold, monkeypatch, runner, keys,
+                                               seed):
+        # a cold pooled sweep, a warm one, then every cell in the calling process
         cfg = ExperimentConfig(**keys, seed=seed)
-        cpus(monkeypatch, 2)
         pooled = runner(cfg).to_json_text()
+        assert runner(cfg).to_json_text() == pooled
         cpus(monkeypatch, 1)
         assert runner(cfg).to_json_text() == pooled
+        assert multiprocessing.active_children() == []
 
     def test_a_workers_numerical_error_exits_two(self, monkeypatch, tmp_path, capsys):
         parent, solve = os.getpid(), bench.cross_validate

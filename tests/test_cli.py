@@ -346,6 +346,20 @@ class TestErrorPaths:
         assert message in one_error_line(capsys)["message"]
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_table3_refuses_a_response_past_the_float_range(self, tmp_path, capsys,
+                                                           monkeypatch, cpus):
+        # noise of sigma 1e308 overflows: refused before the kernel CV sees it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / "out.json"
+        argv = ["table3", "--sigma", "1e308", "--trials", "1", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert one_error_line(capsys) == {
+            "error": "ValueError",
+            "message": "sigma=1e+308 puts a response past the float range"}
+        assert not out.exists()
+
     # 2^-s is subnormal or 0 past s = 1022: the target is cos(pi x) alone;
     # at sigma 2e152 each trial's e2 is near 2e307, and their sum overflows
     @pytest.mark.filterwarnings("error")

@@ -456,15 +456,15 @@ def _table2_cell(config: ExperimentConfig, cell) -> list:
     trials, master = config.trials, config.seed
     labels = ("table2", f"s={s}", N, n)
     part, xi = _weights(n, N, s, TABLE2)
-    # per trial: F = xi Z / sqrt(n) from the scores alone, and the Gram
-    # F_k'F_k of each block's columns F_k, as in lfr.block_gram
-    grams = [[] for _ in part.blocks]
-    for t in range(trials):
-        F = _scores(n, N, derive_seed(master, *labels, t)) * xi / math.sqrt(n)
-        for block, sl in zip(grams, part.slices()):
-            block.append(F[:, sl].T @ F[:, sl])
-    # one batched eigvalsh per block; the trial's kappas summed in block order
-    sums = sum(_kappas(np.stack(block)) for block in grams)
+    # every trial's F = xi Z / sqrt(n), from the scores alone, in one stack
+    F = np.stack([_scores(n, N, derive_seed(master, *labels, t)) for t in range(trials)])
+    F *= xi
+    F /= math.sqrt(n)
+    # per block: the Grams F_k'F_k of its columns F_k over all trials in one
+    # batched matmul, as in lfr.block_gram, then one batched eigvalsh; the
+    # trial's kappas summed in block order
+    blocks = (F[:, :, sl] for sl in part.slices())
+    sums = sum(_kappas(Fk.swapaxes(1, 2) @ Fk) for Fk in blocks)
     finite = np.isfinite(sums)
     mean, n_singular = _mean(sums[finite]), int(np.count_nonzero(~finite))
     bound = ineq47_bound(s, N)

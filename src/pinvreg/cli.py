@@ -9,6 +9,7 @@ failure; errors print one JSON line on stderr.
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import numbers
@@ -72,6 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
                            **({"choices": kind} if isinstance(kind, tuple)
                               else {"type": _TYPES[kind]}))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parse_args reads it and never changes it
+    return build_parser()
 
 
 def _load_config_file(path: str) -> dict:
@@ -175,7 +182,7 @@ def _print_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return _dispatch(args)
     except NumericalError as exc:
         _print_error(exc)

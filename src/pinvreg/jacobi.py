@@ -61,12 +61,12 @@ class JacobiParams:
     def gamma_ab(self) -> float:
         # total mass of the weight, 2^(a+b+1) B(a+1, b+1), in log space; inf
         # past the float range, as eta_ab reads, and refused where the
-        # log-space terms cancelled its digits, as JacobiBasis refuses h_k
-        gamma, rounding = _norm_constant(self, 0)
-        if gamma < math.inf and rounding > _ROUNDING_LIMIT:
+        # log-space terms cancelled its digits, as JacobiBasis refuses h_k:
+        # there an exp overflow may stand for a finite mass
+        if _log_norm_constant(self, 0)[1] > _ROUNDING_LIMIT:
             raise ValueError(f"gamma_ab at alpha={self.alpha}, beta={self.beta} is not "
                              f"representable in floats")
-        return gamma
+        return _norm_constant(self, 0)[0]
 
 
 def omega_weight(params: JacobiParams, x):
@@ -89,10 +89,9 @@ def norm_constant(params: JacobiParams, k: int) -> float:
     return _norm_constant(params, k)[0]
 
 
-def _norm_constant(params: JacobiParams, k: int) -> tuple:
-    """h_k as the exp of a sum of log-space terms, and 2^-52 sum |terms|, the
-    rounding bound of that sum and so of h_k's relative error; both read inf
-    past the float range."""
+def _log_norm_constant(params: JacobiParams, k: int) -> tuple:
+    """log h_k as a sum of log-space terms, and 2^-52 sum |terms|, the rounding
+    bound of that sum; both read inf where a term passes the float range."""
     a, b = params.alpha, params.beta
     log2 = (a + b + 1.0) * math.log(2.0)
     try:
@@ -104,8 +103,17 @@ def _norm_constant(params: JacobiParams, k: int) -> tuple:
                      -math.lgamma(k + 1.0), -math.log(2.0 * k + a + b + 1.0),
                      -math.lgamma(k + a + b + 1.0))
         # added left to right, as written out in one expression
-        return (math.exp(reduce(add, terms)),
-                2.0**-52 * math.fsum(map(abs, terms)))
+        return reduce(add, terms), 2.0**-52 * math.fsum(map(abs, terms))
+    except OverflowError:
+        return math.inf, math.inf
+
+
+def _norm_constant(params: JacobiParams, k: int) -> tuple:
+    """h_k as the exp of its log-space sum, and that sum's rounding bound, which
+    bounds h_k's relative error; both read inf past the float range."""
+    log_h, rounding = _log_norm_constant(params, k)
+    try:
+        return math.exp(log_h), rounding
     except OverflowError:
         return math.inf, math.inf
 

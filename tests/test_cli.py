@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinvreg
-from pinvreg import bench
+from pinvreg import bench, cli
 from pinvreg.bench import COMMANDS, COMMON_KEYS, ExperimentConfig
 from pinvreg.cli import main
 from pinvreg.design import build_design, spectral_report
@@ -633,6 +633,31 @@ class TestUnreadKeys:
             "error": "ValidationError",
             "message": f"unrecognized arguments: {unread}"}
         assert not out.exists()
+
+
+class TestParserReuse:
+    def test_builds_one_parser_per_process(self, monkeypatch, capsys):
+        build, builds = cli.build_parser, []
+
+        def counting():
+            builds.append(None)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert main(["diagnose", "--format", "json"]) == 0
+        assert main(["table1", "--bogus"]) == 1
+        assert main(["diagnose", "--N", "1", "--n", "10"]) == 0
+        assert len(builds) == 1
+
+    def test_a_refused_call_leaves_the_next_output_alone(self, capsys):
+        assert main(["diagnose", "--format", "json"]) == 0
+        first = capsys.readouterr().out
+        assert main(["table1", "--bogus"]) == 1
+        assert one_error_line(capsys) == {
+            "error": "ValidationError", "message": "unrecognized arguments: --bogus"}
+        assert main(["diagnose", "--format", "json"]) == 0
+        assert capsys.readouterr().out == first
 
 
 def help_flags(capsys, command) -> dict:

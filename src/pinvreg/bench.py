@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import (DesignMatrix, _check_rows, _kappas, _mean, _trials, build_design,
+from .design import (DesignMatrix, _kappas, _mean, _trials, build_design,
                      mc_condition_number)
 from .errors import SingularBlockError, StabilityError, ValidationError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
@@ -503,14 +503,11 @@ def _table3_cell(config: ExperimentConfig, cell) -> list:
     xs = np.stack([sample_beta_on_I(params, n, derive_seed(master, *labels, t, "x"))
                    for t in range(trials)])
     f_xs = f(xs)      # one target evaluation over all trials' points
-    # one basis table over all trials' points: build_design(basis, xs[t])
-    _check_rows(n, basis)
-    tables = basis.table(xs.ravel()).reshape(trials, n, basis.size)
-    tables /= math.sqrt(n)
+    designs = build_design(basis, xs).matrix
 
     def trial(t):
         y = f_xs[t] + make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
-        model = fit(DesignMatrix(tables[t], basis), y)
+        model = fit(DesignMatrix(designs[t], basis), y)
         if not np.all(np.isfinite(y)):
             raise ValueError(f"sigma={sigma} puts a response past the float range")
         cv = cross_validate(
@@ -572,6 +569,7 @@ def run_table4(config: ExperimentConfig) -> ExperimentResult:
 
 def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:
     """Single-cell functional-regression simulation: per-trial E0/E2 rows."""
+    _require(config, "custom")
     trials, n, N, s, sigma = config.trials, config.n, config.N, config.s, config.sigma
     rows = []
     for t in range(trials):

@@ -2,8 +2,9 @@
 
 Subcommands: table1..table4 (benchmark sweeps), fit-series (CSV time-series
 pipeline), simulate-lfr (functional-regression simulation), diagnose (one-shot
-spectral report). Exit codes: 0 success, 1 validation error, 2 numerical
-failure; errors print one JSON line on stderr.
+spectral report). Exit codes: 0 success, 1 validation error, I/O error or an
+allocation that fails at once, 2 numerical failure; errors print one JSON line
+on stderr.
 """
 
 import argparse
@@ -187,10 +188,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _print_error(exc)
         return 2
-    except (ValidationError, ValueError) as exc:
-        _print_error(exc)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError, MemoryError) as exc:    # ValidationError too
         _print_error(exc)
         return 1
 

@@ -25,32 +25,32 @@ CHEBYSHEV_SHARP_M_SQ = 2.0 / math.pi  # sup of the normalized family squared
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """n x (N+1) matrix with entry (j, k) = wJ_k(X_j) / sqrt(n)."""
+    """n x (N+1) matrix with entry (j, k) = wJ_k(X_j) / sqrt(n), or a stack of
+    them, shape (trials, n, N+1)."""
 
     matrix: np.ndarray
     basis: JacobiBasis
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-2]
 
     def gram(self) -> np.ndarray:
-        return self.matrix.T @ self.matrix
+        return self.matrix.swapaxes(-1, -2) @ self.matrix
 
 
 def build_design(basis: JacobiBasis, samples) -> DesignMatrix:
+    """The design of n samples, or the stack of designs of (trials, n)
+    samples, from one basis table over all points."""
     points = np.asarray(samples, dtype=float)
-    n = len(points)
-    _check_rows(n, basis)
-    matrix = basis.table(points) / math.sqrt(n)
-    return DesignMatrix(matrix=matrix, basis=basis)
-
-
-def _check_rows(n: int, basis: JacobiBasis) -> None:
+    n = points.shape[-1]
     if n < basis.size:
         raise ValueError(
             f"underdetermined system: n={n} rows for {basis.size} basis columns"
         )
+    matrix = basis.table(points.ravel()).reshape(*points.shape, basis.size)
+    matrix /= math.sqrt(n)    # in place: the table is the largest array here
+    return DesignMatrix(matrix=matrix, basis=basis)
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,6 @@ def mc_condition_number(
     if transform not in (None, "standard_normal"):
         raise ValueError(f"unknown transform {transform!r}")
     basis = JacobiBasis(params, degree_max)
-    _check_rows(n, basis)
     tag = "direct" if transform is None else transform
     seeds = [derive_seed(master_seed, f"mc-{tag}", t) for t in range(trials)]
     if transform is None:
@@ -249,10 +248,6 @@ def mc_condition_number(
         from scipy.special import ndtr   # loaded only where the transform runs
         z = np.concatenate([derive_rng(seed).standard_normal(n) for seed in seeds])
         samples = cdf_transform(z, ndtr, params)
-    # one table over all trials' points; each trial's Gram A_t' A_t is the
-    # same syrk call on the same bytes as build_design(...).gram()
-    A = basis.table(samples).reshape(trials, n, basis.size)
-    A /= math.sqrt(n)         # in place: the table is the largest array here
-    kappas = _kappas(A.swapaxes(1, 2) @ A)
+    kappas = _kappas(build_design(basis, samples.reshape(trials, n)).gram())
     kappas = kappas[kappas != math.inf]
     return McSummary(kappas=np.sort(kappas), n_singular=trials - len(kappas))

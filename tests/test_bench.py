@@ -546,6 +546,10 @@ class TestRunLfrSim:
         cfg = ExperimentConfig(experiment="custom", trials=2, n=150, N=20, seed=8)
         assert run_lfr_sim(cfg).to_csv_text() == run_lfr_sim(cfg).to_csv_text()
 
+    def test_rejects_another_experiment(self):
+        with pytest.raises(ValidationError, match="runner expects 'custom'"):
+            run_lfr_sim(ExperimentConfig(experiment="table4", trials=1))
+
 
 class TestRunTimeseries:
     def test_plot_rows_and_diagnostics(self, tmp_path):

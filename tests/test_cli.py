@@ -548,6 +548,32 @@ class TestErrorPaths:
             "error": "ValidationError",
             "message": f"n must be > N, got n={n}, N=100000000000000000000000"}
 
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--n", "1000000000000"],                        # 7.28 TiB
+        ["table2", "--n", "100000", "--N", "50000", "--s", "1", "--trials", "1"],
+    ])
+    def test_failed_allocation_exits_one_in_a_process(self, tmp_path, argv):
+        # under a 3 GiB address-space limit the first large array fails at
+        # once; nothing here lets an allocation grow
+        resource = pytest.importorskip("resource")
+        limit = 3 * 1024 ** 3
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinvreg.cli", *argv], cwd=tmp_path, env=env,
+            preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert set(doc) == {"error", "message"} and "MemoryError" in doc["error"]
+
     @pytest.mark.parametrize("argv, message", [
         (["--ransac-subset", "0"], "ransac_subset must be > N, got ransac_subset=0, N=40"),
         (["--ransac-subset", "341"],

@@ -23,6 +23,8 @@ class TestBuildDesign:
         basis = JacobiBasis(JacobiParams(0.0, 0.0), 5)
         with pytest.raises(ValueError, match="underdetermined"):
             build_design(basis, np.linspace(-0.9, 0.9, 4))
+        with pytest.raises(ValueError, match="underdetermined"):   # 7 trials of 4
+            build_design(basis, np.zeros((7, 4)))
 
     def test_scaling(self):
         basis = JacobiBasis(JacobiParams(0.0, 0.0), 2)
@@ -41,6 +43,20 @@ class TestBuildDesign:
         basis = JacobiBasis(JacobiParams(0.5, 0.0), 2)
         d = build_design(basis, np.linspace(-0.5, 0.5, 9))
         assert_allclose(d.gram(), d.matrix.T @ d.matrix, rtol=1e-15)
+
+    @pytest.mark.parametrize("alpha, beta, N, n", [
+        (-0.5, -0.5, 5, 25), (0.5, 0.0, 10, 40), (2.0, -0.3, 30, 100)])
+    def test_stack_matches_per_trial_designs(self, alpha, beta, N, n):
+        params = JacobiParams(alpha, beta)
+        basis = JacobiBasis(params, N)
+        xs = np.stack([sample_beta_on_I(params, n, seed=t) for t in range(7)])
+        stack = build_design(basis, xs)
+        assert stack.n == n and stack.matrix.shape == (7, n, N + 1)
+        grams = stack.gram()
+        for t in range(7):
+            single = build_design(basis, xs[t])
+            np.testing.assert_array_equal(stack.matrix[t], single.matrix)
+            np.testing.assert_array_equal(grams[t], single.gram())
 
     def test_gram_expectation_is_identity_over_gamma(self):
         # the population Gram of the omega-orthonormal system under the

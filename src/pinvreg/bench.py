@@ -16,7 +16,7 @@ import operator
 import os
 import time
 import warnings
-from dataclasses import MISSING, InitVar, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -130,10 +130,10 @@ COMMANDS = {
                           rules=("n > N", "ransac_subset > N", "ransac_subset <= n")),
     "simulate-lfr": Command("custom", {"trials": 1, "n": 300, "N": 50, "s": 2.0,
                                        "sigma": 0.5, "variant": EXAMPLE3}),
-    "diagnose": Command("custom", {"alpha": -0.5, "beta": None, "N": 5, "n": 25},
+    "diagnose": Command("diagnose", {"alpha": -0.5, "beta": None, "N": 5, "n": 25},
                         rules=("n > N",)),
 }
-EXPERIMENTS = tuple(dict.fromkeys(c.experiment for c in COMMANDS.values()))
+EXPERIMENTS = tuple(c.experiment for c in COMMANDS.values())
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
@@ -151,15 +151,10 @@ class ExperimentConfig:
     """Resolved knobs for one experiment run; unknown keys are rejected.
 
     Construction checks the kind and range of each key that is set, rejects
-    any key that `command` does not read (default: the first command of the
-    experiment, simulate-lfr for "custom"), fills its paper defaults and sets
-    beta to alpha if unset. Keys left None are unread, or derived per cell or
-    in the library: sweep keys of a sweep, table3's bandwidth (each cell's N),
-    ransac_subset and truncation (no clamp).
-
-    `command` is not stored, so `dataclasses.replace` resolves the config
-    again as the experiment's first command: pass `command=` to `replace`
-    for any other command, e.g. `replace(cfg, seed=1, command="diagnose")`.
+    any key that the experiment's command does not read, fills its paper
+    defaults and sets beta to alpha if unset. Keys left None are unread, or
+    derived per cell or in the library: sweep keys of a sweep, table3's
+    bandwidth (each cell's N), ransac_subset and truncation (no clamp).
     """
 
     experiment: str = _key(EXPERIMENTS, default=MISSING)
@@ -186,22 +181,15 @@ class ExperimentConfig:
     location: str | None = _key(str, help="location filter")
     start: str | None = _key(str, help="first date, ISO-8601")
     end: str | None = _key(str, help="last date, ISO-8601")
-    command: InitVar[str | None] = None
 
-    def __post_init__(self, command):
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 setattr(self, f.name, _checked(f.name, value, f.metadata["kind"],
                                                f.metadata["rule"]))
-        if command is None:
-            command = next(c for c, spec in COMMANDS.items()
-                           if spec.experiment == self.experiment)
-        spec = COMMANDS.get(command)
-        if spec is None or spec.experiment != self.experiment:
-            raise ValidationError(
-                f"command {command!r} does not run experiment {self.experiment!r}"
-            )
+        command, spec = next((c, spec) for c, spec in COMMANDS.items()
+                             if spec.experiment == self.experiment)
         unread = [f.name for f in fields(self) if getattr(self, f.name) is not None
                   and f.name not in spec.keys and f.name not in COMMON_KEYS]
         if unread:
@@ -215,14 +203,14 @@ class ExperimentConfig:
         _check_rules(spec.rules, [self.to_dict()])
 
     @classmethod
-    def from_dict(cls, d: dict, command: str | None = None) -> "ExperimentConfig":
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
             raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
         if "experiment" not in d:
             raise ValidationError("config requires an 'experiment' key")
-        return cls(**d, command=command)
+        return cls(**d)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -258,22 +258,36 @@ def save_model(model: NpregModel, path) -> None:
         fh.write(text + "\n")
 
 
+# the JSON types of each key save_model writes (a bool is no int)
+_REAL = (int, float)
+_MODEL_KEYS = {"alpha": _REAL, "beta": _REAL, "degree_max": (int,), "domain": (str,),
+               "coeffs": (list,), "truncation_level": (*_REAL, type(None)),
+               "n_samples": (int,)}
+
+
 def load_model(path) -> NpregModel:
-    """The model save_model wrote; truncation_level and n_samples may be
-    left out. A ValueError where the coefficients do not fit the basis or
-    are not finite."""
+    """The model save_model wrote; truncation_level (null: no clamp) and
+    n_samples may be left out. A ValueError naming the key where a key is
+    missing or of the wrong JSON type, n_samples is negative, or the
+    coefficients do not fit the basis or are not finite."""
+    # NaN, Infinity and an int past the float range load as strings, which
+    # the type checks refuse by key
     with open(path) as fh:
-        d = json.load(fh)
+        d = json.load(fh, parse_constant=str,
+                      parse_int=lambda s: int(s) if abs(float(s)) < math.inf else s)
+    if not isinstance(d, dict):
+        raise ValueError(f"a model file holds a JSON object, not {type(d).__name__}")
+    d = {"truncation_level": None, "n_samples": 0} | d
+    for key, types in _MODEL_KEYS.items():
+        if type(d.get(key)) not in types or key == "n_samples" and d[key] < 0:
+            raise ValueError(f"model key {key!r} is missing or invalid: {d.get(key)!r}")
+    # an entry that is no number counts as not finite; the count is checked
+    # before the basis is built, so degree_max cannot outgrow the file
+    coeffs = np.array([c if type(c) in _REAL else math.nan for c in d["coeffs"]], float)
+    size = d["degree_max"] + 1
+    if coeffs.shape != (size,) or not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"coeffs must be {size} finite values (degree_max + 1), "
+                         f"got shape {coeffs.shape}")
     basis = JacobiBasis(JacobiParams(d["alpha"], d["beta"]), d["degree_max"], d["domain"])
-    coeffs = np.array(d["coeffs"], dtype=float)
-    if coeffs.shape != (basis.size,) or not np.all(np.isfinite(coeffs)):
-        raise ValueError(
-            f"coeffs must be {basis.size} finite values (degree_max + 1), "
-            f"got shape {coeffs.shape}"
-        )
-    return NpregModel(
-        coeffs=coeffs,
-        basis=basis,
-        truncation_level=d.get("truncation_level"),
-        n_samples=d.get("n_samples", 0),
-    )
+    return NpregModel(coeffs=coeffs, basis=basis, truncation_level=d["truncation_level"],
+                      n_samples=d["n_samples"])

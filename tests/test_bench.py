@@ -48,10 +48,10 @@ def write_series_csv(path, m=60, location="X"):
 
 
 def command_reading(key):
-    """(experiment, command) of a command that reads `key`: table3 reads all
-    the checked keys but fit-series' robust-fit and clamp keys."""
+    """The experiment of a command that reads `key`: table3 reads all the
+    checked keys but fit-series' robust-fit and clamp keys."""
     command = "fit-series" if key.startswith(("ransac", "truncation")) else "table3"
-    return COMMANDS[command].experiment, command
+    return COMMANDS[command].experiment
 
 
 class TestExperimentConfig:
@@ -92,9 +92,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("name", ["alpha", "beta", "s", "sigma", "truncation", "bandwidth"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_knobs(self, name, bad):
-        experiment, command = command_reading(name)
+        experiment = command_reading(name)
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
-            ExperimentConfig(experiment=experiment, command=command, **{name: bad})
+            ExperimentConfig(experiment=experiment, **{name: bad})
 
     @pytest.mark.parametrize("key, bad", [
         ("trials", "5"), ("N", 2.5), ("n", True), ("seed", 1.5), ("seed", None),
@@ -104,9 +104,9 @@ class TestExperimentConfig:
         ("lambda_grid", 5), ("lambda_grid", ["1e-3", "0.1"]), ("lambda_grid", [True, 0.1]),
     ])
     def test_rejects_wrong_types(self, key, bad):
-        experiment, command = command_reading(key)
+        experiment = command_reading(key)
         with pytest.raises(ValidationError, match=f"{key} must be"):
-            ExperimentConfig.from_dict({"experiment": experiment, key: bad}, command)
+            ExperimentConfig.from_dict({"experiment": experiment, key: bad})
 
     @pytest.mark.parametrize("key, bad, rule", [
         ("N", -1, ">= 0"), ("n", 0, ">= 1"), ("trials", 0, ">= 1"), ("seed", -1, ">= 0"),
@@ -115,13 +115,13 @@ class TestExperimentConfig:
         ("truncation", 0.0, "> 0"), ("bandwidth", -3.0, "> 0"),
     ])
     def test_range_rules(self, key, bad, rule):
-        experiment, command = command_reading(key)
+        experiment = command_reading(key)
         with pytest.raises(ValidationError, match=f"^{key} must be {rule}, got {bad}$"):
-            ExperimentConfig.from_dict({"experiment": experiment, key: bad}, command)
+            ExperimentConfig.from_dict({"experiment": experiment, key: bad})
 
     def test_resolves_each_commands_defaults(self):
         lfr = ExperimentConfig(experiment="custom")
-        diagnose = ExperimentConfig(experiment="custom", command="diagnose")
+        diagnose = ExperimentConfig(experiment="diagnose")
         assert (lfr.n, lfr.N, lfr.trials, lfr.variant) == (300, 50, 1, "example3")
         assert (diagnose.n, diagnose.N, diagnose.trials) == (25, 5, None)
         assert diagnose.alpha == diagnose.beta == -0.5
@@ -136,16 +136,23 @@ class TestExperimentConfig:
         cell = ExperimentConfig(experiment="table3", sigma=0.05)
         assert (cell.sigma, cell.s, cell.N, cell.bandwidth) == (0.05, 1.0, 10, None)
 
-    def test_command_must_run_the_experiment(self):
-        for command in ("diagnose", "table9"):
-            with pytest.raises(ValidationError, match=f"{command}' does not run"):
-                ExperimentConfig(experiment="table1", command=command)
-
     def test_every_command_has_valid_defaults(self):
         # defaults are filled in unchecked, so pass them as if set by hand
-        for command, spec in COMMANDS.items():
-            ExperimentConfig(experiment=spec.experiment, command=command,
+        for spec in COMMANDS.values():
+            ExperimentConfig(experiment=spec.experiment,
                              **{k: v for k, v in spec.keys.items() if v is not None})
+
+    def test_each_experiment_names_one_command(self):
+        assert len(bench.EXPERIMENTS) == len(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_config_survives_round_trip_and_replace(self, command):
+        spec = COMMANDS[command]
+        cfg = ExperimentConfig(experiment=spec.experiment)
+        read = set(spec.keys) | set(bench.COMMON_KEYS)
+        assert {k for k, v in cfg.to_dict().items() if v is not None} <= read
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert dataclasses.replace(cfg, seed=3).to_dict() == cfg.to_dict() | {"seed": 3}
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
                              ids=lambda f: f.name)
@@ -173,8 +180,7 @@ class TestExperimentConfig:
     ])
     def test_cross_key_rules(self, command, keys, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            ExperimentConfig(experiment=COMMANDS[command].experiment, command=command,
-                             **keys)
+            ExperimentConfig(experiment=COMMANDS[command].experiment, **keys)
 
     def test_sweep_cells_are_held_to_the_rules(self):
         # table3's sweep leaves N unset in the config; its cells run N = 10..30
@@ -194,12 +200,9 @@ class TestExperimentConfig:
         assert ExperimentConfig(experiment="table3", n=5).N is None
         assert ExperimentConfig(experiment="covid", n=41).ransac_subset is None
 
-    def test_replace_needs_the_command(self):
-        cfg = ExperimentConfig(experiment="custom", command="diagnose", alpha=1.0)
-        again = dataclasses.replace(cfg, seed=1, command="diagnose")
-        assert again.to_dict() == cfg.to_dict() | {"seed": 1}
-        with pytest.raises(ValidationError, match="^simulate-lfr does not read alpha"):
-            dataclasses.replace(cfg, seed=1)
+    def test_replace_keeps_the_command(self):
+        cfg = ExperimentConfig(experiment="diagnose", alpha=1.0)
+        assert dataclasses.replace(cfg, seed=1).to_dict() == cfg.to_dict() | {"seed": 1}
 
 
 class TestExperimentResult:
@@ -547,8 +550,9 @@ class TestRunLfrSim:
         assert run_lfr_sim(cfg).to_csv_text() == run_lfr_sim(cfg).to_csv_text()
 
     def test_rejects_another_experiment(self):
-        with pytest.raises(ValidationError, match="runner expects 'custom'"):
-            run_lfr_sim(ExperimentConfig(experiment="table4", trials=1))
+        for experiment in ("table4", "diagnose"):
+            with pytest.raises(ValidationError, match="runner expects 'custom'"):
+                run_lfr_sim(ExperimentConfig(experiment=experiment))
 
 
 class TestRunTimeseries:

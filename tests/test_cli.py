@@ -168,6 +168,17 @@ class TestBenchmarkCommands:
         assert echo["N"] == 4           # file beats default
         assert "out" not in echo
 
+    def test_subcommand_wins_over_the_config_experiment(self, tmp_path, capsys):
+        # diagnose ran the experiment "custom" before it had its own
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "custom", "n": 30}))
+        assert main(["diagnose", "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["diagnose", "--n", "30"]) == 0
+        assert from_file == capsys.readouterr().out
+        cfg.write_text(json.dumps({"experiment": "diagnose"}))
+        assert main(["simulate-lfr", "--config", str(cfg)]) == 0
+
 
 class TestDiagnose:
     def test_text_payload_matches_library(self, capsys):
@@ -640,7 +651,7 @@ class TestUnreadKeys:
     def test_as_a_config_argument(self, command, key):
         experiment = COMMANDS[command].experiment
         with pytest.raises(ValidationError, match=f"^{command} does not read {key}$"):
-            ExperimentConfig(experiment=experiment, command=command, **{key: VALID[key]})
+            ExperimentConfig(experiment=experiment, **{key: VALID[key]})
 
     @pytest.mark.parametrize("argv, unread", [
         (["table2", "--alpha", "3", "--sigma", "9", "--trials", "1"],

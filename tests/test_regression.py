@@ -146,12 +146,44 @@ class TestSerialization:
         back = load_model(path)
         assert back.truncation_level is None and back.n_samples == 0
 
-    @pytest.mark.parametrize("coeffs", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 0.0]])
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 0.0],
+        [{}, 2.0, 3.0], ["1", "2", "3"], [10**400, 0, 0]])
     def test_rejects_bad_coeffs_at_load(self, tmp_path, coeffs):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"alpha": 0.0, "beta": 0.0, "degree_max": 2,
                                     "domain": "symmetric", "coeffs": coeffs}))
         with pytest.raises(ValueError, match="coeffs"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, text", [
+        ("degree_max", '"degree_max": 2.0'), ("alpha", None), ("alpha", '"alpha": "0"'),
+        ("object", None), ("truncation_level", '"truncation_level": "x"'),
+        ("truncation_level", '"truncation_level": NaN'), ("alpha", f'"alpha": {10**400}'),
+    ], ids=["float-degree", "no-alpha", "string-alpha", "array", "string-clamp",
+            "nan-clamp", "huge-int-alpha"])
+    def test_rejects_a_malformed_file_at_load(self, tmp_path, key, text):
+        basis = JacobiBasis(PARAMS, 2)
+        s = sample_beta_on_I(PARAMS, 20, seed=6)
+        path = tmp_path / "model.json"
+        save_model(fit(build_design(basis, s), s), path)
+        d = json.loads(path.read_text())
+        if key == "object":
+            path.write_text("[1, 2]")
+        else:           # one key dropped, then written back by hand if given
+            d.pop(key)
+            body = json.dumps(d)
+            path.write_text(body if text is None else f"{body[:-1]}, {text}}}")
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
+
+    def test_counts_coeffs_before_building_the_basis(self, tmp_path, monkeypatch):
+        # a basis of degree 10**11 would fill memory before the count check
+        monkeypatch.setattr("pinvreg.regression.JacobiBasis", None)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"alpha": 0.0, "beta": 0.0, "degree_max": 10**11,
+                                    "domain": "symmetric", "coeffs": [1.0, 2.0, 3.0]}))
+        with pytest.raises(ValueError, match="^coeffs must be 100000000001 finite"):
             load_model(path)
 
     def test_save_is_strict_json(self, tmp_path):

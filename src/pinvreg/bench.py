@@ -1,6 +1,6 @@
 """Seeded experiment harness: condition-number sweeps, regression benchmarks,
-functional-regression error tables, and the time-series pipeline, all emitted
-as config-stamped CSV or JSON files.
+functional-regression error tables, the one-design spectral diagnosis and the
+time-series pipeline, all emitted as config-stamped CSV or JSON files.
 
 Every runner is a pure function of (config, seed): rows are reproduced
 byte-identically across reruns. Each cell of a sweep owns a derived seed, and
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import (DesignMatrix, _kappas, _mean, _trials, build_design,
-                     mc_condition_number)
+                     mc_condition_number, spectral_report, theory_bounds)
 from .errors import SingularBlockError, StabilityError, ValidationError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
 from .krr import DEFAULT_LAMBDA_GRID, cross_validate, krr_fit
@@ -49,6 +49,7 @@ __all__ = [
     "run_table4",
     "run_timeseries",
     "run_lfr_sim",
+    "run_diagnose",
     "timing_comparison",
     "COMMANDS",
     "COMMON_KEYS",
@@ -289,7 +290,7 @@ class ExperimentResult:
 
     def to_json_text(self) -> str:
         """Strict RFC 8259 JSON: non-finite floats are written as their repr
-        strings ("inf", "nan"), as `diagnose` does."""
+        strings ("inf", "nan"), and None values are left out of each row."""
         rows = [{k: v for k, v in row.items() if v is not None} for row in self.rows]
         doc = _jsonable({"config": self.config, "rows": rows})
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -572,6 +573,26 @@ def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:
             continue
         rows += [base | {"metric": m, "value": v} for m, v in zip(_LFR_METRICS, values)]
     return ExperimentResult(config=_echo(config), rows=rows)
+
+
+def run_diagnose(config: ExperimentConfig) -> ExperimentResult:
+    """One row: the spectral report of one random design's Gram and, at
+    N >= 2, the printed stability condition and bounds."""
+    _require(config, "diagnose")
+    alpha, beta, N, n = config.alpha, config.beta, config.N, config.n
+    params = JacobiParams(alpha, beta)
+    basis = JacobiBasis(params, N)      # refuses an unrepresentable basis first
+    samples = sample_beta_on_I(params, n, config.seed)
+    report = spectral_report(build_design(basis, samples).gram())
+    # condition1_satisfied is preset so that an N < 2 row keeps its column
+    row = {"alpha": alpha, "beta": beta, "N": N, "n": n, "seed": config.seed,
+           "lambda_min": report.lambda_min, "lambda_max": report.lambda_max,
+           "kappa2": report.kappa2, "condition1_satisfied": None}
+    if N >= 2:
+        tb = theory_bounds(params, n, N)
+        row |= {"condition1_satisfied": tb.condition1_ok, "L_N": tb.L_N,
+                "kappa_bound_delta=0.1": tb.kappa_bound(0.1)}
+    return ExperimentResult(config=_echo(config), rows=[row], columns=tuple(row))
 
 
 def run_timeseries(config: ExperimentConfig):

@@ -2,27 +2,23 @@
 
 Subcommands: table1..table4 (benchmark sweeps), fit-series (CSV time-series
 pipeline), simulate-lfr (functional-regression simulation), diagnose (one-shot
-spectral report). Exit codes: 0 success, 1 validation error, I/O error or an
-allocation that fails at once, 2 numerical failure; errors print one JSON line
-on stderr.
+spectral report). Each command's runner in `bench` returns an ExperimentResult,
+written as config-stamped CSV or JSON. Exit codes: 0 success, 1 validation
+error, I/O error or an allocation that fails at once, 2 numerical failure;
+errors print one JSON line on stderr.
 """
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import numbers
 import sys
 from pathlib import Path
 
 from . import bench
-from .design import build_design, spectral_report, theory_bounds
 from .errors import NumericalError, ValidationError
-from .jacobi import JacobiBasis, JacobiParams
 from .regression import save_model
-from .sampling import sample_beta_on_I
 
 __all__ = ["main", "build_parser"]
 
@@ -113,50 +109,9 @@ def _emit(result: bench.ExperimentResult, config) -> None:
         sys.stdout.write(result.render(fmt))
 
 
-def _run_diagnose(config) -> int:
-    alpha, beta, N, n = config.alpha, config.beta, config.N, config.n
-    params = JacobiParams(alpha, beta)
-    basis = JacobiBasis(params, N)      # refuses an unrepresentable basis first
-    samples = sample_beta_on_I(params, n, config.seed)
-    report = spectral_report(build_design(basis, samples).gram())
-    payload = {
-        "alpha": alpha,
-        "beta": beta,
-        "N": N,
-        "n": n,
-        "seed": config.seed,
-        "lambda_min": report.lambda_min,
-        "lambda_max": report.lambda_max,
-        "kappa2": report.kappa2,
-    }
-    if N >= 2:
-        tb = theory_bounds(params, n, N)
-        payload["condition1_satisfied"] = tb.condition1_ok
-        payload["L_N"] = tb.L_N
-        payload["kappa_bound_delta=0.1"] = tb.kappa_bound(0.1)
-    else:
-        payload["condition1_satisfied"] = None
-    payload = bench._jsonable(payload)         # non-finite values as "inf"/"nan"
-    if config.format == "json":
-        text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
-    else:                                       # one header row, one value row
-        buf = io.StringIO()
-        csv.writer(buf).writerows((payload.keys(), payload.values()))
-        text = buf.getvalue()
-    if config.out:
-        with open(config.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {config.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _dispatch(args) -> int:
     config = _build_config(args)
     command = args.command
-    if command == "diagnose":
-        return _run_diagnose(config)
     if command == "fit-series":
         result, series = bench.run_timeseries(config)
     else:       # looked up per call, so a runner patched on bench is the one run

@@ -91,9 +91,10 @@ def ransac_fit(
     Each iteration draws subset_size points (default ceil(0.57 * n)) without
     replacement, fits, and scores by mean squared prediction error over the
     scoring set (default: all of x, y). Near-singular iterations are skipped;
-    if every one fails a RobustFitError is raised. The basis is evaluated once
-    for x and once for a separate scoring set; iterations slice rows of those
-    tables, which the result keeps.
+    if every one fails a RobustFitError is raised, and a score past the float
+    range raises a ValueError. The basis is evaluated once for x and once for
+    a separate scoring set; iterations slice rows of those tables, which the
+    result keeps.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -116,7 +117,11 @@ def ransac_fit(
         rng = derive_rng(seed, "ransac", it)
         idx = np.sort(rng.choice(n, size=subset_size, replace=False))
         model = fit(DesignMatrix(table[idx] / math.sqrt(subset_size), basis), y[idx])
-        return float(np.mean((score_table @ model.coeffs - ys) ** 2)), it, model
+        with np.errstate(over="ignore", invalid="ignore"):      # refused below
+            score = _mean((score_table @ model.coeffs - ys) ** 2)
+        if not math.isfinite(score):
+            raise ValueError(f"iteration {it}'s robust-fit score passes the float range")
+        return score, it, model
 
     n_failed, fits = _trials(iterations, attempt, StabilityError)
     if not fits:

@@ -20,6 +20,7 @@ from pinvreg.bench import (
     TABLE3_SWEEP,
     ExperimentConfig,
     ExperimentResult,
+    run_diagnose,
     run_lfr_sim,
     run_table1,
     run_table2,
@@ -29,11 +30,11 @@ from pinvreg.bench import (
     timing_comparison,
 )
 from pinvreg.cli import main
-from pinvreg.design import spectral_report
+from pinvreg.design import build_design, spectral_report, theory_bounds
 from pinvreg.errors import RegularizationError, ValidationError
-from pinvreg.jacobi import JacobiBasis
+from pinvreg.jacobi import JacobiBasis, JacobiParams
 from pinvreg.lfr import TABLE2, block_gram, ineq47_bound, simulate_problem
-from pinvreg.sampling import derive_seed
+from pinvreg.sampling import derive_seed, sample_beta_on_I
 
 
 def write_series_csv(path, m=60, location="X"):
@@ -553,6 +554,26 @@ class TestRunLfrSim:
         for experiment in ("table4", "diagnose"):
             with pytest.raises(ValidationError, match="runner expects 'custom'"):
                 run_lfr_sim(ExperimentConfig(experiment=experiment))
+
+
+class TestRunDiagnose:
+    def test_row_matches_library(self):
+        res = run_diagnose(ExperimentConfig(experiment="diagnose", seed=7))
+        params = JacobiParams(-0.5, -0.5)
+        samples = sample_beta_on_I(params, 25, 7)
+        report = spectral_report(build_design(JacobiBasis(params, 5), samples).gram())
+        tb = theory_bounds(params, 25, 5)
+        assert res.rows == [{
+            "alpha": -0.5, "beta": -0.5, "N": 5, "n": 25, "seed": 7,
+            "lambda_min": report.lambda_min, "lambda_max": report.lambda_max,
+            "kappa2": report.kappa2, "condition1_satisfied": tb.condition1_ok,
+            "L_N": tb.L_N, "kappa_bound_delta=0.1": tb.kappa_bound(0.1)}]
+        assert res.columns == tuple(res.rows[0])
+        assert res.config["experiment"] == "diagnose"
+
+    def test_rejects_another_experiment(self):
+        with pytest.raises(ValidationError, match="runner expects 'diagnose'"):
+            run_diagnose(ExperimentConfig(experiment="table1"))
 
 
 class TestRunTimeseries:

@@ -180,12 +180,42 @@ class TestBenchmarkCommands:
         assert main(["simulate-lfr", "--config", str(cfg)]) == 0
 
 
+def diagnose_row(capsys) -> dict:
+    """The one row of a diagnose run that wrote JSON to stdout."""
+    return json.loads(capsys.readouterr().out)["rows"][0]
+
+
+# a short run of each command that writes CSV to stdout
+SMALL_RUNS = {
+    "table1": ["--trials", "1", "--N", "2", "--n", "15"],
+    "table2": ["--trials", "1", "--N", "20", "--n", "100"],
+    "table3": ["--trials", "1", "--N", "10", "--n", "30"],
+    "table4": ["--trials", "1", "--s", "1.5", "--n", "100"],
+    "fit-series": ["--n", "40", "--N", "5"],
+    "simulate-lfr": ["--n", "150", "--N", "20"],
+    "diagnose": [],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_echoes_its_config(capsys, series_csv, command):
+    argv = [command] + SMALL_RUNS[command]
+    if command == "fit-series":
+        argv += ["--csv", str(series_csv)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.split("\r\n", 1)[0]
+    assert first.startswith("# config ")
+    echo = json.loads(first[len("# config "):], parse_constant=reject_constant)
+    assert echo["experiment"] == COMMANDS[command].experiment
+
+
 class TestDiagnose:
     def test_text_payload_matches_library(self, capsys):
         code = main(["diagnose", "--alpha", "-0.5", "--beta", "-0.5",
                      "--N", "5", "--n", "25", "--seed", "7"])
         assert code == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out, newline="")))
+        body = capsys.readouterr().out.partition("\r\n")[2]    # past the echo
+        rows = list(csv.DictReader(io.StringIO(body, newline="")))
         assert len(rows) == 1
         lines = rows[0]
         params = JacobiParams(-0.5, -0.5)
@@ -199,7 +229,7 @@ class TestDiagnose:
     def test_json_format(self, capsys):
         code = main(["diagnose", "--seed", "3", "--format", "json"])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = diagnose_row(capsys)
         assert doc["N"] == 5 and doc["n"] == 25 and doc["seed"] == 3
         assert "kappa_bound_delta=0.1" in doc
 
@@ -207,7 +237,9 @@ class TestDiagnose:
         out = tmp_path / "diag.csv"
         code = main(["diagnose", "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().out == f"wrote {out} (1 rows)\n"
         with open(out, newline="", encoding="utf-8") as fh:
+            assert fh.readline().startswith("# config ")
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert float(rows[0]["kappa2"]) >= 1.0
@@ -216,7 +248,7 @@ class TestDiagnose:
     def test_overflowing_constant_reads_inf(self, capsys):
         # eta_{53,53}^2 passes the float range: the bounds are vacuous
         assert main(["diagnose", "--alpha", "53", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = diagnose_row(capsys)
         assert doc["L_N"] == "inf" and doc["kappa_bound_delta=0.1"] == "inf"
         assert doc["condition1_satisfied"] is False
         assert 1.0 <= doc["kappa2"] < math.inf
@@ -224,16 +256,21 @@ class TestDiagnose:
     def test_overflowing_power_reads_inf(self, capsys):
         # (N+1)^(2 mu + 2) at mu = 198 passes the float range
         assert main(["diagnose", "--alpha", "198", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = diagnose_row(capsys)
         assert doc["L_N"] == "inf" and doc["kappa_bound_delta=0.1"] == "inf"
         assert doc["condition1_satisfied"] is False
 
     def test_low_degree_skips_theory(self, capsys):
         code = main(["diagnose", "--N", "1", "--n", "10", "--format", "json"])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["condition1_satisfied"] is None
+        doc = diagnose_row(capsys)
+        assert "condition1_satisfied" not in doc     # JSON rows drop None
         assert "L_N" not in doc
+        # the CSV keeps the column, empty
+        assert main(["diagnose", "--N", "1", "--n", "10"]) == 0
+        header, values = capsys.readouterr().out.splitlines()[1:]
+        assert header.split(",")[-1] == "condition1_satisfied"
+        assert values.endswith(",")
 
 
 class TestFitSeries:
@@ -277,6 +314,24 @@ class TestErrorPaths:
         doc = json.loads(err)
         assert doc["error"] == "ValidationError"
         assert "Nowhere" in doc["message"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_score_exits_one_before_writing(self, tmp_path, capsys):
+        # each squared residual passes the float range: every robust-fit
+        # score read inf, so iteration 0 won and the echo held Infinity
+        series = tmp_path / "big.csv"
+        with open(series, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["date", "location", "new_cases"])
+            for d in range(400):
+                day = (BASE + datetime.timedelta(days=d)).isoformat()
+                w.writerow([day, "X", repr(1e200 * (1 + 7 * d % 13))])
+        out = tmp_path / "fit.csv"
+        assert main(["fit-series", "--csv", str(series), "--out", str(out)]) == 1
+        doc = one_error_line(capsys)
+        assert doc["error"] == "ValueError"
+        assert "float range" in doc["message"]
+        assert list(tmp_path.iterdir()) == [series]
 
     def test_non_finite_truncation_exits_one_before_writing(
         self, tmp_path, series_csv, capsys
@@ -427,6 +482,14 @@ class TestErrorPaths:
         cfg.write_text("{not json")
         assert main(["table1", "--config", str(cfg)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+    def test_non_object_config_file_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["table1", "--config", str(cfg)]) == 1
+        assert one_error_line(capsys) == {
+            "error": "ValidationError",
+            "message": f"config file {cfg}: expected a JSON object"}
 
     def test_unrecognized_flag_exits_one(self, capsys):
         assert main(["table1", "--badflag", "3"]) == 1

@@ -150,6 +150,15 @@ class TestRepresentableBasis:
         with pytest.raises(ValueError, match="not representable"):
             JacobiBasis(JacobiParams(a, b), N)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda p: norm_constant(p, -1), "degree must be >= 0, got -1"),
+        (lambda p: JacobiBasis(p, -1), "degree_max must be >= 0, got -1"),
+        (lambda p: JacobiBasis(p, 3, "disc"), "unknown domain 'disc'"),
+    ], ids=["norm_constant", "degree_max", "domain"])
+    def test_rejects_bad_arguments(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(JacobiParams(0.0, 0.0))
+
     @pytest.mark.filterwarnings("error")
     def test_large_symmetric_exponents_still_build(self):
         basis = JacobiBasis(JacobiParams(1e5, 1e5), 40)

@@ -14,6 +14,7 @@ import math
 import numbers
 import operator
 import os
+import pickle
 import time
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -352,44 +353,64 @@ def _cells(config: ExperimentConfig, command: str, sweep) -> list:
 _warm = set()
 
 
-def _sweep(config: ExperimentConfig, cell, cells: list, forked: bool) -> ExperimentResult:
+def _sweep(config: ExperimentConfig, cell, cells: list) -> ExperimentResult:
     """The config's result: the rows of cell(config, c) over the cells, in
     cell order.
 
     On the first sweep of a cell function in this process, its first cell
     runs here: that loads the lazy scipy imports and fills the caches before
-    any fork, and the function is warm once the cell returns. Where forked
-    is set, the other cells (all of them, once warm) run on up to one forked
-    worker per usable CPU, one cell at a time; each worker gets the
-    module-level cell by name and each (config, c) pickled. Each cell
-    derives its own seeds, so the rows do not depend on where or in what
-    order the cells run. Every cell runs here where forked is not set, fewer
-    than two workers would run or the platform cannot fork."""
+    any fork, and the function is warm once the cell returns. The other cells
+    (all of them, once warm) are dealt k ways, k at most the usable CPUs:
+    share 0 runs here and share i in forked child i, which pickles its rows
+    or its error into its own pipe. A child's error is raised here, a child
+    that dies is an OSError, and none outlives the sweep. Each cell derives
+    its own seeds, so its rows do not depend on where it runs. Every cell
+    runs here where k < 2 or the platform cannot fork."""
     parts = []
     if cell not in _warm:
         parts.append(cell(config, cells[0]))
         _warm.add(cell)
-    rest = [(config, c) for c in cells[len(parts):]]
+    rest = cells[len(parts):]
     # no sched_getaffinity (macOS, Windows): no fork that is safe to use
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(len(rest), cpus)
-    if forked and k >= 2:
-        import multiprocessing   # with its pool, ~20 ms of import: only if used
-        if "fork" in multiprocessing.get_all_start_methods():
+    k = max(1, min(len(rest), cpus))
+    children = []     # (pid, the read end of its pipe)
+    try:
+        for i in range(1, k):
+            import signal
+            read, write = os.pipe()
             with warnings.catch_warnings():
-                # Python >= 3.12 warns on a fork of any process with threads;
-                # BLAS shuts its threads down across a fork
+                # Python >= 3.12 warns on a threaded fork; BLAS stops its threads across it
                 warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                         DeprecationWarning)
-                pool = multiprocessing.get_context("fork").Pool(k)
-            with pool:      # terminated on an error
-                parts += pool.starmap(cell, rest, chunksize=1)
-                pool.close()
-                pool.join()
-            rest = []       # every cell has run
-    parts += [cell(*args) for args in rest]
-    rows = [row for part in parts for row in part]
-    return ExperimentResult(config=_echo(config), rows=rows)
+                pid = os.fork()
+            if pid == 0:    # the child: it leaves only through os._exit
+                try:
+                    with open(write, "wb") as fh:
+                        try:
+                            out = [cell(config, c) for c in rest[i::k]]
+                        except BaseException as exc:
+                            out = exc
+                        pickle.dump(out, fh)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        shares = [[cell(config, c) for c in rest[0::k]]]
+        for pid, fh in children:
+            try:    # the result is cut short where the child was killed
+                shares.append(pickle.load(fh))
+            except (EOFError, pickle.UnpicklingError):
+                raise OSError(f"sweep worker {pid} died without a result") from None
+            if isinstance(shares[-1], BaseException):
+                raise shares[-1]
+    finally:
+        for pid, fh in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
+    parts += [shares[j % k][j // k] for j in range(len(rest))]
+    return ExperimentResult(config=_echo(config), rows=[r for p in parts for r in p])
 
 
 def _mean_rows(base: dict, metrics: tuple, values: list, n_singular: int) -> list:
@@ -437,7 +458,7 @@ def run_table1(config: ExperimentConfig) -> ExperimentResult:
     """Mean condition number of the random Gram, direct Beta sampling vs the
     standard-normal CDF-transformed sampling, over the (alpha, N, n) grid."""
     cells = _cells(config, "table1", [(a, a, N, n) for a, N, n in TABLE1_SWEEP])
-    return _sweep(config, _table1_cell, cells, forked=False)
+    return _sweep(config, _table1_cell, cells)
 
 
 def _table2_cell(config: ExperimentConfig, cell) -> list:
@@ -446,7 +467,9 @@ def _table2_cell(config: ExperimentConfig, cell) -> list:
     labels = ("table2", f"s={s}", N, n)
     part, xi = _weights(n, N, s, TABLE2)
     # every trial's F = xi Z / sqrt(n), from the scores alone, in one stack
-    F = np.stack([_scores(n, N, derive_seed(master, *labels, t)) for t in range(trials)])
+    F = np.empty((trials, n, N))
+    for t in range(trials):     # filled in place: no list of score arrays
+        F[t] = _scores(n, N, derive_seed(master, *labels, t))
     F *= xi
     F /= math.sqrt(n)
     # per block: the Grams F_k'F_k of its columns F_k over all trials in one
@@ -474,7 +497,7 @@ def run_table2(config: ExperimentConfig) -> ExperimentResult:
     for s, N, _ in cells:
         if ineq47_bound(s, N) == math.inf:
             raise ValidationError(f"s={s} puts the ineq47 bound past the float range")
-    return _sweep(config, _table2_cell, cells, forked=True)
+    return _sweep(config, _table2_cell, cells)
 
 
 def _table3_cell(config: ExperimentConfig, cell) -> list:
@@ -519,8 +542,7 @@ def _table3_cell(config: ExperimentConfig, cell) -> list:
 def run_table3(config: ExperimentConfig) -> ExperimentResult:
     """Weighted-L2 MSE of the polynomial estimator vs sinc-kernel ridge
     regression on Weierstrass targets, over (sigma, s, N) with c = N."""
-    return _sweep(config, _table3_cell, _cells(config, "table3", TABLE3_SWEEP),
-                  forked=True)
+    return _sweep(config, _table3_cell, _cells(config, "table3", TABLE3_SWEEP))
 
 
 _LFR_METRICS = ("e0", "e2", "cumulative_kappa")
@@ -552,8 +574,7 @@ def _table4_cell(config: ExperimentConfig, cell) -> list:
 def run_table4(config: ExperimentConfig) -> ExperimentResult:
     """Functional-regression prediction/estimation errors E0 and E2 for the
     alternating quadratic-decay slope, over (s, n) at fixed N and sigma."""
-    return _sweep(config, _table4_cell, _cells(config, "table4", TABLE4_SWEEP),
-                  forked=True)
+    return _sweep(config, _table4_cell, _cells(config, "table4", TABLE4_SWEEP))
 
 
 def run_lfr_sim(config: ExperimentConfig) -> ExperimentResult:

@@ -151,8 +151,7 @@ def cross_validate(
             if w is not None:     # else the row stays inf: it scores inf here
                 R[i] = K_test @ w - y_test
         fold_mse.append(np.mean(R**2, axis=1))
-    errors = {float(ridge): float(np.mean(mse))
-              for ridge, mse in zip(grid, np.transpose(fold_mse))}
+    errors = dict(zip(map(float, grid), np.mean(fold_mse, axis=0).tolist()))
     # minimal error; among ties prefer the strongest regularization
     best = max(sorted(errors), key=lambda r: (-errors[r], r))
     weights = _ridge_solve(K / n, y / n, best)

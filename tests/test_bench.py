@@ -5,14 +5,18 @@ import dataclasses
 import io
 import json
 import math
-import multiprocessing
 import numbers
 import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pinvreg
 from pinvreg import bench
 from pinvreg.bench import (
     COMMANDS,
@@ -403,15 +407,21 @@ def pid_cell(config, cell):
 
 def sweep_pids(cells) -> list:
     config = ExperimentConfig(experiment="table1")
-    rows = bench._sweep(config, pid_cell, cells, forked=True).rows
+    rows = bench._sweep(config, pid_cell, cells).rows
     assert [row["cell"] for row in rows] == cells
     return [row["pid"] for row in rows]
 
 
+def no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestForkedCells:
-    """table2, table3 and table4 run their cells on forked workers, all but
-    the first on a cell function's first sweep in the process and every one
-    after it; table1 runs every cell in the calling process."""
+    """Every table deals its cells between the calling process and forked
+    children: all but the first on a cell function's first sweep in the
+    process, and every one after it."""
 
     @pytest.fixture
     def cold(self, monkeypatch):
@@ -419,58 +429,116 @@ class TestForkedCells:
         monkeypatch.setattr(bench, "_warm", set())
         cpus(monkeypatch, 2)
 
-    @pytest.mark.parametrize("runner, keys, forks", [
-        (run_table1, {"experiment": "table1", "trials": 1}, False),
-        (run_table2, {"experiment": "table2", "trials": 1}, True),
-        (run_table3, {"experiment": "table3", "trials": 1, "n": 40}, True),
-        (run_table4, {"experiment": "table4", "trials": 1}, True),
+    @pytest.mark.parametrize("runner, keys", [
+        (run_table1, {"experiment": "table1", "trials": 1}),
+        (run_table2, {"experiment": "table2", "trials": 1}),
+        (run_table3, {"experiment": "table3", "trials": 1, "n": 40}),
+        (run_table4, {"experiment": "table4", "trials": 1}),
     ])
-    def test_table2_to_table4_start_a_pool(self, monkeypatch, runner, keys, forks):
-        def starts_a_pool(method):
-            raise RuntimeError(f"a {method} pool starts")
+    def test_every_table_forks(self, monkeypatch, runner, keys):
+        def forks():
+            raise RuntimeError("a child is forked")
 
-        monkeypatch.setattr(multiprocessing, "get_context", starts_a_pool)
+        monkeypatch.setattr(os, "fork", forks)
         cpus(monkeypatch, 2)
-        if forks:
-            with pytest.raises(RuntimeError, match="a fork pool starts"):
-                runner(ExperimentConfig(**keys))
-        else:
-            assert len(runner(ExperimentConfig(**keys)).rows) > 4
-        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match="a child is forked"):
+            runner(ExperimentConfig(**keys))
+        no_child_left()
 
     def test_a_cold_sweep_runs_its_first_cell_here(self, cold):
+        me = os.getpid()
         pids = sweep_pids([0, 1, 2])
-        assert pids[0] == os.getpid()
-        assert os.getpid() not in pids[1:]
-        assert multiprocessing.active_children() == []
+        assert pids[:2] == [me, me]
+        assert pids[2] != me
+        no_child_left()
 
-    def test_a_warm_sweep_runs_no_cell_here(self, cold):
+    def test_a_warm_sweep_runs_a_share_here(self, cold, monkeypatch):
+        me = os.getpid()
         sweep_pids([0, 1, 2])
-        assert os.getpid() not in sweep_pids([0, 1, 2])
-        assert multiprocessing.active_children() == []
+        pids = sweep_pids([0, 1, 2])
+        assert pids[0] == pids[2] == me
+        assert pids[1] != me
+        # three CPUs: shares [0, 3], [1, 4] and [2]
+        cpus(monkeypatch, 3)
+        pids = sweep_pids([0, 1, 2, 3, 4])
+        assert pids[0] == pids[3] == me
+        assert pids[1] == pids[4] != me
+        assert pids[2] not in (me, pids[1])
+        no_child_left()
 
     def test_a_first_cell_that_raises_leaves_the_sweep_cold(self, cold):
         with pytest.raises(ValueError, match="cell -1 refused"):
             sweep_pids([-1, 1, 2])
         assert pid_cell not in bench._warm
         assert sweep_pids([0, 1, 2])[0] == os.getpid()
-        assert multiprocessing.active_children() == []
+        no_child_left()
+
+    def test_an_error_here_kills_the_children(self, cold):
+        parent = os.getpid()
+
+        def refused_here(config, cell):
+            if os.getpid() != parent:
+                time.sleep(60)      # killed long before
+            raise ValueError(f"cell {cell} refused here")
+
+        bench._warm.add(refused_here)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="cell 0 refused here"):
+            bench._sweep(ExperimentConfig(experiment="table1"), refused_here, [0, 1])
+        assert time.monotonic() - start < 30
+        no_child_left()
+
+    def test_a_child_that_dies_exits_one(self, tmp_path):
+        # a child killed mid-sweep (as by the OOM killer) leaves an OSError,
+        # not a wait without end
+        script = (
+            "import os, signal, sys\n"
+            "from pinvreg import bench\n"
+            "from pinvreg.cli import main\n"
+            "parent, noise = os.getpid(), bench.make_noise\n"
+            "def dies_in_a_child(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return noise(*args, **kwargs)\n"
+            "bench.make_noise = dies_in_a_child\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "code = main(['table3', '--trials', '1', '--n', '40', '--out', 't.csv'])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    sys.exit(code)\n"
+            "sys.exit('a child outlived the sweep')\n"
+        )
+        src = str(Path(pinvreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "OSError"
+        assert re.fullmatch(r"sweep worker \d+ died without a result", doc["message"])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("runner, keys", [
         (run_table2, {"experiment": "table2", "trials": 2}),
         (run_table3, {"experiment": "table3", "trials": 1, "n": 40}),
         (run_table4, {"experiment": "table4", "trials": 1}),
+        (run_table1, {"experiment": "table1", "trials": 2}),
     ])
     def test_serial_rows_equal_the_pooled_ones(self, cold, monkeypatch, runner, keys,
                                                seed):
-        # a cold pooled sweep, a warm one, then every cell in the calling process
+        # a cold split sweep, a warm one, then every cell in the calling process
         cfg = ExperimentConfig(**keys, seed=seed)
         pooled = runner(cfg).to_json_text()
         assert runner(cfg).to_json_text() == pooled
         cpus(monkeypatch, 1)
         assert runner(cfg).to_json_text() == pooled
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     def test_a_workers_numerical_error_exits_two(self, monkeypatch, tmp_path, capsys):
         parent, solve = os.getpid(), bench.cross_validate
@@ -491,7 +559,7 @@ class TestForkedCells:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "RegularizationError"
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     def test_a_workers_refusal_exits_one(self, monkeypatch, tmp_path, capsys):
         # noise past the float range in the workers' cells only: their MSE
@@ -513,12 +581,12 @@ class TestForkedCells:
         doc = json.loads(lines[0])
         assert doc["error"] == "ValueError" and "puts an MSE past" in doc["message"]
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     def test_no_worker_outlives_the_run(self, monkeypatch):
         cpus(monkeypatch, 2)
         run_table3(ExperimentConfig(experiment="table3", trials=1, n=40))
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
 
 class TestRunTable4:

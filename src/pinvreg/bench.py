@@ -37,7 +37,7 @@ from .lfr import (
     lfr_fit,
     simulate_problem,
 )
-from .regression import fit, weierstrass
+from .regression import NpregModel, fit, weierstrass
 from .sampling import derive_seed, make_noise, sample_beta_on_I
 from .timeseries import fit_series, load_series_csv
 
@@ -95,8 +95,10 @@ _COLUMNS = (
 
 
 class Command(NamedTuple):
-    """A CLI command: its experiment, every key it reads, its sweep keys and
-    the rules that tie two of its keys.
+    """A CLI command: its experiment, the name of its runner on this module
+    (looked up per call, so a patched or wrapped runner is the one run), its
+    --help summary, every key it reads, its sweep keys and the rules that tie
+    two of its keys.
 
     Each key maps to its paper default, or to None where the value is unset
     or derived. Besides its keys, every command reads `COMMON_KEYS`. Setting
@@ -106,6 +108,8 @@ class Command(NamedTuple):
     are set, and again against each cell of a sweep before any cell runs."""
 
     experiment: str
+    runner: str
+    summary: str
     keys: dict
     sweep_keys: tuple = ()
     rules: tuple = ()
@@ -113,26 +117,31 @@ class Command(NamedTuple):
 
 COMMON_KEYS = ("experiment", "seed", "out", "format")
 COMMANDS = {
-    "table1": Command("table1", {"trials": 50, "alpha": -0.5, "beta": None, "N": 5,
-                                 "n": 25},
+    "table1": Command("table1", "run_table1", "run the table1 benchmark sweep",
+                      {"trials": 50, "alpha": -0.5, "beta": None, "N": 5, "n": 25},
                       ("alpha", "beta", "N", "n"), ("n > N",)),
-    "table2": Command("table2", {"trials": 50, "s": 0.75, "N": 20, "n": 100},
-                      ("s", "N", "n")),
-    "table3": Command("table3", {"trials": 10, "n": 100, "alpha": -0.5, "beta": None,
-                                 "lambda_grid": DEFAULT_LAMBDA_GRID, "bandwidth": None,
-                                 "sigma": 0.1, "s": 1.0, "N": 10},
+    "table2": Command("table2", "run_table2", "run the table2 benchmark sweep",
+                      {"trials": 50, "s": 0.75, "N": 20, "n": 100}, ("s", "N", "n")),
+    "table3": Command("table3", "run_table3", "run the table3 benchmark sweep",
+                      {"trials": 10, "n": 100, "alpha": -0.5, "beta": None,
+                       "lambda_grid": DEFAULT_LAMBDA_GRID, "bandwidth": None,
+                       "sigma": 0.1, "s": 1.0, "N": 10},
                       ("sigma", "s", "N"), ("n > N",)),
-    "table4": Command("table4", {"trials": 10, "N": 50, "sigma": 0.5, "s": 1.5,
-                                 "n": 100},
+    "table4": Command("table4", "run_table4", "run the table4 benchmark sweep",
+                      {"trials": 10, "N": 50, "sigma": 0.5, "s": 1.5, "n": 100},
                       ("s", "n")),
-    "fit-series": Command("covid", {"csv": None, "location": None, "start": None,
-                                    "end": None, "n": 340, "N": 40, "alpha": -0.5,
-                                    "beta": None, "ransac_iterations": 10,
-                                    "ransac_subset": None, "truncation": None},
+    "fit-series": Command("covid", "run_timeseries", "fit a daily time series from CSV",
+                          {"csv": None, "location": None, "start": None, "end": None,
+                           "n": 340, "N": 40, "alpha": -0.5, "beta": None,
+                           "ransac_iterations": 10, "ransac_subset": None,
+                           "truncation": None},
                           rules=("n > N", "ransac_subset > N", "ransac_subset <= n")),
-    "simulate-lfr": Command("custom", {"trials": 1, "n": 300, "N": 50, "s": 2.0,
-                                       "sigma": 0.5, "variant": EXAMPLE3}),
-    "diagnose": Command("diagnose", {"alpha": -0.5, "beta": None, "N": 5, "n": 25},
+    "simulate-lfr": Command("custom", "run_lfr_sim", "simulate functional regression",
+                            {"trials": 1, "n": 300, "N": 50, "s": 2.0, "sigma": 0.5,
+                             "variant": EXAMPLE3}),
+    "diagnose": Command("diagnose", "run_diagnose",
+                        "spectral report for one random design",
+                        {"alpha": -0.5, "beta": None, "N": 5, "n": 25},
                         rules=("n > N",)),
 }
 EXPERIMENTS = tuple(c.experiment for c in COMMANDS.values())
@@ -272,11 +281,13 @@ def _is_a(value, kind) -> bool:
 @dataclass
 class ExperimentResult:
     """Config echo plus long-format metric rows; identical configs reproduce
-    identical bytes."""
+    identical bytes. fit-series' result also carries its fitted model, which
+    the CLI saves beside the rows; it is None for every other command."""
 
     config: dict
     rows: list
     columns: tuple = _COLUMNS
+    model: NpregModel | None = None
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -519,9 +530,9 @@ def _table3_cell(config: ExperimentConfig, cell) -> list:
 
     def trial(t):
         y = f_xs[t] + make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
-        model = fit(DesignMatrix(designs[t], basis), y)
         if not np.all(np.isfinite(y)):
             raise ValueError(f"sigma={sigma} puts a response past the float range")
+        model = fit(DesignMatrix(designs[t], basis), y)
         cv = cross_validate(
             xs[t], y, grid=grid, bandwidth=c,
             seed=derive_seed(master, *labels, t, "cv"),
@@ -616,11 +627,9 @@ def run_diagnose(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config=_echo(config), rows=[row], columns=tuple(row))
 
 
-def run_timeseries(config: ExperimentConfig):
-    """Load the series, run the robust unit-domain fit, and emit plot rows.
-
-    Returns (ExperimentResult with (day, observed, fitted) rows, SeriesFit).
-    """
+def run_timeseries(config: ExperimentConfig) -> ExperimentResult:
+    """Load the series and run the robust unit-domain fit: (day, observed,
+    fitted) rows, the fit's diagnostics in the config echo, and its model."""
     _require(config, "covid")
     if config.csv is None:
         raise ValidationError("covid experiment requires a csv input path")
@@ -653,10 +662,7 @@ def run_timeseries(config: ExperimentConfig):
             "ransac_failures": result.ransac.n_failed,
         },
     }
-    return (
-        ExperimentResult(config=echo, rows=rows, columns=("day", "observed", "fitted")),
-        result,
-    )
+    return ExperimentResult(echo, rows, ("day", "observed", "fitted"), result.model)
 
 
 def timing_comparison(

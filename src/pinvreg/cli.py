@@ -1,11 +1,11 @@
 """Command line entry point.
 
-Subcommands: table1..table4 (benchmark sweeps), fit-series (CSV time-series
-pipeline), simulate-lfr (functional-regression simulation), diagnose (one-shot
-spectral report). Each command's runner in `bench` returns an ExperimentResult,
-written as config-stamped CSV or JSON. Exit codes: 0 success, 1 validation
-error, I/O error or an allocation that fails at once, 2 numerical failure;
-errors print one JSON line on stderr.
+One subcommand per `bench.COMMANDS` entry, which names its runner in `bench`
+and its help summary. Every runner returns an ExperimentResult, written as
+config-stamped CSV or JSON, with its model file beside it where it carries a
+fitted model. Exit codes: 0 success, 1 validation error, I/O error or an
+allocation that fails at once, 2 numerical failure; errors print one JSON line
+on stderr.
 """
 
 import argparse
@@ -36,11 +36,6 @@ class _Parser(argparse.ArgumentParser):
 
 # argparse type of each numeric or string kind of config key
 _TYPES = {numbers.Integral: int, numbers.Real: float, str: str}
-_SUMMARIES = {
-    "fit-series": "fit a daily time series from CSV",
-    "simulate-lfr": "simulate functional regression",
-    "diagnose": "spectral report for one random design",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,8 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in bench.COMMANDS.items():
-        summary = _SUMMARIES.get(name, f"run the {name} benchmark sweep")
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=command.summary)
         p.add_argument("--config", help="JSON config file; flags override it")
         for field in dataclasses.fields(bench.ExperimentConfig):
             key, kind, text = field.name, field.metadata["kind"], field.metadata["help"]
@@ -89,38 +83,26 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _build_config(args) -> bench.ExperimentConfig:
-    base = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    base["experiment"] = bench.COMMANDS[args.command].experiment   # subcommand wins
+def _dispatch(args) -> int:
+    spec = bench.COMMANDS[args.command]
+    base = _load_config_file(args.config) if args.config else {}
+    base["experiment"] = spec.experiment   # the subcommand wins
     # every flag that feeds the config has the config key as its dest
     for field in dataclasses.fields(bench.ExperimentConfig):
         value = getattr(args, field.name, None)
         if value is not None:
             base[field.name] = value
-    return bench.ExperimentConfig.from_dict(base)
-
-
-def _emit(result: bench.ExperimentResult, config) -> None:
-    fmt = config.format
-    if config.out:
-        result.write(config.out, fmt)
-        print(f"wrote {config.out} ({len(result.rows)} rows)")
-    else:
-        sys.stdout.write(result.render(fmt))
-
-
-def _dispatch(args) -> int:
-    config = _build_config(args)
-    command = args.command
-    if command == "fit-series":
-        result, series = bench.run_timeseries(config)
-    else:       # looked up per call, so a runner patched on bench is the one run
-        runner = "run_lfr_sim" if command == "simulate-lfr" else f"run_{command}"
-        result = getattr(bench, runner)(config)
-    _emit(result, config)
-    if command == "fit-series" and config.out:
+    config = bench.ExperimentConfig.from_dict(base)
+    # looked up per call, so a runner patched on bench is the one run
+    result = getattr(bench, spec.runner)(config)
+    if not config.out:
+        sys.stdout.write(result.render(config.format))
+        return 0
+    result.write(config.out, config.format)
+    print(f"wrote {config.out} ({len(result.rows)} rows)")
+    if result.model is not None:
         model_path = Path(config.out).with_suffix(".model.json")
-        save_model(series.model, model_path)
+        save_model(result.model, model_path)
         print(f"wrote {model_path}")
     return 0
 

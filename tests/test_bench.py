@@ -38,6 +38,7 @@ from pinvreg.design import build_design, spectral_report, theory_bounds
 from pinvreg.errors import RegularizationError, ValidationError
 from pinvreg.jacobi import JacobiBasis, JacobiParams
 from pinvreg.lfr import TABLE2, block_gram, ineq47_bound, simulate_problem
+from pinvreg.regression import load_model, save_model
 from pinvreg.sampling import derive_seed, sample_beta_on_I
 
 
@@ -638,6 +639,7 @@ class TestRunDiagnose:
             "L_N": tb.L_N, "kappa_bound_delta=0.1": tb.kappa_bound(0.1)}]
         assert res.columns == tuple(res.rows[0])
         assert res.config["experiment"] == "diagnose"
+        assert res.model is None      # only fit-series' result carries a model
 
     def test_rejects_another_experiment(self):
         with pytest.raises(ValidationError, match="runner expects 'diagnose'"):
@@ -649,13 +651,23 @@ class TestRunTimeseries:
         path = write_series_csv(tmp_path / "series.csv")
         cfg = ExperimentConfig(experiment="covid", csv=str(path), n=50, N=8,
                                seed=1)
-        res, fit_result = run_timeseries(cfg)
+        res = run_timeseries(cfg)
         assert res.columns == ("day", "observed", "fitted")
         assert len(res.rows) == 60
         diag = res.config["diagnostics"]
         assert diag["m"] == 60
         assert math.isfinite(diag["kappa2"])
-        assert fit_result.dataset.m == 60
+        assert res.model.basis.degree_max == 8
+
+    def test_saved_model_reproduces_the_fitted_column(self, tmp_path):
+        path = write_series_csv(tmp_path / "series.csv")
+        res = run_timeseries(ExperimentConfig(experiment="covid", csv=str(path),
+                                              n=50, N=8, seed=1))
+        save_model(res.model, tmp_path / "series.model.json")
+        model = load_model(tmp_path / "series.model.json")
+        fitted = [row["fitted"] for row in res.rows]
+        np.testing.assert_allclose(model.predict(np.arange(1, 61) / 60), fitted,
+                                   rtol=1e-12)
 
     def test_requires_csv(self):
         with pytest.raises(ValidationError, match="csv"):

@@ -291,6 +291,14 @@ class TestFitSeries:
         preds = model.predict(np.linspace(0, 1, 11))
         assert np.all(np.isfinite(preds))
 
+    def test_without_out_writes_no_model_file(self, tmp_path, series_csv, capsys,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit-series", "--csv", str(series_csv), "--n", "40",
+                     "--N", "5"]) == 0
+        assert capsys.readouterr().out.startswith("# config ")
+        assert list(tmp_path.rglob("*.json")) == []
+
     def test_location_and_range_filters(self, tmp_path, series_csv, capsys):
         out = tmp_path / "fit.csv"
         start = (BASE + datetime.timedelta(days=5)).isoformat()
@@ -425,6 +433,15 @@ class TestErrorPaths:
             "error": "ValueError",
             "message": "sigma=1e+308 puts a response past the float range"}
         assert not out.exists()
+
+    def test_table3_refuses_a_response_before_fitting_it(self, capsys, monkeypatch):
+        fits = []
+        monkeypatch.setattr(bench, "fit", lambda *args: fits.append(args))
+        assert main(["table3", "--sigma", "1e308"]) == 1
+        assert one_error_line(capsys) == {
+            "error": "ValueError",
+            "message": "sigma=1e+308 puts a response past the float range"}
+        assert fits == []
 
     # 2^-s is subnormal or 0 past s = 1022: the target is cos(pi x) alone;
     # at sigma 2e152 each trial's e2 is near 2e307, and their sum overflows
@@ -783,6 +800,14 @@ class TestHelp:
                 assert "default " not in flags[flag(key)]
             else:
                 assert flags[flag(key)].endswith(f"default {default})")
+
+    def test_each_command_has_a_runner_and_lists_its_summary(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for spec in COMMANDS.values():
+            assert callable(getattr(bench, spec.runner))
+            assert spec.summary in text
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_lists_exactly_the_commands_keys(self, capsys, command):

@@ -311,7 +311,8 @@ class TestFitSeries:
         path = write_rows(tmp_path / "a.csv",
                           [[iso(d), "X", str((d + 1) ** 1.5)] for d in range(50)])
         config = ExperimentConfig(experiment="covid", csv=str(path), n=30, N=4, seed=6)
-        result, sf = run_timeseries(config)
+        result = run_timeseries(config)
+        sf = fit_series(load_series_csv(path), n=30, degree_max=4, seed=6)
         assert len(result.rows) == 50
         row = result.rows[9]
         assert list(row) == ["day", "observed", "fitted"]

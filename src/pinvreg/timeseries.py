@@ -8,6 +8,7 @@ consensus loop.
 
 import csv
 import datetime
+import io
 import math
 from dataclasses import dataclass
 
@@ -47,11 +48,68 @@ class TimeSeriesDataset:
         return np.arange(1, self.m + 1, dtype=float) / self.m
 
 
+def _iso_date(text: str) -> datetime.date:
+    """`date.fromisoformat` held to YYYY-MM-DD after strip, the one form it
+    reads on every supported Python (3.11 also reads 20200101 and 2020-W01-1)."""
+    text = text.strip()
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return datetime.date.fromisoformat(text)
+
+
 def _parse_date(text: str, line: int) -> datetime.date:
     try:
-        return datetime.date.fromisoformat(text.strip())
+        return _iso_date(text)
     except ValueError as exc:
         raise DataError(f"bad date {text!r}: {exc}", line=line) from None
+
+
+def _csv_records(text: str):
+    """(line, fields) of every record csv.reader reads from text; a record it
+    cannot read raises DataError naming its line."""
+    line = 0
+    try:
+        for fields in csv.reader(io.StringIO(text, newline="")):
+            line += 1
+            yield line, fields
+    except csv.Error as exc:
+        raise DataError(str(exc), line=line + 1) from None
+
+
+def _records(text: str, location: str | None):
+    """(line, fields) of the header, then of every record that can be kept
+    for location or be an error.
+
+    A text with no quote, no NUL and no line past `csv.field_size_limit()` is
+    split as csv.reader would split it: records end at CRLF, CR and LF,
+    and fields at every comma. Then only the lines that contain location's
+    text, or have fewer commas than the header (short or blank), are split;
+    any other line is a full-width row of another location. Any other text
+    goes through csv.reader whole.
+    """
+    if '"' in text or "\0" in text:
+        yield from _csv_records(text)
+        return
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # a line longer than the limit holds a multiple of limit + 1: probe those
+    limit = csv.field_size_limit()
+    for p in range(0, len(text), limit + 1):
+        end = text.find("\n", p)
+        if (len(text) if end < 0 else end) - text.rfind("\n", 0, p) - 1 > limit:
+            yield from _csv_records(text)
+            return
+    if not lines:
+        return
+    header = lines[0].split(",")
+    yield 1, header
+    need = len(header) - 1
+    for line, row in enumerate(lines[1:], start=2):
+        if location is None or location in row or row.count(",") < need:
+            yield line, row.split(",")
 
 
 def load_series_csv(
@@ -62,72 +120,76 @@ def load_series_csv(
 ) -> TimeSeriesDataset:
     """Read (date, location, new_cases) rows; empty values count as 0.
 
-    Extra columns are ignored and the header is required. The file is
-    streamed. Every row is checked for width (a short row that is not blank
-    raises) and whitespace-only rows are skipped. Only rows of the selected
-    location (every row when location is None) have their dates parsed and
-    their values checked: dates strictly increasing after filtering, values
-    finite and >= 0. Errors carry the offending 1-based line number.
+    Extra columns are ignored and the header is required. The file is read
+    and decoded whole, then parsed as csv.reader parses it (a record it
+    cannot read, such as a field past `csv.field_size_limit()`, raises).
+    Every row is checked for width (a short row that is not blank raises)
+    and whitespace-only rows are skipped. Only rows of the selected location
+    (every row when location is None) have their dates parsed and their
+    values checked: dates YYYY-MM-DD and strictly increasing after
+    filtering, values finite and >= 0. Errors carry the offending 1-based
+    line number. A file with no quote and no NUL is split without
+    csv.reader, and the full-width rows of other locations are never split.
     """
     try:
-        lo = datetime.date.fromisoformat(start) if start is not None else None
-        hi = datetime.date.fromisoformat(end) if end is not None else None
+        lo = _iso_date(start) if start is not None else None
+        hi = _iso_date(end) if end is not None else None
     except ValueError as exc:
         raise ValidationError(f"bad date range bound: {exc}") from None
     if lo is not None and hi is not None and lo > hi:
         raise ValidationError(f"empty date range: {start} > {end}")
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty file: header row required", line=1) from None
-        header = [h.strip().lower() for h in header]
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"missing column(s): {', '.join(missing)}", line=1)
-        width = len(header)
-        i_date, i_loc, i_value = (header.index(c) for c in REQUIRED_COLUMNS)
+        text = fh.read()
+    records = _records(text, location)
+    first = next(records, None)
+    if first is None:
+        raise DataError("empty file: header row required", line=1)
+    header = [h.strip().lower() for h in first[1]]
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"missing column(s): {', '.join(missing)}", line=1)
+    width = len(header)
+    i_date, i_loc, i_value = (header.index(c) for c in REQUIRED_COLUMNS)
 
-        found = False                      # a row of the selected location
-        dates = []
-        values = []
-        prev: tuple | None = None          # (date, line) of last kept row
-        for line, row in enumerate(reader, start=2):
-            if len(row) < width:
-                if not "".join(row).strip():
-                    continue
-                raise DataError(f"expected {width} fields, got {len(row)}", line=line)
-            if location is not None and row[i_loc].strip() != location:
-                continue
+    found = False                      # a row of the selected location
+    dates = []
+    values = []
+    prev: tuple | None = None          # (date, line) of last kept row
+    for line, row in records:
+        if len(row) < width:
             if not "".join(row).strip():
                 continue
-            found = True
-            date = _parse_date(row[i_date], line)
-            if (lo is not None and date < lo) or (hi is not None and date > hi):
-                continue
-            raw = row[i_value].strip()
-            if raw == "":
-                value = 0.0
-            else:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise DataError(f"bad value {raw!r}", line=line) from None
-            if not math.isfinite(value):
-                raise DataError(f"non-finite value {raw!r}", line=line)
-            if value < 0:
-                raise DataError(f"negative value {value}", line=line)
-            if prev is not None and date <= prev[0]:
-                raise DataError(
-                    f"dates not strictly increasing: {date} after {prev[0]} "
-                    f"(line {prev[1]})",
-                    line=line,
-                )
-            prev = (date, line)
-            dates.append(date.isoformat())
-            values.append(value)
+            raise DataError(f"expected {width} fields, got {len(row)}", line=line)
+        if location is not None and row[i_loc].strip() != location:
+            continue
+        if not "".join(row).strip():
+            continue
+        found = True
+        date = _parse_date(row[i_date], line)
+        if (lo is not None and date < lo) or (hi is not None and date > hi):
+            continue
+        raw = row[i_value].strip()
+        if raw == "":
+            value = 0.0
+        else:
+            try:
+                value = float(raw)
+            except ValueError:
+                raise DataError(f"bad value {raw!r}", line=line) from None
+        if not math.isfinite(value):
+            raise DataError(f"non-finite value {raw!r}", line=line)
+        if value < 0:
+            raise DataError(f"negative value {value}", line=line)
+        if prev is not None and date <= prev[0]:
+            raise DataError(
+                f"dates not strictly increasing: {date} after {prev[0]} "
+                f"(line {prev[1]})",
+                line=line,
+            )
+        prev = (date, line)
+        dates.append(date.isoformat())
+        values.append(value)
 
     if location is not None and not found:
         raise ValidationError(f"unknown location {location!r}")

@@ -2,13 +2,19 @@
 
 import csv
 import datetime
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pinvreg.bench import ExperimentConfig, run_timeseries
+from pinvreg.cli import main
 from pinvreg.design import build_design, spectral_report
 from pinvreg.errors import DataError, RobustFitError, ValidationError
 from pinvreg.jacobi import UNIT, JacobiBasis, JacobiParams
@@ -23,9 +29,10 @@ def iso(day):
     return (BASE + datetime.timedelta(days=day)).isoformat()
 
 
-def write_rows(path, rows, header=("date", "location", "new_cases")):
+def write_rows(path, rows, header=("date", "location", "new_cases"),
+               quoting=csv.QUOTE_MINIMAL):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, quoting=quoting)
         if header is not None:
             w.writerow(header)
         w.writerows(rows)
@@ -219,6 +226,207 @@ class TestLoaderRowContract:
         path = self.write(tmp_path / "a.csv", f"{iso(0)},X,1\n , , \n{iso(0)},Y,5\n")
         with pytest.raises(ValidationError, match="unknown location 'Z'"):
             load_series_csv(path, location="Z")
+
+
+class TestUnreadableRecord:
+    """A record csv.reader cannot read is a DataError naming its line, on
+    either reader path, whatever its location."""
+
+    def long_field_rows(self, width):
+        return [[iso(0), "A", "1"], [iso(0), "B", "5"],
+                [iso(1), "A", "7" * width], [iso(1), "B", "6"]]
+
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+    def test_field_past_the_limit_refused(self, tmp_path, quoting):
+        rows = self.long_field_rows(csv.field_size_limit() + 1)
+        path = write_rows(tmp_path / "a.csv", rows, quoting=quoting)
+        with pytest.raises(DataError, match="field larger than field limit") as err:
+            load_series_csv(path, location="B")
+        assert err.value.line == 4
+
+    def test_field_at_the_limit_loads(self, tmp_path):
+        path = write_rows(tmp_path / "a.csv", self.long_field_rows(csv.field_size_limit()))
+        assert_allclose(load_series_csv(path, location="B").values, [5.0, 6.0], rtol=0)
+
+    def test_line_past_the_limit_of_shorter_fields_loads(self, tmp_path):
+        note = "n" * csv.field_size_limit()
+        path = write_rows(tmp_path / "a.csv", [[iso(0), "A", "1", note], [iso(0), "B", "5", note]],
+                          header=("date", "location", "new_cases", "note"))
+        assert_allclose(load_series_csv(path, location="B").values, [5.0], rtol=0)
+
+    def test_cli_refusal_keeps_the_exit_contract(self, tmp_path, capsys):
+        rows = self.long_field_rows(200_000)
+        path = write_rows(tmp_path / "a.csv", rows)
+        assert main(["fit-series", "--csv", str(path), "--location", "B"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "DataError",
+            "message": "line 4: field larger than field limit (131072)",
+        }
+
+
+OTHER_ISO_FORMS = ["20200302", "2020-W10-1", "2020W101", "2020-W10", "2020-3-02"]
+
+
+class TestDateForm:
+    """Dates are YYYY-MM-DD after strip on every supported Python; 3.11's
+    date.fromisoformat also reads the basic and week forms."""
+
+    @pytest.mark.parametrize("text", OTHER_ISO_FORMS)
+    def test_other_iso_forms_refused_in_the_file(self, tmp_path, text):
+        path = write_rows(tmp_path / "a.csv", [[iso(0), "X", "1"], [text, "X", "2"]])
+        with pytest.raises(DataError, match=f"bad date '{text}'") as err:
+            load_series_csv(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("bound", ["start", "end"])
+    @pytest.mark.parametrize("text", OTHER_ISO_FORMS)
+    def test_other_iso_forms_refused_as_bounds(self, tmp_path, text, bound):
+        path = write_rows(tmp_path / "a.csv", [[iso(0), "X", "1"]])
+        with pytest.raises(ValidationError, match="bad date range bound"):
+            load_series_csv(path, **{bound: text})
+
+    def test_padded_date_accepted(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text(f"date,location,new_cases\n {iso(0)} ,X,1\n\t{iso(1)},X,2\n")
+        assert load_series_csv(path, start=f" {iso(1)} ").dates == (iso(1),)
+
+
+def oracle_load(path, location=None):
+    """load_series_csv as one csv.reader loop over the file, every record
+    split; a record csv.reader cannot read is a DataError on its line."""
+
+    def records(fh):
+        line = 0
+        try:
+            for row in csv.reader(fh):
+                line += 1
+                yield line, row
+        except csv.Error as exc:
+            raise DataError(str(exc), line=line + 1) from None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = records(fh)
+        try:
+            header = next(rows)[1]
+        except StopIteration:
+            raise DataError("empty file: header row required", line=1) from None
+        header = [h.strip().lower() for h in header]
+        missing = [c for c in ("date", "location", "new_cases") if c not in header]
+        if missing:
+            raise DataError(f"missing column(s): {', '.join(missing)}", line=1)
+        width = len(header)
+        i_date, i_loc, i_value = (header.index(c) for c in ("date", "location", "new_cases"))
+        found, dates, values, prev = False, [], [], None
+        for line, row in rows:
+            if len(row) < width:
+                if not "".join(row).strip():
+                    continue
+                raise DataError(f"expected {width} fields, got {len(row)}", line=line)
+            if location is not None and row[i_loc].strip() != location:
+                continue
+            if not "".join(row).strip():
+                continue
+            found = True
+            try:
+                date = datetime.date.fromisoformat(row[i_date].strip())
+            except ValueError as exc:
+                raise DataError(f"bad date {row[i_date]!r}: {exc}", line=line) from None
+            raw = row[i_value].strip()
+            try:
+                value = float(raw) if raw else 0.0
+            except ValueError:
+                raise DataError(f"bad value {raw!r}", line=line) from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {raw!r}", line=line)
+            if value < 0:
+                raise DataError(f"negative value {value}", line=line)
+            if prev is not None and date <= prev[0]:
+                raise DataError(f"dates not strictly increasing: {date} after {prev[0]} "
+                                f"(line {prev[1]})", line=line)
+            prev = (date, line)
+            dates.append(date.isoformat())
+            values.append(value)
+    if location is not None and not found:
+        raise ValidationError(f"unknown location {location!r}")
+    if not dates:
+        raise ValidationError("no rows left after filtering")
+    return TimeSeriesDataset(dates=tuple(dates), values=np.array(values), location=location)
+
+
+def outcome(load, path, location):
+    try:
+        ds = load(path, location=location)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return ds.dates, ds.values.tolist(), ds.location
+
+
+# every date text reads the same through date.fromisoformat on 3.10 and 3.11
+DATE_TEXTS = [iso(d) for d in range(4)] + [" " + iso(2), "2020-13-45", "x", ""]
+# str.splitlines would end a line inside the last one; csv.reader does not
+LOCATION_TEXTS = ["X", "aX", "Xa", "X Y", " X ", "Y", "", "X\x0b\x1c\x85\u2028"]
+VALUE_TEXTS = ["1", "2.5", "", " 3 "] * 3 + ["-1", "n/a", "nan"]
+LOCATIONS = [None, "", "X", "aX", "a,b", "X Y", " X "]
+
+
+# csv.reader reads these as X, "a,b", 1 and 'x"y'; the NUL is read as is on 3.11
+# and refused on 3.10
+QUOTED_TEXTS = ['"X"', '"a,b"', '"1"', '"x""y"', 'a"b', "Y\0"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Headers in any column order, rows full, short, wide, blank or
+    whitespace-only, each ended by LF, CRLF or CR, the last one maybe not;
+    some rows get a quoted field or a NUL, which csv.reader must read."""
+    extra = draw(st.sampled_from([[], ["note"], ["note", "day"]]))
+    columns = draw(st.permutations(["date", "location", "new_cases"] + extra))
+    if draw(st.sampled_from([False] * 19 + [True])):
+        columns = columns[1:]
+    texts = {"location": LOCATION_TEXTS, "new_cases": VALUE_TEXTS}
+    lines = [",".join(columns)]
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["short", "wide", "blank", "blank", "spaces"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", " , , ", "\t,", ",,", ", ,  ,"])))
+            continue
+        fields = [draw(st.sampled_from([iso(i)] * 4 + DATE_TEXTS if c == "date"
+                                       else texts.get(c, LOCATION_TEXTS + VALUE_TEXTS)))
+                  for c in columns]
+        if draw(st.sampled_from([False] * 9 + [True])):
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(QUOTED_TEXTS))
+        if kind == "short":
+            fields = fields[:draw(st.integers(1, len(fields) - 1))]
+        elif kind == "wide":
+            fields.append("X")
+        lines.append(",".join(fields))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestReaderParity:
+    """Both reader paths give csv.reader's outcome: the same dataset, or the
+    same error type, message and line."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(text=csv_texts())
+    def test_matches_the_csv_reader_loop(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "a.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            for location in LOCATIONS:
+                expected = outcome(oracle_load, path, location)
+                assert outcome(load_series_csv, path, location) == expected, location
 
 
 class TestFitSeries:

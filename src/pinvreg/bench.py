@@ -9,6 +9,7 @@ rows are assembled in sweep order.
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
@@ -294,10 +295,14 @@ class ExperimentResult:
         buf.write("# config ")
         buf.write(json.dumps(self.config, sort_keys=True, separators=(",", ":")))
         buf.write("\r\n")
-        # csv writes None as an empty field, and str(float) is repr(float)
+        # csv writes None as an empty field, and str(float) is repr(float).
+        # Each column's cells come from dict.get mapped in C over the rows (a
+        # key a row lacks reads None), and zip joins them into records.
         writer = csv.writer(buf)
         writer.writerow(self.columns)
-        writer.writerows([row.get(col) for col in self.columns] for row in self.rows)
+        writer.writerows(
+            zip(*[map(dict.get, self.rows, itertools.repeat(col)) for col in self.columns])
+        )
         return buf.getvalue()
 
     def to_json_text(self) -> str:

@@ -49,31 +49,44 @@ class TimeSeriesDataset:
 
 
 def _iso_date(text: str) -> datetime.date:
-    """`date.fromisoformat` held to YYYY-MM-DD after strip, the one form it
-    reads on every supported Python (3.11 also reads 20200101 and 2020-W01-1)."""
-    text = text.strip()
+    """`date.fromisoformat` held to YYYY-MM-DD, the one form it reads on
+    every supported Python (3.11 also reads 20200101 and 2020-W01-1); the
+    caller strips. An accepted text is its date's `isoformat()`."""
     if len(text) != 10 or text[4] != "-" or text[7] != "-":
         raise ValueError(f"Invalid isoformat string: {text!r}")
     return datetime.date.fromisoformat(text)
 
 
-def _parse_date(text: str, line: int) -> datetime.date:
-    try:
-        return _iso_date(text)
-    except ValueError as exc:
-        raise DataError(f"bad date {text!r}: {exc}", line=line) from None
-
-
 def _csv_records(text: str):
-    """(line, fields) of every record csv.reader reads from text; a record it
-    cannot read raises DataError naming its line."""
-    line = 0
+    """(line, fields) of every record csv.reader reads from text, line being
+    the record's first physical line; a record it cannot read raises
+    DataError naming its first line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line = 1
     try:
-        for fields in csv.reader(io.StringIO(text, newline="")):
-            line += 1
+        for fields in reader:
             yield line, fields
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise DataError(str(exc), line=line + 1) from None
+        raise DataError(str(exc), line=line) from None
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> ValueError:
+    """The DataError naming the line of the file's first byte that is not
+    UTF-8, lines ending at CRLF, CR and LF as in _records; exc itself if the
+    file now decodes. Only a failed read calls this, so the text of a file
+    that loads is never held twice."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        head = data[: bad.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return DataError(
+            f"invalid UTF-8 byte {data[bad.start]:#04x}: {bad.reason}",
+            line=head.count(b"\n") + 1,
+        )
+    return exc
 
 
 def _records(text: str, location: str | None):
@@ -127,20 +140,25 @@ def load_series_csv(
     and whitespace-only rows are skipped. Only rows of the selected location
     (every row when location is None) have their dates parsed and their
     values checked: dates YYYY-MM-DD and strictly increasing after
-    filtering, values finite and >= 0. Errors carry the offending 1-based
-    line number. A file with no quote and no NUL is split without
-    csv.reader, and the full-width rows of other locations are never split.
+    filtering, values finite and >= 0. Errors carry the 1-based physical
+    line on which the offending record starts (a quoted field can hold line
+    breaks), and a byte that is not UTF-8 is refused naming its line. A file
+    with no quote and no NUL is split without csv.reader, and the full-width
+    rows of other locations are never split.
     """
     try:
-        lo = _iso_date(start) if start is not None else None
-        hi = _iso_date(end) if end is not None else None
+        lo = _iso_date(start.strip()) if start is not None else None
+        hi = _iso_date(end.strip()) if end is not None else None
     except ValueError as exc:
         raise ValidationError(f"bad date range bound: {exc}") from None
     if lo is not None and hi is not None and lo > hi:
         raise ValidationError(f"empty date range: {start} > {end}")
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     records = _records(text, location)
     first = next(records, None)
     if first is None:
@@ -155,7 +173,7 @@ def load_series_csv(
     found = False                      # a row of the selected location
     dates = []
     values = []
-    prev: tuple | None = None          # (date, line) of last kept row
+    prev = prev_line = None            # date and line of the last kept row
     for line, row in records:
         if len(row) < width:
             if not "".join(row).strip():
@@ -163,10 +181,15 @@ def load_series_csv(
             raise DataError(f"expected {width} fields, got {len(row)}", line=line)
         if location is not None and row[i_loc].strip() != location:
             continue
-        if not "".join(row).strip():
+        # a row whose location matched a non-empty location is not blank
+        if not location and not "".join(row).strip():
             continue
         found = True
-        date = _parse_date(row[i_date], line)
+        day = row[i_date].strip()
+        try:
+            date = _iso_date(day)
+        except ValueError as exc:
+            raise DataError(f"bad date {row[i_date]!r}: {exc}", line=line) from None
         if (lo is not None and date < lo) or (hi is not None and date > hi):
             continue
         raw = row[i_value].strip()
@@ -177,18 +200,21 @@ def load_series_csv(
                 value = float(raw)
             except ValueError:
                 raise DataError(f"bad value {raw!r}", line=line) from None
-        if not math.isfinite(value):
-            raise DataError(f"non-finite value {raw!r}", line=line)
-        if value < 0:
-            raise DataError(f"negative value {value}", line=line)
-        if prev is not None and date <= prev[0]:
+            if not 0.0 <= value < math.inf:
+                raise DataError(
+                    f"non-finite value {raw!r}"
+                    if not math.isfinite(value)
+                    else f"negative value {value}",
+                    line=line,
+                )
+        if prev is not None and date <= prev:
             raise DataError(
-                f"dates not strictly increasing: {date} after {prev[0]} "
-                f"(line {prev[1]})",
+                f"dates not strictly increasing: {date} after {prev} "
+                f"(line {prev_line})",
                 line=line,
             )
-        prev = (date, line)
-        dates.append(date.isoformat())
+        prev, prev_line = date, line
+        dates.append(day)
         values.append(value)
 
     if location is not None and not found:

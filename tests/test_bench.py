@@ -254,6 +254,41 @@ class TestExperimentResult:
         res.write(path, "csv")
         assert path.read_bytes() == res.to_csv_text().encode()
 
+    @pytest.mark.parametrize("columns, rows", [
+        (("a", "b", "c"), [{"a": 1, "c": 2.5}, {"b": "x"}]),     # a missing column
+        (("a", "b"), [{"a": 1, "b": 2, "z": "extra"}]),          # an extra key
+        (("a", "b"), [{"a": None, "b": float("nan")}]),          # a None value
+        (("a",), [{"a": "two words"}, {"a": 2.0}, {}]),          # one column
+        (("a", "b"), []),
+    ])
+    def test_csv_matches_the_row_get_reference(self, columns, rows):
+        res = ExperimentResult(config={"seed": 0}, rows=rows, columns=columns)
+        assert res.to_csv_text() == reference_csv_text(res)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_command_renders_as_the_reference(self, tmp_path, command):
+        spec = COMMANDS[command]
+        keys = {}
+        if command == "fit-series":
+            keys = {"csv": str(write_series_csv(tmp_path / "series.csv")), "n": 50, "N": 8}
+        res = getattr(bench, spec.runner)(
+            ExperimentConfig(experiment=spec.experiment, seed=0, **keys))
+        assert res.rows
+        assert res.to_csv_text() == reference_csv_text(res)
+
+
+def reference_csv_text(result):
+    """ExperimentResult.to_csv_text with one `row.get` per cell: the render
+    that the C-level field extraction must match byte for byte."""
+    buf = io.StringIO()
+    buf.write("# config ")
+    buf.write(json.dumps(result.config, sort_keys=True, separators=(",", ":")))
+    buf.write("\r\n")
+    writer = csv.writer(buf)
+    writer.writerow(result.columns)
+    writer.writerows([row.get(col) for col in result.columns] for row in result.rows)
+    return buf.getvalue()
+
 
 class TestRunTable1:
     def test_degenerate_degree_gives_unit_kappa(self):

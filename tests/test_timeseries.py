@@ -271,6 +271,16 @@ class TestUnreadableRecord:
 OTHER_ISO_FORMS = ["20200302", "2020-W10-1", "2020W101", "2020-W10", "2020-3-02"]
 
 
+@st.composite
+def near_iso_dates(draw):
+    """ISO dates with up to two characters replaced, maybe padded."""
+    text = list(draw(st.dates()).isoformat())
+    for _ in range(draw(st.integers(0, 2))):
+        text[draw(st.integers(0, 9))] = draw(st.sampled_from("0123456789-+:.TW \u0661\uff11"))
+    pads = st.sampled_from(["", " ", "\t", "  "])
+    return draw(pads) + "".join(text) + draw(pads)
+
+
 class TestDateForm:
     """Dates are YYYY-MM-DD after strip on every supported Python; 3.11's
     date.fromisoformat also reads the basic and week forms."""
@@ -294,19 +304,101 @@ class TestDateForm:
         path.write_text(f"date,location,new_cases\n {iso(0)} ,X,1\n\t{iso(1)},X,2\n")
         assert load_series_csv(path, start=f" {iso(1)} ").dates == (iso(1),)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(text=near_iso_dates())
+    def test_kept_dates_are_their_isoformat(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "a.csv")
+            path.write_text(f"date,location,new_cases\n{text},X,1\n", encoding="utf-8")
+            try:
+                dates = load_series_csv(path).dates
+            except DataError as exc:
+                assert "bad date" in str(exc)
+                return
+        assert dates == (datetime.date.fromisoformat(text.strip()).isoformat(),)
+
+
+class TestPhysicalLines:
+    """Error lines are physical lines: a record is named by the line it starts
+    on, also after a quoted field that holds a line break."""
+
+    HEADER = "date,location,new_cases,note\n"
+
+    def load(self, tmp_path, body, location=None):
+        path = tmp_path / "a.csv"
+        path.write_bytes((self.HEADER + body).encode())
+        return load_series_csv(path, location=location)
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+    def test_line_after_a_quoted_line_break(self, tmp_path, brk):
+        body = f'{iso(0)},A,1,"two{brk}lines"\n{iso(1)},A,n/a,x\n'
+        with pytest.raises(DataError, match="bad value 'n/a'") as err:
+            self.load(tmp_path, body)
+        assert err.value.line == 4
+
+    def test_record_named_by_its_first_line(self, tmp_path):
+        body = f'{iso(0)},A,1,x\n{iso(1)},A,n/a,"two\nlines"\n'
+        with pytest.raises(DataError, match="bad value") as err:
+            self.load(tmp_path, body)
+        assert err.value.line == 3
+
+    def test_both_lines_of_a_date_step_back(self, tmp_path):
+        body = f'{iso(1)},A,1,"two\nlines"\n{iso(0)},A,2,x\n'
+        with pytest.raises(DataError, match=r"line 4: .* \(line 2\)"):
+            self.load(tmp_path, body)
+
+    def test_unreadable_record_after_a_quoted_line_break(self, tmp_path):
+        big = "7" * (csv.field_size_limit() + 1)
+        body = f'{iso(0)},B,1,"two\nlines"\n{iso(0)},A,{big},x\n'
+        with pytest.raises(DataError, match="field larger than field limit") as err:
+            self.load(tmp_path, body, location="B")
+        assert err.value.line == 4
+
+
+class TestUndecodable:
+    """A file that is not UTF-8 is a DataError naming the line of its first
+    bad byte, lines ending at CRLF, CR or LF."""
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("bad, reason", [(b"\xff", "invalid start byte"),
+                                             (b"\xc3", "invalid continuation byte")])
+    def test_names_the_line_of_the_bad_byte(self, tmp_path, end, bad, reason):
+        lines = [b"date,location,new_cases", iso(0).encode() + b",A,1",
+                 iso(1).encode() + b",A," + bad + b"2", iso(2).encode() + b",A,3"]
+        path = tmp_path / "a.csv"
+        path.write_bytes(end.join(lines) + end)
+        with pytest.raises(DataError, match=reason) as err:
+            load_series_csv(path, location="B")
+        assert err.value.line == 3
+
+    def test_cli_refusal_keeps_the_exit_contract(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_bytes(f"date,location,new_cases\n{iso(0)},A,1\n{iso(1)},A,2\xff\n".encode("latin-1"))
+        assert main(["fit-series", "--csv", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "DataError",
+            "message": "line 3: invalid UTF-8 byte 0xff: invalid start byte",
+        }
+
 
 def oracle_load(path, location=None):
     """load_series_csv as one csv.reader loop over the file, every record
-    split; a record csv.reader cannot read is a DataError on its line."""
+    split; each record's line is the physical line it starts on, and a
+    record csv.reader cannot read is a DataError on its first line."""
 
     def records(fh):
-        line = 0
+        reader = csv.reader(fh)
+        line = 1
         try:
-            for row in csv.reader(fh):
-                line += 1
+            for row in reader:
                 yield line, row
+                line = reader.line_num + 1
         except csv.Error as exc:
-            raise DataError(str(exc), line=line + 1) from None
+            raise DataError(str(exc), line=line) from None
 
     with open(path, newline="", encoding="utf-8") as fh:
         rows = records(fh)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (DesignMatrix, _mean, _trials, build_design, least_squares,
-                     theory_bounds)
+from .design import (DesignMatrix, _eigenvalues, _mean, _near_singular, _report,
+                     _trials, build_design, least_squares, theory_bounds)
 from .errors import RobustFitError, StabilityError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
 from .sampling import derive_rng, derive_seed, make_noise, sample_beta_on_I
@@ -89,11 +89,16 @@ def ransac_fit(
     """Robust fit: repeated subsample fits scored on a full consensus set.
 
     Each iteration draws subset_size points (default ceil(0.57 * n)) without
-    replacement, fits, and scores by mean squared prediction error over the
-    scoring set (default: all of x, y). Near-singular iterations are skipped;
-    if every one fails a RobustFitError is raised, and a score past the float
-    range raises a ValueError. The basis is evaluated once for x and once for
-    a separate scoring set; iterations slice rows of those tables, which the
+    replacement from its own stream, fits, and scores by mean squared
+    prediction error over the scoring set (default: all of x, y). The
+    iterations are solved as one stack: one batched product forms every
+    subsample's normal equations, one batched eigvalsh gives their Gram
+    spectra and the near-singular verdict of spectral_report, one batched
+    solve fits the others and one product scores them. Near-singular
+    iterations are counted in n_failed; if every one fails a RobustFitError
+    is raised, and a score past the float range raises a ValueError. The
+    first lowest score wins. The basis is evaluated once for x and once for a
+    separate scoring set; iterations gather rows of those tables, which the
     result keeps.
     """
     if iterations < 1:
@@ -101,6 +106,14 @@ def ransac_fit(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    if scoring is not None:
+        xs, ys = (np.asarray(v, dtype=float) for v in scoring)
+        if ys.shape != (len(xs),):
+            raise ValueError(f"scoring y has shape {ys.shape}, expected ({len(xs)},)")
+        if not len(xs):
+            raise ValueError("the scoring set is empty")
     if subset_size is None:
         subset_size = math.ceil(0.57 * n)
     if not basis.size <= subset_size <= n:
@@ -108,28 +121,35 @@ def ransac_fit(
             f"subset_size must be in [{basis.size}, {n}], got {subset_size}"
         )
     table = basis.table(x)
-    if scoring is None:
-        score_table, ys = table, y
-    else:
-        score_table, ys = basis.table(scoring[0]), np.asarray(scoring[1], dtype=float)
-
-    def attempt(it):
-        rng = derive_rng(seed, "ransac", it)
-        idx = np.sort(rng.choice(n, size=subset_size, replace=False))
-        model = fit(DesignMatrix(table[idx] / math.sqrt(subset_size), basis), y[idx])
-        with np.errstate(over="ignore", invalid="ignore"):      # refused below
-            score = _mean((score_table @ model.coeffs - ys) ** 2)
-        if not math.isfinite(score):
-            raise ValueError(f"iteration {it}'s robust-fit score passes the float range")
-        return score, it, model
-
-    n_failed, fits = _trials(iterations, attempt, StabilityError)
-    if not fits:
+    score_table, ys = (table, y) if scoring is None else (basis.table(xs), ys)
+    idx = np.sort([derive_rng(seed, "ransac", it).choice(n, size=subset_size, replace=False)
+                   for it in range(iterations)])
+    # each subsample's table rows with the response as a last column
+    rows = np.column_stack([table, y])[idx]
+    normal = rows[..., :-1].swapaxes(1, 2) @ rows       # [A^T A | A^T b] per iteration
+    del rows        # the largest array here: not held through the scoring
+    eigenvalues = _eigenvalues(normal[..., :-1] / subset_size)     # the designs' Grams
+    kept = np.flatnonzero(~_near_singular(eigenvalues))
+    if not len(kept):
         raise RobustFitError(f"all {iterations} subsample fits were near singular")
-    score, it, model = min(fits, key=lambda f: f[0])     # the first lowest score
-    model.truncation_level = truncation_level
-    return RansacResult(model=model, score=score, iteration=it, n_failed=n_failed,
-                        table=table, score_table=score_table)
+    # only the others are solved: one singular Gram would make solve raise for
+    # all; a zero row stands for each, so that no score depends on which failed
+    coeffs = np.zeros((iterations, basis.size))
+    coeffs[kept] = np.linalg.solve(normal[kept, :, :-1], normal[kept, :, -1:])[..., 0]
+    # C @ score_table^T: contiguous rows, so each plain mean is np.mean of its row
+    with np.errstate(over="ignore", invalid="ignore"):      # refused below
+        errors = (coeffs @ score_table.T - ys) ** 2
+        scores = np.mean(errors, axis=1)
+    for it in kept[~np.isfinite(scores[kept])]:
+        scores[it] = _mean(errors[it])      # a sum past the float range
+        if not math.isfinite(scores[it]):
+            raise ValueError(f"iteration {it}'s robust-fit score passes the float range")
+    it = int(kept[np.argmin(scores[kept])])     # the first lowest score
+    model = NpregModel(coeffs=coeffs[it], basis=basis, fit_report=_report(eigenvalues[it]),
+                       truncation_level=truncation_level, n_samples=subset_size)
+    return RansacResult(model=model, score=float(scores[it]), iteration=it,
+                        n_failed=iterations - len(kept), table=table,
+                        score_table=score_table)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pinvreg.design import DesignMatrix, build_design, spectral_report
+from pinvreg import regression
+from pinvreg.design import DesignMatrix, _mean, build_design, spectral_report
 from pinvreg.errors import RobustFitError, StabilityError
 from pinvreg.jacobi import JacobiBasis, JacobiParams, omega_norm
 from pinvreg.regression import (
@@ -284,27 +285,104 @@ class TestRansac:
         assert (a.score, a.iteration) == (b.score, b.iteration)
         assert_array_equal(a.model.coeffs, b.model.coeffs)
 
+    @staticmethod
+    def per_iteration_fits(x, y, basis, iterations, seed, scoring, size):
+        """The oracle: each subsample refit by gelsd through fit and scored by
+        predict; the first lowest score and the count of near-singular fits."""
+        best, failed = None, 0
+        for it in range(iterations):
+            rng = derive_rng(seed, "ransac", it)
+            idx = np.sort(rng.choice(len(x), size=size, replace=False))
+            try:
+                model = fit(build_design(basis, x[idx]), y[idx])
+            except StabilityError:
+                failed += 1
+                continue
+            score = float(np.mean((model.predict(scoring[0]) - scoring[1]) ** 2))
+            if best is None or score < best[0]:
+                best = (score, it, model)
+        return best, failed
+
+    def assert_matches_oracle(self, x, y, basis, iterations, seed, scoring, size):
+        # the stack solves the normal equations, the oracle the SVD: values
+        # agree to about kappa(Gram) eps, choices and counts exactly
+        (score, it, model), failed = self.per_iteration_fits(
+            x, y, basis, iterations, seed, scoring, size)
+        r = ransac_fit(x, y, basis, iterations=iterations, subset_size=size,
+                       seed=seed, scoring=scoring)
+        assert (r.iteration, r.n_failed) == (it, failed)
+        assert r.score == pytest.approx(score, rel=1e-12, abs=0)
+        for got, want in ((r.model.coeffs, model.coeffs),
+                          (r.model.fit_report.eigenvalues, model.fit_report.eigenvalues)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert r.model.fit_report.near_singular is False
+        return r
+
     def test_matches_per_iteration_fit_loop(self):
-        # reference: refit each subsample from its own table and score by predict
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 60, seed=8)
         y = np.sin(3 * s)
         y[:3] += 5.0
         xs = np.linspace(-0.95, 0.95, 90)
-        ys = np.sin(3 * xs)
-        best = None
-        for it in range(9):
-            rng = derive_rng(21, "ransac", it)
-            idx = np.sort(rng.choice(60, size=math.ceil(0.57 * 60), replace=False))
-            model = fit(build_design(basis, s[idx]), y[idx])
-            score = float(np.mean((model.predict(xs) - ys) ** 2))
-            if best is None or score < best[0]:
-                best = (score, it, model)
-        r = ransac_fit(s, y, basis, iterations=9, seed=21, scoring=(xs, ys))
-        assert (r.score, r.iteration, r.n_failed) == (best[0], best[1], 0)
-        np.testing.assert_array_equal(r.model.coeffs, best[2].coeffs)
-        np.testing.assert_array_equal(r.model.fit_report.eigenvalues,
-                                      best[2].fit_report.eigenvalues)
+        r = self.assert_matches_oracle(s, y, basis, 9, 21, (xs, np.sin(3 * xs)),
+                                       math.ceil(0.57 * 60))
+        assert r.n_failed == 0
+
+    def test_matches_per_iteration_fit_loop_with_rank_deficient_subsamples(self):
+        # 8 nodes, each taken 3 times: a subsample of 8 rows that hits at most
+        # 5 distinct nodes cannot fit 6 columns
+        basis = JacobiBasis(PARAMS, 5)
+        x = np.repeat(np.cos(np.pi * (np.arange(8) + 0.5) / 8), 3)
+        y = np.sin(3 * x) + 0.1 * np.cos(17 * x)
+        xs = np.linspace(-0.95, 0.95, 90)
+        r = self.assert_matches_oracle(x, y, basis, 9, 4, (xs, np.sin(3 * xs)), 8)
+        assert r.n_failed == 3
+
+    @pytest.mark.parametrize("y_len, xs_len, ys_len, message", [
+        (61, 90, 90, "y has shape (61,), expected (60,)"),
+        (59, 90, 90, "y has shape (59,), expected (60,)"),
+        (60, 90, 1, "scoring y has shape (1,), expected (90,)"),
+        (60, 90, 91, "scoring y has shape (91,), expected (90,)"),
+        (60, 0, 0, "the scoring set is empty"),
+    ], ids=["y-long", "y-short", "scoring-y-one", "scoring-y-long", "scoring-empty"])
+    def test_shapes_checked_before_any_draw(self, monkeypatch, y_len, xs_len, ys_len,
+                                            message):
+        # a length-1 scoring y would broadcast against every scoring point
+        def no_draws(*args):
+            raise AssertionError("drew a subsample")
+
+        monkeypatch.setattr(regression, "derive_rng", no_draws)
+        x = np.linspace(-0.9, 0.9, 60)
+        xs = np.linspace(-0.9, 0.9, xs_len)
+        with pytest.raises(ValueError) as info:
+            ransac_fit(x, np.zeros(y_len), JacobiBasis(PARAMS, 3),
+                       scoring=(xs, np.full(ys_len, 0.3)))
+        assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("error")
+    def test_score_keeps_the_divided_mean_past_the_float_range(self):
+        # each squared residual is about 9e306: their sum passes the float
+        # range, their mean does not; the responses are zero, so every
+        # iteration fits zero and the first wins the tie
+        basis = JacobiBasis(PARAMS, 3)
+        x = np.linspace(-0.9, 0.9, 60)
+        xs = np.linspace(-0.95, 0.95, 90)
+        ys = 3e153 * np.where(np.arange(90) % 2, 1.0, -1.0)
+        r = ransac_fit(x, np.zeros(60), basis, iterations=4, seed=0, scoring=(xs, ys))
+        errors = (r.score_table @ r.model.coeffs - ys) ** 2
+        with np.errstate(over="ignore"):
+            assert np.mean(errors) == math.inf
+        assert r.score == _mean(errors) and math.isfinite(r.score)
+        assert r.iteration == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_residuals_past_the_float_range_refused(self):
+        basis = JacobiBasis(PARAMS, 3)
+        x = np.linspace(-0.9, 0.9, 60)
+        with pytest.raises(ValueError, match=r"^iteration 0's robust-fit score passes "
+                                             r"the float range$"):
+            ransac_fit(x, 1e200 * np.where(np.arange(60) % 2, 1.0, -1.0), basis,
+                       iterations=4, seed=0)
 
     def test_external_scoring_set(self):
         basis = JacobiBasis(PARAMS, 2)

@@ -2,9 +2,11 @@
 iteration) whose fit raised the runner's singular error is counted, the
 others are averaged, and any other error escapes.
 
-Each test forces chosen fits to raise by wrapping the fit that the runner
-calls once per trial. A run that keeps only trial k reads trial k's own
-values, so the run that drops trial 1 must read those of trials 0, 2 and 3.
+Each test forces chosen trials to be singular by wrapping the fit that the
+runner calls once per trial; ransac_fit, which solves its iterations as one
+stack, is forced through its one near-singular verdict instead. A run that
+keeps only trial k reads trial k's own values, so the run that drops trial 1
+must read those of trials 0, 2 and 3.
 """
 
 import itertools
@@ -59,34 +61,52 @@ def ransac():
                       seed=0)
 
 
-# runner: (module whose fit it calls once per trial, that fit, its singular error)
-FITS = {
-    table3: (bench, "fit", StabilityError),
-    table4: (bench, "lfr_fit", SingularBlockError),
-    simulate_lfr: (bench, "lfr_fit", SingularBlockError),
-    l2_risk: (regression, "fit", StabilityError),
-    lfr_risk: (lfr, "lfr_fit", SingularBlockError),
-    ransac: (regression, "fit", StabilityError),
-}
-
-
-@pytest.fixture
-def forcing(monkeypatch):
-    """forcing(runner, raising, error=None): the runner's result with its fit
-    raising `error` (default: its singular error) on the calls whose 0-based
-    index is in raising."""
-    def run(runner, raising, error=None):
-        module, name, singular = FITS[runner]
-        real = getattr(module, name)
+def per_call(singular):
+    """Forcing of a fit that the runner calls once per trial: the calls whose
+    0-based index is in raising raise `error` (default: `singular`)."""
+    def force(real, raising, error):
         calls = itertools.count()
 
         def fit(*args, **kwargs):
             if next(calls) in raising:
                 raise (error or singular)("forced")
             return real(*args, **kwargs)
+        return fit
+    return force
 
+
+def stacked_verdict(real, raising, error):
+    """Forcing of ransac_fit's one near-singular verdict over all of its
+    iterations: those in raising read near singular, or it raises `error`."""
+    def verdict(eigenvalues):
+        if error:
+            raise error("forced")
+        near = real(eigenvalues)
+        near[list(raising)] = True
+        return near
+    return verdict
+
+
+# runner: (module whose name it calls per trial or once per stack, that name,
+# its forcing)
+FITS = {
+    table3: (bench, "fit", per_call(StabilityError)),
+    table4: (bench, "lfr_fit", per_call(SingularBlockError)),
+    simulate_lfr: (bench, "lfr_fit", per_call(SingularBlockError)),
+    l2_risk: (regression, "fit", per_call(StabilityError)),
+    lfr_risk: (lfr, "lfr_fit", per_call(SingularBlockError)),
+    ransac: (regression, "_near_singular", stacked_verdict),
+}
+
+
+@pytest.fixture
+def forcing(monkeypatch):
+    """forcing(runner, raising, error=None): the runner's result with the
+    trials in raising forced singular, or raising `error` instead."""
+    def run(runner, raising, error=None):
+        module, name, force = FITS[runner]
         with monkeypatch.context() as m:
-            m.setattr(module, name, fit)
+            m.setattr(module, name, force(getattr(module, name), raising, error))
             return runner()
     return run
 

@@ -99,11 +99,12 @@ def _dispatch(args) -> int:
         sys.stdout.write(result.render(config.format))
         return 0
     result.write(config.out, config.format)
-    print(f"wrote {config.out} ({len(result.rows)} rows)")
+    written = [f"wrote {config.out} ({len(result.rows)} rows)"]
     if result.model is not None:
         model_path = Path(config.out).with_suffix(".model.json")
         save_model(result.model, model_path)
-        print(f"wrote {model_path}")
+        written.append(f"wrote {model_path}")
+    print(*written, sep="\n")       # only once every file is written
     return 0
 
 

@@ -12,8 +12,8 @@ orthonormal there against the weight ``4 * omega(2x - 1)``.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property, lru_cache, reduce
+from operator import add, index
 
 import numpy as np
 
@@ -38,7 +38,13 @@ _ROUNDING_LIMIT = 1e-7    # largest relative rounding bound of an accepted h_k
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Exponent pair (alpha, beta) of the Jacobi weight; both must be >= -1/2."""
+    """Exponent pair (alpha, beta) of the Jacobi weight; both must be >= -1/2.
+
+    The pair is stored as given (a model file saves an int as an int), and
+    every constant is computed from float(alpha) and float(beta): a float32
+    exponent equals, and hashes as, its float value, so both must give the
+    same bits, and they share one cached basis.
+    """
 
     alpha: float
     beta: float
@@ -51,11 +57,11 @@ class JacobiParams:
 
     @property
     def mu(self) -> float:
-        return max(self.alpha, self.beta)
+        return max(float(self.alpha), float(self.beta))
 
     @property
     def c_ab(self) -> float:
-        return (self.alpha + self.beta + 1.0) / 2.0
+        return (float(self.alpha) + float(self.beta) + 1.0) / 2.0
 
     @cached_property
     def gamma_ab(self) -> float:
@@ -92,7 +98,7 @@ def norm_constant(params: JacobiParams, k: int) -> float:
 def _log_norm_constant(params: JacobiParams, k: int) -> tuple:
     """log h_k as a sum of log-space terms, and 2^-52 sum |terms|, the rounding
     bound of that sum; both read inf where a term passes the float range."""
-    a, b = params.alpha, params.beta
+    a, b = float(params.alpha), float(params.beta)
     log2 = (a + b + 1.0) * math.log(2.0)
     try:
         if k == 0:
@@ -120,7 +126,7 @@ def _norm_constant(params: JacobiParams, k: int) -> tuple:
 
 def _recurrence_table(params: JacobiParams, x: np.ndarray, degree_max: int) -> np.ndarray:
     """Unnormalized Jacobi values, shape (degree_max+1,) + x.shape."""
-    a, b = params.alpha, params.beta
+    a, b = float(params.alpha), float(params.beta)
     out = np.zeros((degree_max + 1,) + x.shape)
     out[0] = 1.0
     if degree_max >= 1:
@@ -133,6 +139,28 @@ def _recurrence_table(params: JacobiParams, x: np.ndarray, degree_max: int) -> n
         c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + ab)
         out[k] = ((c2 + c3 * x) * out[k - 1] - c4 * out[k - 2]) / c1
     return out
+
+
+@lru_cache(maxsize=64)
+def _sqrt_norm_constants(params: JacobiParams, degree_max: int) -> np.ndarray:
+    """sqrt(h_k) for k = 0..degree_max, read-only and built once per process.
+
+    Raises ValueError where the basis is not representable; lru_cache keeps
+    no exception, so such a basis is refused on every construction.
+    """
+    h, rounding = np.array([_norm_constant(params, k) for k in range(degree_max + 1)]).T
+    # |P_k| peaks at x = -1 or 1 once max(alpha, beta) >= -1/2 (Szego
+    # 7.32.2), so a recurrence finite there is finite on all of [-1, 1]
+    with np.errstate(all="ignore"):
+        ends = _recurrence_table(params, np.array([-1.0, 1.0]), degree_max)
+    # a rounding bound past the limit: the log-space terms cancelled h_k's digits
+    if not (np.all(np.isfinite(h) & (h > 0.0) & (rounding <= _ROUNDING_LIMIT))
+            and np.all(np.isfinite(ends))):
+        raise ValueError(f"Jacobi basis at alpha={params.alpha}, beta={params.beta}, "
+                         f"N={degree_max} is not representable in floats")
+    sqrt_h = np.sqrt(h)
+    sqrt_h.flags.writeable = False      # shared by every basis of this key
+    return sqrt_h
 
 
 class JacobiBasis:
@@ -153,21 +181,11 @@ class JacobiBasis:
             raise ValueError(f"degree_max must be >= 0, got {degree_max}")
         if domain not in (SYMMETRIC, UNIT):
             raise ValueError(f"unknown domain {domain!r}")
-        h, rounding = np.array([_norm_constant(params, k)
-                                for k in range(degree_max + 1)]).T
-        # |P_k| peaks at x = -1 or 1 once max(alpha, beta) >= -1/2 (Szego
-        # 7.32.2), so a recurrence finite there is finite on all of [-1, 1]
-        with np.errstate(all="ignore"):
-            ends = _recurrence_table(params, np.array([-1.0, 1.0]), degree_max)
-        # a rounding bound past the limit: the log-space terms cancelled h_k's digits
-        if not (np.all(np.isfinite(h) & (h > 0.0) & (rounding <= _ROUNDING_LIMIT))
-                and np.all(np.isfinite(ends))):
-            raise ValueError(f"Jacobi basis at alpha={params.alpha}, beta={params.beta}, "
-                             f"N={degree_max} is not representable in floats")
+        # index() refuses 5.0 as range() would: 5.0 and 5 are one cache key
+        self._sqrt_h = _sqrt_norm_constants(params, index(degree_max))
         self.params = params
         self.degree_max = int(degree_max)
         self.domain = domain
-        self._sqrt_h = np.sqrt(h)
 
     @property
     def size(self) -> int:
@@ -206,7 +224,7 @@ class JacobiBasis:
 def eta_ab(params: JacobiParams) -> float:
     """Printed constant eta_{a,b} of the sup-norm majorant; inf when it
     passes the float range, as a vacuous bound reads."""
-    a, b = params.alpha, params.beta
+    a, b = float(params.alpha), float(params.beta)
     mu = params.mu
     try:
         return math.exp(2.0 * max(mu, 0.0) / 12.0 + max(mu * mu + a * b, 0.0) / 8.0

@@ -97,9 +97,9 @@ def ransac_fit(
     solve fits the others and one product scores them. Near-singular
     iterations are counted in n_failed; if every one fails a RobustFitError
     is raised, and a score past the float range raises a ValueError. The
-    first lowest score wins. The basis is evaluated once for x and once for a
-    separate scoring set; iterations gather rows of those tables, which the
-    result keeps.
+    first lowest score wins. The basis is evaluated once, over x and a
+    separate scoring set together; iterations gather rows of its x part, and
+    the result keeps both parts.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -120,8 +120,10 @@ def ransac_fit(
         raise ValueError(
             f"subset_size must be in [{basis.size}, {n}], got {subset_size}"
         )
-    table = basis.table(x)
-    score_table, ys = (table, y) if scoring is None else (basis.table(xs), ys)
+    # one recurrence over x and the scoring points together: it is elementwise
+    both = basis.table(x if scoring is None else np.concatenate([x, xs]))
+    table = both[:n]
+    score_table, ys = (table, y) if scoring is None else (both[n:], ys)
     idx = np.sort([derive_rng(seed, "ransac", it).choice(n, size=subset_size, replace=False)
                    for it in range(iterations)])
     # each subsample's table rows with the response as a last column

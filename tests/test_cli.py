@@ -291,6 +291,15 @@ class TestFitSeries:
         preds = model.predict(np.linspace(0, 1, 11))
         assert np.all(np.isfinite(preds))
 
+    def test_int_exponent_is_saved_as_given(self, tmp_path, series_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 0}')
+        out = tmp_path / "fit.csv"
+        assert main(["fit-series", "--config", str(cfg), "--csv", str(series_csv),
+                     "--n", "40", "--N", "5", "--out", str(out)]) == 0
+        doc = json.loads(out.with_suffix(".model.json").read_text())
+        assert doc["alpha"] == 0 and type(doc["alpha"]) is int
+
     def test_without_out_writes_no_model_file(self, tmp_path, series_csv, capsys,
                                               monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -340,6 +349,15 @@ class TestErrorPaths:
         assert doc["error"] == "ValueError"
         assert "float range" in doc["message"]
         assert list(tmp_path.iterdir()) == [series]
+
+    def test_failed_model_write_prints_no_wrote_line(self, tmp_path, series_csv,
+                                                     capsys):
+        out = tmp_path / "fit.csv"
+        out.with_suffix(".model.json").mkdir()
+        code = main(["fit-series", "--csv", str(series_csv), "--n", "40",
+                     "--N", "5", "--out", str(out)])
+        assert code == 1
+        assert one_error_line(capsys)["error"] == "IsADirectoryError"
 
     def test_non_finite_truncation_exits_one_before_writing(
         self, tmp_path, series_csv, capsys

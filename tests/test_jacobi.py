@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.special import betaln, binom, eval_jacobi, gammaln
 
@@ -210,6 +211,79 @@ class TestExactnessLimit:
         JacobiBasis(params, 40)
         for k in (0, 1, 40):
             assert self.exact_relative_error(params.alpha, params.beta, k) < 1e-7
+
+
+class TestConstantCache:
+    """JacobiBasis takes its norm constants from one build per (params, N)."""
+
+    def test_equal_bases_share_one_read_only_array(self):
+        params = JacobiParams(0.25, 0.75)
+        a = JacobiBasis(params, 9)
+        b = JacobiBasis(JacobiParams(0.25, 0.75), 9, domain=UNIT)
+        assert a._sqrt_h is b._sqrt_h
+        with pytest.raises(ValueError, match="read-only"):
+            a._sqrt_h[0] = 1.0
+        assert JacobiBasis(params, 8)._sqrt_h is not a._sqrt_h
+        assert JacobiBasis(JacobiParams(0.75, 0.25), 9)._sqrt_h is not a._sqrt_h
+
+    def test_refused_basis_is_refused_on_every_construction(self):
+        message = "Jacobi basis at alpha=1e+16, beta=-0.5, N=5 is not representable in floats"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                JacobiBasis(JacobiParams(1e16, -0.5), 5)
+
+    @pytest.mark.parametrize("degree_max, error, message", [
+        (5.0, TypeError, "'float' object cannot be interpreted as an integer"),
+        (np.float64(5.0), TypeError,
+         "'numpy.float64' object cannot be interpreted as an integer"),
+        (-1.0, ValueError, "degree_max must be >= 0, got -1.0"),
+    ])
+    def test_accepted_degrees_do_not_follow_the_cache_key(self, degree_max, error,
+                                                          message):
+        # 5.0 == 5 with one hash, so an lru_cache would take either for the other
+        params = JacobiParams(0.0, 0.0)
+        JacobiBasis(params, 5)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            JacobiBasis(params, degree_max)
+
+    def test_numpy_integer_degree_shares_the_int_entry(self):
+        params = JacobiParams(0.0, 0.5)
+        basis = JacobiBasis(params, np.int64(6))
+        assert type(basis.degree_max) is int
+        assert basis._sqrt_h is JacobiBasis(params, 6)._sqrt_h
+
+
+class TestExponentTypes:
+    """float32, int and float exponents of equal value give the same bits: they
+    are equal JacobiParams with one hash, so they share one cache entry."""
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1.5), (0.0, 2.0), (-0.5, 3.0), (7.0, 0.25),
+                                      # float32's own values: float32 arithmetic
+                                      # rounds the recurrence coefficients
+                                      (float(np.float32(0.3)), float(np.float32(2.7)))])
+    def test_bit_equal_constants_and_tables(self, a, b):
+        variants = [JacobiParams(a, b), JacobiParams(np.float32(a), np.float32(b))]
+        if a.is_integer() and b.is_integer():
+            variants.append(JacobiParams(int(a), int(b)))
+        x = np.linspace(-1.0, 1.0, 41)
+        ref, *others = variants
+        for params in others:
+            assert params == ref and hash(params) == hash(ref)
+            for k in range(31):
+                assert norm_constant(params, k) == norm_constant(ref, k)
+            assert params.gamma_ab == ref.gamma_ab
+            assert (params.mu, params.c_ab, eta_ab(params), uniform_bound(params, 7)) == (
+                ref.mu, ref.c_ab, eta_ab(ref), uniform_bound(ref, 7))
+            assert type(uniform_bound(params, 7)) is float
+            assert_array_equal(jacobi._sqrt_norm_constants.__wrapped__(params, 30),
+                               jacobi._sqrt_norm_constants.__wrapped__(ref, 30))
+            assert_array_equal(jacobi._recurrence_table(params, x, 30),
+                               jacobi._recurrence_table(ref, x, 30))
+
+    def test_float32_keeps_the_stored_exponents(self):
+        params = JacobiParams(np.float32(0.5), np.float32(1.5))
+        basis = JacobiBasis(params, 10)
+        assert basis.params is params and type(params.alpha) is np.float32
 
 
 class TestOrthonormality:

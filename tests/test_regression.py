@@ -272,8 +272,20 @@ class TestRansac:
             calls.clear()
             result = ransac_fit(s, np.sin(3 * s), basis, iterations=iterations,
                                 seed=13, scoring=(xs, np.sin(3 * xs)))
-            assert calls == [60, 90]
+            assert calls == [60 + 90]       # one table over both point sets
             assert result.table.shape == (60, 4) and result.score_table.shape == (90, 4)
+
+    @pytest.mark.parametrize("domain", ["symmetric", "unit"])
+    def test_tables_equal_separate_evaluations(self, domain):
+        basis = JacobiBasis(JacobiParams(0.5, 1.0), 6, domain=domain)
+        s = sample_beta_on_I(JacobiParams(0.5, 1.0), 60, seed=3)
+        xs = np.linspace(-0.95, 0.95, 90)
+        if domain == "unit":
+            s, xs = (s + 1.0) / 2.0, (xs + 1.0) / 2.0
+        result = ransac_fit(s, np.cos(2 * s), basis, iterations=5, seed=4,
+                            scoring=(xs, np.cos(2 * xs)))
+        assert_array_equal(result.table, basis.table(s))
+        assert_array_equal(result.score_table, basis.table(xs))
 
     def test_default_scoring_is_the_sample(self):
         basis = JacobiBasis(PARAMS, 3)

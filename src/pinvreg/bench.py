@@ -8,6 +8,7 @@ rows are assembled in sweep order.
 """
 
 import csv
+import ctypes
 import io
 import itertools
 import json
@@ -16,9 +17,11 @@ import numbers
 import operator
 import os
 import pickle
+import sys
 import time
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -367,6 +370,42 @@ def _cells(config: ExperimentConfig, command: str, sweep) -> list:
 
 # the cell functions whose first cell has run in this process
 _warm = set()
+# the OpenBLAS copy that numpy and scipy each ship: the package, and the
+# suffix of its scipy_openblas_{get,set}_num_threads symbols
+_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
+
+
+def _openblas_threads() -> dict:
+    """(get, set) of the thread count of each OpenBLAS in _OPENBLAS that is
+    loaded in this process, by its path. A library is opened with
+    RTLD_NOLOAD, so one that is not loaded yet stays unloaded; a package,
+    library or symbol that is not found is left out."""
+    found = {}
+    for package, suffix in _OPENBLAS:
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        for path in Path(module.__file__).parents[1].glob(
+                f"{package}.libs/libscipy_openblas*.so*"):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found[path] = (get, put)
+    return found
+
+
+def _one_blas_thread(saved: dict) -> None:
+    """Set each loaded OpenBLAS that saved does not hold yet to one thread,
+    saving (set, its count) there under its path."""
+    for path, (get, put) in _openblas_threads().items():
+        if path not in saved:
+            saved[path] = (put, get())
+            put(1)
 
 
 def _sweep(config: ExperimentConfig, cell, cells: list) -> ExperimentResult:
@@ -381,17 +420,30 @@ def _sweep(config: ExperimentConfig, cell, cells: list) -> ExperimentResult:
     or its error into its own pipe. A child's error is raised here, a child
     that dies is an OSError, and none outlives the sweep. Each cell derives
     its own seeds, so its rows do not depend on where it runs. Every cell
-    runs here where k < 2 or the platform cannot fork."""
+    runs here where k < 2 or the platform cannot fork, with the BLAS
+    threads as they are. Where k >= 2, each loaded OpenBLAS runs one thread
+    per process, from before the first cell (or, for one that the first
+    cell loads, after it) until the children are reaped, when its count is
+    restored: k processes of k threads each would oversubscribe the CPUs.
+    A threaded Cholesky (order >= 128) rounds by its thread count, so there
+    a first cell that loads scipy's OpenBLAS may differ in its last digits
+    from the same cell in a warm sweep."""
     parts = []
-    if cell not in _warm:
-        parts.append(cell(config, cells[0]))
-        _warm.add(cell)
-    rest = cells[len(parts):]
+    cold = cell not in _warm
+    rest = cells[1:] if cold else cells
     # no sched_getaffinity (macOS, Windows): no fork that is safe to use
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = max(1, min(len(rest), cpus))
     children = []     # (pid, the read end of its pipe)
+    threads = {}      # (set, the count to restore) of each OpenBLAS, by path
     try:
+        if k > 1:
+            _one_blas_thread(threads)
+        if cold:
+            parts.append(cell(config, cells[0]))
+            _warm.add(cell)
+            if k > 1:   # the first cell may have loaded scipy's
+                _one_blas_thread(threads)
         for i in range(1, k):
             import signal
             read, write = os.pipe()
@@ -425,6 +477,8 @@ def _sweep(config: ExperimentConfig, cell, cells: list) -> ExperimentResult:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             fh.close()
+        for put, count in threads.values():
+            put(count)
     parts += [shares[j % k][j // k] for j in range(len(rest))]
     return ExperimentResult(config=_echo(config), rows=[r for p in parts for r in p])
 

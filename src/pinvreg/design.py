@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobi import JacobiBasis, JacobiParams, eta_ab
-from .sampling import cdf_transform, derive_rng, derive_seed, sample_beta_on_I
+from .sampling import (cdf_transform, derive_rng, derive_seed, normal_cdf,
+                       sample_beta_on_I)
 
 __all__ = [
     "DesignMatrix",
@@ -245,9 +246,8 @@ def mc_condition_number(
     if transform is None:
         samples = np.concatenate([sample_beta_on_I(params, n, seed) for seed in seeds])
     else:
-        from scipy.special import ndtr   # loaded only where the transform runs
         z = np.concatenate([derive_rng(seed).standard_normal(n) for seed in seeds])
-        samples = cdf_transform(z, ndtr, params)
+        samples = cdf_transform(z, normal_cdf, params)
     kappas = _kappas(build_design(basis, samples.reshape(trials, n)).gram())
     kappas = kappas[kappas != math.inf]
     return McSummary(kappas=np.sort(kappas), n_singular=trials - len(kappas))

@@ -251,13 +251,19 @@ class QuadratureRule:
 
 
 def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
-    """Gauss-Jacobi rule from scipy's `roots_jacobi`.
+    """Gauss-Jacobi rule from scipy's `roots_jacobi`, or at alpha = beta = -1/2
+    the Gauss-Chebyshev rule in closed form: nodes sin(pi k / (2 order)) for
+    k = 1 - order, 3 - order, ..., order - 1 and weights pi / order, the
+    formula of scipy's roots_chebyt (there with sinpi), without loading scipy.
 
     The returned rule integrates x -> f(x) * omega(x) over [-1, 1] exactly for
     polynomials f of degree <= 2*order - 1. Weights sum to gamma_ab.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if params.alpha == -0.5 and params.beta == -0.5:
+        nodes = np.sin(np.pi * np.arange(1 - order, order, 2) / (2 * order))
+        return QuadratureRule(nodes=nodes, weights=np.full(order, np.pi / order))
     from scipy.special import roots_jacobi   # loaded only where quadrature runs
     nodes, weights = roots_jacobi(order, params.alpha, params.beta)
     return QuadratureRule(nodes=nodes, weights=weights)

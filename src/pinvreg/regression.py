@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _GRID_SIZE = 2001   # uniform grid points of the clamp checks
+_RANSAC_CHUNK = 64  # robust-fit iterations drawn, solved and scored at a time
 
 
 @dataclass
@@ -91,15 +92,16 @@ def ransac_fit(
     Each iteration draws subset_size points (default ceil(0.57 * n)) without
     replacement from its own stream, fits, and scores by mean squared
     prediction error over the scoring set (default: all of x, y). The
-    iterations are solved as one stack: one batched product forms every
-    subsample's normal equations, one batched eigvalsh gives their Gram
+    iterations are solved in stacks of at most _RANSAC_CHUNK, so that memory
+    does not grow with their number: per stack, one batched product forms
+    every subsample's normal equations, one batched eigvalsh gives their Gram
     spectra and the near-singular verdict of spectral_report, one batched
-    solve fits the others and one product scores them. Near-singular
-    iterations are counted in n_failed; if every one fails a RobustFitError
-    is raised, and a score past the float range raises a ValueError. The
-    first lowest score wins. The basis is evaluated once, over x and a
-    separate scoring set together; iterations gather rows of its x part, and
-    the result keeps both parts.
+    solve fits the others and one product of min(iterations, _RANSAC_CHUNK)
+    rows scores them. Near-singular iterations are counted in n_failed; if
+    every one fails a RobustFitError is raised, and a score past the float
+    range raises a ValueError. The first lowest score wins. The basis is
+    evaluated once, over x and a separate scoring set together; iterations
+    gather rows of its x part, and the result keeps both parts.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -124,34 +126,46 @@ def ransac_fit(
     both = basis.table(x if scoring is None else np.concatenate([x, xs]))
     table = both[:n]
     score_table, ys = (table, y) if scoring is None else (both[n:], ys)
-    idx = np.sort([derive_rng(seed, "ransac", it).choice(n, size=subset_size, replace=False)
-                   for it in range(iterations)])
-    # each subsample's table rows with the response as a last column
-    rows = np.column_stack([table, y])[idx]
-    normal = rows[..., :-1].swapaxes(1, 2) @ rows       # [A^T A | A^T b] per iteration
-    del rows        # the largest array here: not held through the scoring
-    eigenvalues = _eigenvalues(normal[..., :-1] / subset_size)     # the designs' Grams
-    kept = np.flatnonzero(~_near_singular(eigenvalues))
-    if not len(kept):
+    points = np.column_stack([table, y])    # each point's table row and response
+    chunk = min(iterations, _RANSAC_CHUNK)
+    best = None         # (score, iteration, eigenvalues, coeffs) of the winner so far
+    n_failed = 0
+    for start in range(0, iterations, chunk):
+        its = range(start, min(start + chunk, iterations))
+        idx = np.sort([derive_rng(seed, "ransac", it).choice(n, size=subset_size,
+                                                             replace=False) for it in its])
+        rows = points[idx]          # each subsample's rows with the response last
+        normal = rows[..., :-1].swapaxes(1, 2) @ rows   # [A^T A | A^T b] per iteration
+        del rows        # the largest array here: not held through the scoring
+        eigenvalues = _eigenvalues(normal[..., :-1] / subset_size)     # the designs' Grams
+        kept = np.flatnonzero(~_near_singular(eigenvalues))
+        n_failed += len(its) - len(kept)
+        if not len(kept):
+            continue
+        # only the others are solved: one singular Gram would make solve raise for
+        # all; a zero row stands for each, and for each iteration past the last,
+        # so that no score depends on which failed or on the stack's length
+        coeffs = np.zeros((chunk, basis.size))
+        coeffs[kept] = np.linalg.solve(normal[kept, :, :-1], normal[kept, :, -1:])[..., 0]
+        # C @ score_table^T: contiguous rows, so each plain mean is np.mean of its row
+        with np.errstate(over="ignore", invalid="ignore"):      # refused below
+            errors = (coeffs @ score_table.T - ys) ** 2
+            scores = np.mean(errors, axis=1)
+        for i in kept[~np.isfinite(scores[kept])]:
+            scores[i] = _mean(errors[i])      # a sum past the float range
+            if not math.isfinite(scores[i]):
+                raise ValueError(f"iteration {start + i}'s robust-fit score passes the "
+                                 f"float range")
+        i = int(kept[np.argmin(scores[kept])])     # the first lowest score
+        if best is None or scores[i] < best[0]:
+            best = (float(scores[i]), start + i, eigenvalues[i], coeffs[i])
+    if best is None:
         raise RobustFitError(f"all {iterations} subsample fits were near singular")
-    # only the others are solved: one singular Gram would make solve raise for
-    # all; a zero row stands for each, so that no score depends on which failed
-    coeffs = np.zeros((iterations, basis.size))
-    coeffs[kept] = np.linalg.solve(normal[kept, :, :-1], normal[kept, :, -1:])[..., 0]
-    # C @ score_table^T: contiguous rows, so each plain mean is np.mean of its row
-    with np.errstate(over="ignore", invalid="ignore"):      # refused below
-        errors = (coeffs @ score_table.T - ys) ** 2
-        scores = np.mean(errors, axis=1)
-    for it in kept[~np.isfinite(scores[kept])]:
-        scores[it] = _mean(errors[it])      # a sum past the float range
-        if not math.isfinite(scores[it]):
-            raise ValueError(f"iteration {it}'s robust-fit score passes the float range")
-    it = int(kept[np.argmin(scores[kept])])     # the first lowest score
-    model = NpregModel(coeffs=coeffs[it], basis=basis, fit_report=_report(eigenvalues[it]),
+    score, it, eigenvalues, coeffs = best
+    model = NpregModel(coeffs=coeffs, basis=basis, fit_report=_report(eigenvalues),
                        truncation_level=truncation_level, n_samples=subset_size)
-    return RansacResult(model=model, score=float(scores[it]), iteration=it,
-                        n_failed=iterations - len(kept), table=table,
-                        score_table=score_table)
+    return RansacResult(model=model, score=score, iteration=it, n_failed=n_failed,
+                        table=table, score_table=score_table)
 
 
 @dataclass(frozen=True)

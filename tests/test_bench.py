@@ -714,3 +714,97 @@ class TestTimingComparison:
         t = timing_comparison(n=100, repeats=2)
         assert set(t) == {"npreg_seconds", "krr_seconds"}
         assert t["npreg_seconds"] > 0 and t["krr_seconds"] > 0
+
+
+def openblas_counts() -> list:
+    """The thread count of each loaded OpenBLAS."""
+    return [get() for get, _ in bench._openblas_threads().values()]
+
+
+def thread_cell(config, cell):
+    """A sweep cell that reads openblas_counts(); it raises where the cell is
+    negative and runs in the process whose pid is the config's seed."""
+    if cell < 0 and os.getpid() == config.seed:
+        raise ValueError(f"cell {cell} refused here")
+    return [{"cell": cell, "threads": openblas_counts()}]
+
+
+class TestSweepThreads:
+    """A forked sweep runs each loaded OpenBLAS on one thread per process, and
+    gives the caller its counts back however the sweep ends; a serial sweep
+    leaves them alone."""
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Each loaded OpenBLAS (numpy's and scipy's) at 2 threads, two usable
+        CPUs and no cell function warm; yields the counts as they read, and
+        puts the earlier ones back afterwards."""
+        import scipy.linalg    # noqa: F401  (loads scipy's OpenBLAS)
+        found = bench._openblas_threads().values()
+        if not found:
+            pytest.skip("no OpenBLAS with a thread setter is loaded")
+        saved = [(put, get()) for get, put in found]
+        for put, _ in saved:
+            put(2)
+        monkeypatch.setattr(bench, "_warm", set())
+        cpus(monkeypatch, 2)
+        yield openblas_counts()
+        for put, count in saved:
+            put(count)
+
+    def test_children_run_one_thread_and_the_caller_gets_its_counts_back(self, threads):
+        config = ExperimentConfig(experiment="table1", seed=os.getpid())
+        for _ in range(2):      # a cold sweep, then a warm one
+            rows = bench._sweep(config, thread_cell, [0, 1, 2, 3]).rows
+            assert [row["cell"] for row in rows] == [0, 1, 2, 3]
+            assert [row["threads"] for row in rows] == [[1] * len(threads)] * 4
+            assert openblas_counts() == threads
+        no_child_left()
+
+    def test_a_sweep_that_raises_gives_the_counts_back(self, threads):
+        config = ExperimentConfig(experiment="table1", seed=os.getpid())
+        bench._warm.add(thread_cell)    # cell -1 is in the caller's share
+        with pytest.raises(ValueError, match="cell -1 refused here"):
+            bench._sweep(config, thread_cell, [-1, 1, 2])
+        assert openblas_counts() == threads
+        no_child_left()
+
+    def test_a_serial_sweep_keeps_the_counts(self, threads, monkeypatch):
+        cpus(monkeypatch, 1)
+        rows = bench._sweep(ExperimentConfig(experiment="table1"), thread_cell,
+                            [0, 1, 2]).rows
+        assert [row["threads"] for row in rows] == [threads] * 3
+
+    def test_a_setter_that_cannot_be_found_changes_nothing(self, threads, monkeypatch):
+        # a symbol suffix that no library has, and a package without a .libs
+        # directory
+        monkeypatch.setattr(bench, "_OPENBLAS", (("numpy", "_none"), ("pinvreg", "")))
+        assert bench._openblas_threads() == {}
+        bench._warm.add(thread_cell)
+        rows = bench._sweep(ExperimentConfig(experiment="table1"), thread_cell,
+                            [0, 1, 2]).rows
+        assert [row["cell"] for row in rows] == [0, 1, 2]
+        monkeypatch.setattr(bench, "_OPENBLAS", (("numpy", "64_"), ("scipy", "")))
+        assert openblas_counts() == threads
+        no_child_left()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_rows_at_a_threaded_size(self, threads, monkeypatch, seed):
+        # n = 200 gives 160x160 fold Grams, where scipy's OpenBLAS threads its
+        # Cholesky and so rounds mse_krr by its thread count: a cold split
+        # sweep, a warm one and a serial one at one thread give equal rows,
+        # and a serial one at two threads moves mse_krr within its lock
+        cfg = ExperimentConfig(experiment="table3", trials=1, n=200, seed=seed)
+        pooled = run_table3(cfg).rows
+        assert run_table3(cfg).rows == pooled
+        cpus(monkeypatch, 1)
+        serial = run_table3(cfg).rows
+        for mine, theirs in zip(pooled, serial, strict=True):
+            if mine["metric"] == "mse_krr":
+                assert mine["value"] == pytest.approx(theirs["value"], rel=1e-6, abs=0)
+                mine, theirs = dict(mine, value=0), dict(theirs, value=0)
+            assert mine == theirs
+        for _, put in bench._openblas_threads().values():
+            put(1)
+        assert run_table3(cfg).rows == pooled
+        no_child_left()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
-from scipy.special import betaln, binom, eval_jacobi, gammaln
+from scipy.special import betaln, binom, eval_jacobi, gammaln, roots_jacobi
 
 from pinvreg import jacobi
 from pinvreg.jacobi import (
@@ -368,6 +368,14 @@ class TestQuadrature:
             rule = basis.quadrature(112)
             T = basis.table(rule.nodes)
             assert_allclose(T.T @ (rule.weights[:, None] * T), np.eye(101), atol=1e-11)
+
+    def test_chebyshev_closed_form_matches_roots_jacobi(self):
+        params = JacobiParams(-0.5, -0.5)
+        for m in range(1, 121):
+            rule = gauss_jacobi_rule(params, m)
+            nodes, weights = roots_jacobi(m, -0.5, -0.5)
+            assert_allclose(rule.nodes, nodes, rtol=0, atol=4.5e-16)
+            assert_array_equal(rule.weights, weights)
 
     def test_exactness_on_monomials(self):
         # an order-n rule integrates x^k omega exactly for k <= 2n-1

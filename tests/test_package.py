@@ -60,18 +60,23 @@ def test_every_earlier_root_name_still_imports():
 
 
 # A fresh interpreter imports the package, builds the CLI parser and runs each
-# argv in process; it prints, per step, the exit code and whether scipy is loaded.
+# argv in process; it prints, per step, the exit code and which of SCIPY are loaded.
+SCIPY = ("scipy", "scipy.linalg", "scipy.special")
 PROBE = """
 import json, sys
 import pinvreg
-steps = [["import pinvreg", 0, "scipy" in sys.modules]]
+SCIPY = %r
+def step(name, code):
+    steps.append([name, code, [m for m in SCIPY if m in sys.modules]])
+steps = []
+step("import pinvreg", 0)
 from pinvreg import cli
 cli.build_parser()
-steps.append(["build_parser", 0, "scipy" in sys.modules])
+step("build_parser", 0)
 for argv in json.loads(sys.argv[1]):
-    steps.append([argv[0], cli.main(argv), "scipy" in sys.modules])
+    step(argv[0], cli.main(argv))
 print(json.dumps(steps))
-"""
+""" % (SCIPY,)
 
 
 def probe(tmp_path, *argvs) -> list:
@@ -85,22 +90,31 @@ def probe(tmp_path, *argvs) -> list:
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
-    # only the exact-CDF transform, Gauss-Jacobi quadrature and KRR load scipy
+    # at the defaults only KRR (table3) loads scipy; the normal CDF, the
+    # uniform and arcsine quantiles and the Chebyshev rule have closed forms
     series = tmp_path / "series.csv"
     series.write_text("date,location,new_cases\n" + "".join(
         f"2020-03-{d + 1:02d},X,{50 + d}\n" for d in range(30)))
     steps = probe(tmp_path, ["diagnose"],
                   ["fit-series", "--csv", str(series), "--n", "20", "--N", "4"],
-                  ["table2", "--trials", "1"], ["table4", "--trials", "1"],
-                  ["simulate-lfr", "--trials", "1"])
+                  ["table1", "--trials", "1"], ["table2", "--trials", "1"],
+                  ["table4", "--trials", "1"], ["simulate-lfr", "--trials", "1"])
     assert [step[0] for step in steps] == [
-        "import pinvreg", "build_parser", "diagnose", "fit-series", "table2", "table4",
-        "simulate-lfr"]
+        "import pinvreg", "build_parser", "diagnose", "fit-series", "table1", "table2",
+        "table4", "simulate-lfr"]
     assert all(code == 0 and not loaded for _, code, loaded in steps), steps
 
 
-@pytest.mark.parametrize("command", ["table1", "table3"])
-def test_transform_quadrature_and_krr_still_load_scipy(tmp_path, command):
-    steps = probe(tmp_path, [command, "--trials", "1"])
-    assert steps == [["import pinvreg", 0, False], ["build_parser", 0, False],
-                     [command, 0, True]]
+@pytest.mark.parametrize("argv, needs, skips", [
+    # KRR's dposv: scipy.linalg, and no scipy.special at alpha = beta = -1/2
+    (["table3"], {"scipy.linalg"}, {"scipy.special"}),
+    # no closed-form quantile or rule at alpha = 1/2: betaincinv, roots_jacobi
+    (["table1", "--alpha", "0.5"], {"scipy.special"}, set()),
+    (["table3", "--alpha", "0.5"], {"scipy.linalg", "scipy.special"}, set()),
+], ids=["table3", "table1-alpha0.5", "table3-alpha0.5"])
+def test_scipy_modules_each_table_loads(tmp_path, argv, needs, skips):
+    steps = probe(tmp_path, argv + ["--trials", "1"])
+    assert steps[:2] == [["import pinvreg", 0, []], ["build_parser", 0, []]]
+    command, code, loaded = steps[2]
+    assert (command, code) == (argv[0], 0)
+    assert needs <= set(loaded) and not skips & set(loaded), loaded

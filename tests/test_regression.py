@@ -3,12 +3,17 @@ Monte Carlo, and the lacunary cosine target."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import pinvreg
 from pinvreg import regression
 from pinvreg.design import DesignMatrix, _mean, build_design, spectral_report
 from pinvreg.errors import RobustFitError, StabilityError
@@ -395,6 +400,64 @@ class TestRansac:
                                              r"the float range$"):
             ransac_fit(x, 1e200 * np.where(np.arange(60) % 2, 1.0, -1.0), basis,
                        iterations=4, seed=0)
+
+    @staticmethod
+    def rank_deficient_fit(seed, scale=1.0):
+        # 8 nodes, each taken 3 times, subsets of 8 for 6 columns: at seed 10,
+        # iterations 0, 1, 2, 4, 5, 10, 11 and 12 of 13 are near singular and 6
+        # wins; at seed 2, 1 and 12 are and 10 wins
+        basis = JacobiBasis(PARAMS, 5)
+        x = np.repeat(np.cos(np.pi * (np.arange(8) + 0.5) / 8), 3)
+        xs = np.linspace(-0.95, 0.95, 90)
+        y = scale * (np.sin(3 * x) + 0.1 * np.cos(17 * x))
+        return ransac_fit(x, y, basis, iterations=13, subset_size=8, seed=seed,
+                          scoring=(xs, scale * np.sin(3 * xs)))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 12])
+    @pytest.mark.parametrize("seed", [2, 10])
+    def test_chunks_give_the_one_stack_result(self, monkeypatch, seed, chunk):
+        # a chunk of 1 or 2 at seed 10 fails whole; the last chunk is short
+        # for every size here but 1
+        whole = self.rank_deficient_fit(seed)      # 13 iterations: one stack
+        monkeypatch.setattr(regression, "_RANSAC_CHUNK", chunk)
+        r = self.rank_deficient_fit(seed)
+        assert (r.iteration, r.n_failed) == (whole.iteration, whole.n_failed)
+        assert (r.iteration, r.n_failed) == {10: (6, 8), 2: (10, 2)}[seed]
+        # solve and eigvalsh run one LAPACK call per matrix: exact; the score
+        # is a row of a product whose other rows differ
+        assert_array_equal(r.model.coeffs, whole.model.coeffs)
+        assert_array_equal(r.model.fit_report.eigenvalues,
+                           whole.model.fit_report.eigenvalues)
+        assert r.score == pytest.approx(whole.score, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("chunk", [64, 2])
+    @pytest.mark.filterwarnings("error")
+    def test_a_refused_score_names_its_iteration_in_any_chunk(self, monkeypatch, chunk):
+        # seed 10's first fitted iteration is 3
+        monkeypatch.setattr(regression, "_RANSAC_CHUNK", chunk)
+        with pytest.raises(ValueError, match=r"^iteration 3's robust-fit score passes "):
+            self.rank_deficient_fit(10, scale=1e200)
+
+    def test_peak_memory_does_not_grow_with_iterations(self, tmp_path):
+        # one stack of 1,500 iterations held about 115 MB more than 10 did
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from pinvreg.jacobi import JacobiBasis, JacobiParams\n"
+            "from pinvreg.regression import ransac_fit\n"
+            "x = np.linspace(0.0, 1.0, 340)\n"
+            "ransac_fit(x, np.sin(7 * x), JacobiBasis(JacobiParams(-0.5, -0.5), 40, 'unit'),"
+            " iterations=int(sys.argv[1]))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(pinvreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        peak_kb = [int(subprocess.run([sys.executable, "-c", script, str(iterations)],
+                                      cwd=tmp_path, env=env, capture_output=True,
+                                      text=True, timeout=120, check=True).stdout)
+                   for iterations in (10, 1_500)]
+        assert peak_kb[1] - peak_kb[0] < 20 * 1024, peak_kb
 
     def test_external_scoring_set(self):
         basis = JacobiBasis(PARAMS, 2)

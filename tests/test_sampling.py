@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import betainc, ndtr, ndtri
+from scipy.special import betainc, betaincinv, ndtr, ndtri
 from scipy.stats import ks_2samp
 
 from pinvreg.design import build_design
@@ -18,6 +18,7 @@ from pinvreg.sampling import (
     derive_seed,
     inverse_beta_cdf,
     make_noise,
+    normal_cdf,
     sample_beta_on_I,
     sample_beta_unit,
 )
@@ -155,11 +156,40 @@ class TestQuantiles:
 
     def test_closed_unavailable_off_arcsine(self):
         with pytest.raises(ValueError, match="closed"):
-            inverse_beta_cdf(JacobiParams(0.0, 0.0), [0.5], method="closed")
+            inverse_beta_cdf(JacobiParams(0.5, 0.0), [0.5], method="closed")
+
+    @pytest.mark.parametrize("method", ["auto", "closed"])
+    def test_uniform_closed_form_is_betaincinv_bit_for_bit(self, method):
+        # the Beta(1, 1) quantile is t itself, which betaincinv returns exactly
+        t = np.concatenate([np.random.default_rng(3).random(20_000),
+                            np.linspace(0.0, 1.0, 5_001), [5e-324, 1e-300, 1.0 - 2**-53]])
+        x = inverse_beta_cdf(JacobiParams(0, 0), t, method=method)
+        np.testing.assert_array_equal(x, t)
+        np.testing.assert_array_equal(x, betaincinv(1.0, 1.0, t))
+        np.testing.assert_array_equal(x, inverse_beta_cdf(JacobiParams(0.0, 0.0), t,
+                                                          method="numeric"))
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             inverse_beta_cdf(JacobiParams(0.0, 0.0), [0.5], method="magic")
+
+
+class TestNormalCdf:
+    def test_matches_ndtr(self):
+        z = np.linspace(-8.0, 8.0, 100_001)
+        assert_allclose(normal_cdf(z), ndtr(z), rtol=4e-15, atol=0)
+
+    def test_tails_are_finite_and_monotone(self):
+        z = np.concatenate([-np.logspace(3, -3, 2_001), [0.0], np.logspace(-3, 3, 2_001)])
+        u = normal_cdf(z)
+        assert np.all(np.isfinite(u)) and np.all((u >= 0.0) & (u <= 1.0))
+        assert np.all(np.diff(u) >= 0.0)
+        assert u[0] == 0.0 and u[-1] == 1.0 and normal_cdf(0.0) == 0.5
+
+    def test_keeps_the_shape(self):
+        z = np.arange(6.0).reshape(2, 3) - 2.5
+        assert_allclose(normal_cdf(z), ndtr(z), rtol=4e-15, atol=0)
+        assert normal_cdf(z).shape == (2, 3) and normal_cdf(1.0).shape == ()
 
 
 class TestCdfTransform:

@@ -425,9 +425,9 @@ def _sweep(config: ExperimentConfig, cell, cells: list) -> ExperimentResult:
     per process, from before the first cell (or, for one that the first
     cell loads, after it) until the children are reaped, when its count is
     restored: k processes of k threads each would oversubscribe the CPUs.
-    A threaded Cholesky (order >= 128) rounds by its thread count, so there
-    a first cell that loads scipy's OpenBLAS may differ in its last digits
-    from the same cell in a warm sweep."""
+    numpy's threaded eigh (table3's kernel, from order about 145) rounds by
+    its thread count, so there a forked sweep may differ in its last digits
+    from a serial one at more threads."""
     parts = []
     cold = cell not in _warm
     rest = cells[1:] if cold else cells
@@ -734,8 +734,8 @@ def timing_comparison(
 ) -> dict:
     """Wall-clock comparison of one polynomial fit vs one kernel ridge fit.
 
-    The polynomial path factors an n x (N+1) matrix; the kernel path factors
-    an n x n matrix, so its time grows much faster with n.
+    The polynomial path factors an n x (N+1) matrix; the kernel path
+    eigendecomposes an n x n matrix, so its time grows much faster with n.
     """
     params = JacobiParams(-0.5, -0.5)
     basis = JacobiBasis(params, degree_max)

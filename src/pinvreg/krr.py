@@ -55,31 +55,23 @@ class KrrModel:
         return K @ self.weights
 
 
-def _ridge_solves(G: np.ndarray, rhs: np.ndarray, ridges):
-    """Per ridge, w solving (G + ridge I) w = rhs, or None where that is not
-    positive definite: one LAPACK dposv (Cholesky factor and solve) in one
-    reused Fortran-order buffer, without cho_factor's and cho_solve's
-    finiteness scans, so callers check G, rhs and the ridges."""
-    from scipy.linalg.lapack import dposv   # loaded only where KRR runs
-    G = np.asfortranarray(G)
-    A = np.empty_like(G, order="F")
-    diagonal = A.ravel(order="F")[:: len(A) + 1]    # a view: A is F-contiguous
-    for ridge in ridges:
-        np.copyto(A, G)
-        diagonal += ridge
-        _, w, info = dposv(A, rhs, lower=1, overwrite_a=1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK posv")
-        yield w if info == 0 else None    # info > 0: a leading minor is not PD
+def _positive(e: np.ndarray, ridges, m: int):
+    """Where K/m + ridge I is positive definite, K having the ascending
+    eigenvalues e: where its least eigenvalue passes numpy's matrix_rank
+    tolerance, e_max * n * eps, divided by m as the system is. Every principal
+    submatrix of a positive definite matrix is one too, so this holds for
+    each fold's training block."""
+    return e[0] / m + ridges > e[-1] / m * len(e) * np.finfo(float).eps
 
 
-def _ridge_solve(G: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
-    (w,) = _ridge_solves(G, rhs, (ridge,))
-    if w is None:
+def _ridge_solve(e: np.ndarray, V: np.ndarray, y: np.ndarray, ridge: float):
+    """w solving (K/n + ridge I) w = y/n from K = V diag(e) V'."""
+    n = len(y)
+    if not _positive(e, ridge, n):
         raise RegularizationError(
             f"regularized kernel Gram not positive definite at ridge={ridge:g}"
         )
-    return w
+    return V @ ((V.T @ (y / n)) / (e / n + ridge))
 
 
 def _check_xy(x, y):
@@ -93,13 +85,12 @@ def _check_xy(x, y):
 
 
 def krr_fit(x, y, ridge: float, bandwidth: float = 10.0) -> KrrModel:
-    """Solve (K/n + ridge I) w = y / n by Cholesky factorization."""
+    """Solve (K/n + ridge I) w = y / n through one eigendecomposition of K."""
     x, y = _check_xy(x, y)
     if not 0 < ridge < math.inf:
         raise ValueError(f"ridge must be finite and > 0, got {ridge}")
-    n = len(x)
-    K = sinc_kernel(x[:, None], x[None, :], bandwidth)
-    weights = _ridge_solve(K / n, y / n, ridge)
+    e, V = np.linalg.eigh(sinc_kernel(x[:, None], x[None, :], bandwidth))
+    weights = _ridge_solve(e, V, y, ridge)
     return KrrModel(anchors=x, weights=weights, bandwidth=bandwidth, ridge=ridge)
 
 
@@ -121,11 +112,16 @@ def cross_validate(
     """k-fold cross-validation over a ridge grid; ties go to the larger ridge.
 
     Folds are a seeded shuffle split into `folds` nearly equal parts. The n x n
-    kernel is built once per call and each fold's slices of it once per fold;
-    each ridge then costs one Cholesky factor and solve (`_ridge_solves`). A
-    ridge whose regularized fold Gram is not positive definite scores inf on
-    that fold. The returned model is refit on all data at the selected ridge
-    from the same kernel.
+    kernel K = V diag(e) V' is built and eigendecomposed once per call. A fold
+    with held-out set s and m training points fits (K_tt/m + ridge I) w = y_t/m;
+    by the block inverse of M = K + m ridge I, its held-out residuals are
+    -S^-1 z with S = V_s diag(D) V_s' and z = V_s diag(D) V'y, D = 1/(e + m ridge)
+    (An, Liu & Venkatesh, Pattern Recognition 40(8), 2007). S^-1 z does not
+    depend on D's scale, so D is taken as (e_min + m ridge)/(e + m ridge), in
+    (0, 1] for every ridge, and each fold solves all its ridges in one batched
+    `solve`. A ridge for which M is not positive definite (`_positive`) scores
+    inf on that fold. The returned model is refit on all data at the selected
+    ridge from the same eigendecomposition.
     """
     x, y = _check_xy(x, y)
     n = len(x)
@@ -134,26 +130,23 @@ def cross_validate(
     for ridge in grid:
         if not 0 < ridge < math.inf:
             raise ValueError(f"ridge must be finite and > 0, got {ridge}")
-    K = sinc_kernel(x[:, None], x[None, :], bandwidth)
+    e, V = np.linalg.eigh(sinc_kernel(x[:, None], x[None, :], bandwidth))
+    Vy = V.T @ y
+    ridges = np.array(grid, dtype=float)
     perm = derive_rng(seed, "cv-folds").permutation(n)
-    parts = np.array_split(perm, folds)
     fold_mse = []     # per fold: the held-out MSE of each ridge
-    for k in range(folds):
-        test = parts[k]
-        train = np.concatenate([parts[j] for j in range(folds) if j != k])
-        m = len(train)
-        G = K[np.ix_(train, train)] / m
-        K_test = K[np.ix_(test, train)]
-        rhs = y[train] / m
-        y_test = y[test]
+    for test in np.array_split(perm, folds):
+        m, Vs = n - len(test), V[test]
+        ok = _positive(e, ridges, m)
+        # D in units of 1/m, so that no finite ridge overflows
+        D = (e[0] / m + ridges[ok, None]) / (e / m + ridges[ok, None])
+        VD = Vs * D[:, None, :]                       # (ridges, t, n)
         R = np.full((len(grid), len(test)), math.inf)   # held-out residuals
-        for i, w in enumerate(_ridge_solves(G, rhs, grid)):
-            if w is not None:     # else the row stays inf: it scores inf here
-                R[i] = K_test @ w - y_test
+        R[ok] = -np.linalg.solve(VD @ Vs.T, (VD @ Vy)[..., None])[..., 0]
         fold_mse.append(np.mean(R**2, axis=1))
     errors = dict(zip(map(float, grid), np.mean(fold_mse, axis=0).tolist()))
     # minimal error; among ties prefer the strongest regularization
     best = max(sorted(errors), key=lambda r: (-errors[r], r))
-    weights = _ridge_solve(K / n, y / n, best)
+    weights = _ridge_solve(e, V, y, best)
     model = KrrModel(anchors=x, weights=weights, bandwidth=bandwidth, ridge=best)
     return CvResult(ridge=best, cv_errors=errors, model=model)

@@ -790,11 +790,12 @@ class TestSweepThreads:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_rows_at_a_threaded_size(self, threads, monkeypatch, seed):
-        # n = 200 gives 160x160 fold Grams, where scipy's OpenBLAS threads its
-        # Cholesky and so rounds mse_krr by its thread count: a cold split
-        # sweep, a warm one and a serial one at one thread give equal rows,
-        # and a serial one at two threads moves mse_krr within its lock
-        cfg = ExperimentConfig(experiment="table3", trials=1, n=200, seed=seed)
+        # n = 220 gives a 220x220 kernel, whose eigh numpy's OpenBLAS threads
+        # and so rounds mse_krr by its thread count (n = 200, a multiple of 8,
+        # did not): a cold split sweep, a warm one and a serial one at one
+        # thread give equal rows, and a serial one at two threads moves
+        # mse_krr within its lock
+        cfg = ExperimentConfig(experiment="table3", trials=1, n=220, seed=seed)
         pooled = run_table3(cfg).rows
         assert run_table3(cfg).rows == pooled
         cpus(monkeypatch, 1)

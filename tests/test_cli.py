@@ -469,6 +469,7 @@ class TestErrorPaths:
         ["table3", "--s", "1075", "--N", "10", "--trials", "1"],
         ["table3", "--s", "1e300", "--N", "10", "--trials", "1"],
         ["table4", "--sigma", "2e152", "--s", "2.0", "--n", "100"],
+        ["table3", "--bandwidth", "1e-310", "--N", "10", "--trials", "1"],
     ])
     def test_values_near_the_float_range_exit_zero(self, capsys, argv):
         assert main(argv + ["--format", "json"]) == 0
@@ -477,6 +478,21 @@ class TestErrorPaths:
         rows = json.loads(captured.out)["rows"]
         assert all(isinstance(r["value"], float) and math.isfinite(r["value"])
                    for r in rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_ridges_near_the_float_limit_exit_zero(self, tmp_path, capsys):
+        # m * ridge passes the float range in every fold; the kernel model is
+        # then the zero predictor, as it is at a ridge of 1e300
+        cfg = tmp_path / "cfg.json"
+        rows = []
+        for grid in ([6.1e307, 1.28e307, 6.1e307], [1e300]):
+            cfg.write_text(json.dumps({"alpha": 1e-106, "n": 144, "lambda_grid": grid}))
+            assert main(["table3", "--config", str(cfg), "--trials", "1",
+                         "--format", "json"]) == 0
+            rows.append(json.loads(capsys.readouterr().out)["rows"])
+        assert all(isinstance(r["value"], float) and math.isfinite(r["value"])
+                   for r in rows[0])
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("alpha", ["1e8", "1e16"])
     def test_digitless_constants_exit_one(self, capsys, alpha):

@@ -2,7 +2,7 @@
 simulate-lfr and fit-series, compared with the values in golden.json.
 
 Values are compared, not bytes, because LAPACK results may differ between
-CPUs: relative 1e-9 (1e-6 for mse_krr, which the sinc-kernel Cholesky solves
+CPUs: relative 1e-9 (1e-6 for mse_krr, which the sinc-kernel ridge solves
 carry less precisely), counts exactly, vectors norm-wise. A change that moves
 these values on purpose says why and re-records them with
 

@@ -18,6 +18,32 @@ from pinvreg.krr import (
 from pinvreg.sampling import derive_rng, sample_beta_on_I
 
 
+EPS = np.finfo(float).eps
+
+
+def per_fold_cv(x, y, grid, folds, c, seed) -> dict:
+    """Each ridge's CV error from one krr_fit per (ridge, fold) pair."""
+    parts = np.array_split(derive_rng(seed, "cv-folds").permutation(len(x)), folds)
+    expected = {}
+    for ridge in grid:
+        mse = []
+        for k, test in enumerate(parts):
+            train = np.concatenate(parts[:k] + parts[k + 1:])
+            model = krr_fit(x[train], y[train], ridge, c)
+            mse.append(np.mean((model.predict(x[test]) - y[test]) ** 2))
+        expected[ridge] = float(np.mean(mse))
+    return expected
+
+
+def kappa(x, c, ridge, folds) -> float:
+    """(e_max + m ridge) / (e_min + m ridge) over the kernel's eigenvalues,
+    m the fewest training points of any fold: the condition number that
+    bounds how far two solves of one fold's system round apart."""
+    e = np.linalg.eigvalsh(sinc_kernel(x[:, None], x[None, :], c))
+    m = len(x) - -(-len(x) // folds)
+    return (e[-1] + m * ridge) / (e[0] + m * ridge)
+
+
 class TestSincKernel:
     def test_diagonal_value(self):
         # limit of sin(c d)/(pi d) as d -> 0 is c/pi
@@ -152,21 +178,13 @@ class TestCrossValidate:
         y = np.sin(4 * x) + 0.1 * rng.standard_normal(47)
         grid, folds, c = (1e-8, 1e-5, 1e-3, 1e-1), 4, 12.0
         res = cross_validate(x, y, grid=grid, folds=folds, bandwidth=c, seed=3)
-        parts = np.array_split(derive_rng(3, "cv-folds").permutation(47), folds)
-        expected = {}
-        for ridge in grid:
-            mse = []
-            for k in range(folds):
-                test = parts[k]
-                train = np.concatenate([parts[j] for j in range(folds) if j != k])
-                model = krr_fit(x[train], y[train], ridge, c)
-                mse.append(np.mean((model.predict(x[test]) - y[test]) ** 2))
-            expected[ridge] = float(np.mean(mse))
+        expected = per_fold_cv(x, y, grid, folds, c, seed=3)
         assert set(res.cv_errors) == set(expected)
+        # the block-inverse shortcut and the per-fold solves round apart by
+        # the conditioning of the regularized kernel, no more
         for ridge in grid:
-            assert res.cv_errors[ridge] == pytest.approx(expected[ridge], rel=1e-12)
-        # same LAPACK factor and solve on the same slices: equal, not just close
-        assert res.cv_errors == expected
+            bound = 10 * kappa(x, c, ridge, folds) * EPS
+            assert res.cv_errors[ridge] == pytest.approx(expected[ridge], rel=bound)
         assert res.ridge == min(expected, key=expected.get)
 
     def test_non_pd_fold_scores_inf_and_next_ridge_wins(self):
@@ -179,33 +197,66 @@ class TestCrossValidate:
         assert res.ridge == 1e-3
 
     def test_failed_factorisation_does_not_leak(self):
-        # the first ridge fails to factor in the fold's reused buffer; every
-        # later ridge still equals its own per-fold krr_fit exactly
+        # the first ridge is not positive definite and drops out of each
+        # fold's solve; every later ridge still matches its own per-fold krr_fit
         x = np.repeat(np.linspace(-1, 1, 10), 3)
         y = np.sin(3 * x)
         grid, folds = (1e-300, 1e-3, 1e-1), 5
         res = cross_validate(x, y, grid=grid, folds=folds, seed=0)
-        parts = np.array_split(derive_rng(0, "cv-folds").permutation(30), folds)
+        expected = per_fold_cv(x, y, grid[1:], folds, 10.0, seed=0)
         for ridge in grid[1:]:
-            mse = []
-            for k in range(folds):
-                test = parts[k]
-                train = np.concatenate([parts[j] for j in range(folds) if j != k])
-                model = krr_fit(x[train], y[train], ridge)
-                mse.append(np.mean((model.predict(x[test]) - y[test]) ** 2))
-            assert res.cv_errors[ridge] == float(np.mean(mse))
+            bound = 10 * kappa(x, 10.0, ridge, folds) * EPS
+            assert res.cv_errors[ridge] == pytest.approx(expected[ridge], rel=bound)
         assert res.cv_errors[1e-300] == math.inf
         with pytest.raises(RegularizationError):
             krr_fit(x, y, 1e-300)
 
-    def test_illegal_lapack_argument_raises(self, monkeypatch):
-        import scipy.linalg.lapack
+    def test_matches_a_40_digit_reference(self):
+        # every (fold, ridge) system solved in 40-digit arithmetic from the
+        # same float inputs; the float kernel's own rounding is inside the bound
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, 20)
+        y = np.cos(3 * x) + 0.1 * rng.standard_normal(20)
+        grid, folds, c = (1e-6, 1e-3, 1e-1), 4, 10.0
+        res = cross_validate(x, y, grid=grid, folds=folds, bandwidth=c, seed=2)
+        parts = np.array_split(derive_rng(2, "cv-folds").permutation(20), folds)
+        with mpmath.workdps(40):
+            def kernel(a, b):
+                d = mpmath.mpf(a) - mpmath.mpf(b)
+                return c / mpmath.pi if d == 0 else mpmath.sin(c * d) / (mpmath.pi * d)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dposv",
-                            lambda a, b, **kwargs: (a, b, -4))
-        x = np.linspace(-1, 1, 20)
-        with pytest.raises(ValueError, match="argument 4"):
-            krr_fit(x, np.sin(x), 1e-3)
+            for ridge in grid:
+                mse = []
+                for k, test in enumerate(parts):
+                    train = np.concatenate(parts[:k] + parts[k + 1:])
+                    m = len(train)
+                    G = mpmath.matrix([[kernel(x[i], x[j]) / m + (ridge if i == j else 0)
+                                        for j in train] for i in train])
+                    w = mpmath.lu_solve(G, mpmath.matrix([y[i] / m for i in train]))
+                    mse.append(sum((sum(kernel(x[i], x[j]) * w[q]
+                                        for q, j in enumerate(train)) - y[i]) ** 2
+                                   for i in test) / len(test))
+                exact = float(sum(mse) / folds)
+                bound = 10 * kappa(x, c, ridge, folds) * EPS
+                assert res.cv_errors[ridge] == pytest.approx(exact, rel=bound)
+
+    def test_ridges_near_the_float_limit_stay_finite(self):
+        # m * ridge passes the float range here; the scale-free weights keep
+        # S = V_s V_s', so each held-out residual is -y_s: the zero predictor
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1, 1, 144)
+        y = np.cos(x)
+        grid = (6.1e307, 1.28e307, 6.1e307)
+        res = cross_validate(x, y, grid=grid, seed=0)
+        parts = np.array_split(derive_rng(0, "cv-folds").permutation(144), 5)
+        zero = float(np.mean([np.mean(y[test] ** 2) for test in parts]))
+        assert set(res.cv_errors) == {6.1e307, 1.28e307}
+        for error in res.cv_errors.values():
+            assert error == pytest.approx(zero, rel=1e-14)
+        assert res.ridge == 6.1e307
+        assert np.all(np.isfinite(res.model.weights))
+        assert np.max(np.abs(res.model.predict(x))) < 1e-300
 
     def test_builds_kernel_once(self, monkeypatch):
         calls = []

@@ -90,8 +90,9 @@ def probe(tmp_path, *argvs) -> list:
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
-    # at the defaults only KRR (table3) loads scipy; the normal CDF, the
-    # uniform and arcsine quantiles and the Chebyshev rule have closed forms
+    # at the defaults no command loads scipy (table3 is a case below): the
+    # normal CDF, the uniform and arcsine quantiles and the Chebyshev rule have
+    # closed forms, and KRR runs on numpy's eigh
     series = tmp_path / "series.csv"
     series.write_text("date,location,new_cases\n" + "".join(
         f"2020-03-{d + 1:02d},X,{50 + d}\n" for d in range(30)))
@@ -106,9 +107,11 @@ def test_scipy_stays_off_the_import_path(tmp_path):
 
 
 @pytest.mark.parametrize("argv, needs, skips", [
-    # KRR's dposv: scipy.linalg, and no scipy.special at alpha = beta = -1/2
-    (["table3"], {"scipy.linalg"}, {"scipy.special"}),
-    # no closed-form quantile or rule at alpha = 1/2: betaincinv, roots_jacobi
+    # KRR is numpy's eigh and solve, and alpha = beta = -1/2 has the closed
+    # Gauss-Chebyshev rule: no scipy at all
+    (["table3"], set(), set(SCIPY)),
+    # no closed-form quantile or rule at alpha = 1/2: betaincinv, roots_jacobi;
+    # roots_jacobi loads scipy.linalg itself, so table3 does there
     (["table1", "--alpha", "0.5"], {"scipy.special"}, set()),
     (["table3", "--alpha", "0.5"], {"scipy.linalg", "scipy.special"}, set()),
 ], ids=["table3", "table1-alpha0.5", "table3-alpha0.5"])

@@ -17,7 +17,6 @@ import numbers
 import operator
 import os
 import pickle
-import sys
 import time
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -368,82 +367,58 @@ def _cells(config: ExperimentConfig, command: str, sweep) -> list:
     return cells
 
 
-# the cell functions whose first cell has run in this process
-_warm = set()
-# the OpenBLAS copy that numpy and scipy each ship: the package, and the
-# suffix of its scipy_openblas_{get,set}_num_threads symbols
-_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
+# numpy's OpenBLAS: its library, by pattern under numpy's parent directory,
+# and the name of its thread-count getter and setter ({} is get or set)
+_OPENBLAS = ("numpy.libs/libscipy_openblas*.so*", "scipy_openblas_{}_num_threads64_")
 
 
-def _openblas_threads() -> dict:
-    """(get, set) of the thread count of each OpenBLAS in _OPENBLAS that is
-    loaded in this process, by its path. A library is opened with
-    RTLD_NOLOAD, so one that is not loaded yet stays unloaded; a package,
-    library or symbol that is not found is left out."""
-    found = {}
-    for package, suffix in _OPENBLAS:
-        module = sys.modules.get(package)
-        if module is None:
+def _openblas_threads() -> list:
+    """(get, set) of the thread count of each library that _OPENBLAS finds
+    loaded in this process. A library is opened with RTLD_NOLOAD, so one that
+    is not loaded stays unloaded; a library or symbol that is not found is
+    left out."""
+    pattern, symbol = _OPENBLAS
+    found = []
+    for path in Path(np.__file__).parents[1].glob(pattern):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            get, put = (getattr(lib, symbol.format(op)) for op in ("get", "set"))
+        except (OSError, AttributeError):
             continue
-        for path in Path(module.__file__).parents[1].glob(
-                f"{package}.libs/libscipy_openblas*.so*"):
-            try:
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            found[path] = (get, put)
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        found.append((get, put))
     return found
-
-
-def _one_blas_thread(saved: dict) -> None:
-    """Set each loaded OpenBLAS that saved does not hold yet to one thread,
-    saving (set, its count) there under its path."""
-    for path, (get, put) in _openblas_threads().items():
-        if path not in saved:
-            saved[path] = (put, get())
-            put(1)
 
 
 def _sweep(config: ExperimentConfig, cell, cells: list) -> ExperimentResult:
     """The config's result: the rows of cell(config, c) over the cells, in
     cell order.
 
-    On the first sweep of a cell function in this process, its first cell
-    runs here: that loads the lazy scipy imports and fills the caches before
-    any fork, and the function is warm once the cell returns. The other cells
-    (all of them, once warm) are dealt k ways, k at most the usable CPUs:
-    share 0 runs here and share i in forked child i, which pickles its rows
-    or its error into its own pipe. A child's error is raised here, a child
-    that dies is an OSError, and none outlives the sweep. Each cell derives
-    its own seeds, so its rows do not depend on where it runs. Every cell
-    runs here where k < 2 or the platform cannot fork, with the BLAS
-    threads as they are. Where k >= 2, each loaded OpenBLAS runs one thread
-    per process, from before the first cell (or, for one that the first
-    cell loads, after it) until the children are reaped, when its count is
-    restored: k processes of k threads each would oversubscribe the CPUs.
+    The cells are dealt k ways, k the number of cells or of usable CPUs,
+    whichever is fewer: cells[0::k] run here and cells[i::k] in forked child
+    i, which pickles its rows or its error into its own pipe. A child's error
+    is raised here, a child that dies is an OSError, and none outlives the
+    sweep. Each cell derives its own seeds, so its rows do not depend on
+    where it runs. Every cell runs here where k < 2 or the platform cannot
+    fork, with the BLAS threads as they are. Where k >= 2, numpy's OpenBLAS
+    runs one thread per process until the children are reaped, when its
+    count is restored: k processes of k threads each would oversubscribe the
+    CPUs. scipy's OpenBLAS, which a cell may load, keeps its count: no cell
+    makes a threaded call to it.
     numpy's threaded eigh (table3's kernel, from order about 145) rounds by
     its thread count, so there a forked sweep may differ in its last digits
     from a serial one at more threads."""
-    parts = []
-    cold = cell not in _warm
-    rest = cells[1:] if cold else cells
     # no sched_getaffinity (macOS, Windows): no fork that is safe to use
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = max(1, min(len(rest), cpus))
+    k = max(1, min(len(cells), cpus))
     children = []     # (pid, the read end of its pipe)
-    threads = {}      # (set, the count to restore) of each OpenBLAS, by path
+    threads = []      # (set, the count to restore) of numpy's OpenBLAS
     try:
         if k > 1:
-            _one_blas_thread(threads)
-        if cold:
-            parts.append(cell(config, cells[0]))
-            _warm.add(cell)
-            if k > 1:   # the first cell may have loaded scipy's
-                _one_blas_thread(threads)
+            threads = [(put, get()) for get, put in _openblas_threads()]
+            for put, _ in threads:
+                put(1)
         for i in range(1, k):
             import signal
             read, write = os.pipe()
@@ -456,7 +431,7 @@ def _sweep(config: ExperimentConfig, cell, cells: list) -> ExperimentResult:
                 try:
                     with open(write, "wb") as fh:
                         try:
-                            out = [cell(config, c) for c in rest[i::k]]
+                            out = [cell(config, c) for c in cells[i::k]]
                         except BaseException as exc:
                             out = exc
                         pickle.dump(out, fh)
@@ -464,7 +439,7 @@ def _sweep(config: ExperimentConfig, cell, cells: list) -> ExperimentResult:
                     os._exit(0)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        shares = [[cell(config, c) for c in rest[0::k]]]
+        shares = [[cell(config, c) for c in cells[0::k]]]
         for pid, fh in children:
             try:    # the result is cut short where the child was killed
                 shares.append(pickle.load(fh))
@@ -477,9 +452,9 @@ def _sweep(config: ExperimentConfig, cell, cells: list) -> ExperimentResult:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             fh.close()
-        for put, count in threads.values():
+        for put, count in threads:
             put(count)
-    parts += [shares[j % k][j // k] for j in range(len(rest))]
+    parts = [shares[j % k][j // k] for j in range(len(cells))]
     return ExperimentResult(config=_echo(config), rows=[r for p in parts for r in p])
 
 

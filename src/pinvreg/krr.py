@@ -109,7 +109,8 @@ def cross_validate(
     bandwidth: float = 10.0,
     seed=0,
 ) -> CvResult:
-    """k-fold cross-validation over a ridge grid; ties go to the larger ridge.
+    """k-fold cross-validation over a ridge grid, each distinct ridge once in
+    the grid's order; ties go to the larger ridge.
 
     Folds are a seeded shuffle split into `folds` nearly equal parts. The n x n
     kernel K = V diag(e) V' is built and eigendecomposed once per call. A fold
@@ -132,7 +133,7 @@ def cross_validate(
             raise ValueError(f"ridge must be finite and > 0, got {ridge}")
     e, V = np.linalg.eigh(sinc_kernel(x[:, None], x[None, :], bandwidth))
     Vy = V.T @ y
-    ridges = np.array(grid, dtype=float)
+    ridges = np.array(list(dict.fromkeys(map(float, grid))))
     perm = derive_rng(seed, "cv-folds").permutation(n)
     fold_mse = []     # per fold: the held-out MSE of each ridge
     for test in np.array_split(perm, folds):
@@ -141,10 +142,10 @@ def cross_validate(
         # D in units of 1/m, so that no finite ridge overflows
         D = (e[0] / m + ridges[ok, None]) / (e / m + ridges[ok, None])
         VD = Vs * D[:, None, :]                       # (ridges, t, n)
-        R = np.full((len(grid), len(test)), math.inf)   # held-out residuals
+        R = np.full((len(ridges), len(test)), math.inf)   # held-out residuals
         R[ok] = -np.linalg.solve(VD @ Vs.T, (VD @ Vy)[..., None])[..., 0]
         fold_mse.append(np.mean(R**2, axis=1))
-    errors = dict(zip(map(float, grid), np.mean(fold_mse, axis=0).tolist()))
+    errors = dict(zip(ridges.tolist(), np.mean(fold_mse, axis=0).tolist()))
     # minimal error; among ties prefer the strongest regularization
     best = max(sorted(errors), key=lambda r: (-errors[r], r))
     weights = _ridge_solve(e, V, y, best)

@@ -111,28 +111,21 @@ def arcsine_quantile(t):
     return 0.5 * (1.0 + np.sin(math.pi * t - math.pi / 2.0))
 
 
-def inverse_beta_cdf(params: JacobiParams, t, method: str = "auto"):
+def inverse_beta_cdf(params: JacobiParams, t):
     """Quantile of the basis weight's law Beta(beta+1, alpha+1) on [0, 1].
 
-    method="closed" uses a closed form, which exists at alpha = beta = -1/2
-    (the arcsine quantile) and alpha = beta = 0 (the uniform law: t itself,
-    which betaincinv(1, 1, t) returns bit for bit); method="numeric" always
-    uses scipy's regularized incomplete Beta inverse (betaincinv); "auto"
-    picks the closed form where one applies.
+    Closed forms apply at alpha = beta = -1/2 (the arcsine quantile) and
+    alpha = beta = 0 (the uniform law: t itself, which betaincinv(1, 1, t)
+    returns bit for bit); elsewhere scipy's regularized incomplete Beta
+    inverse (betaincinv) is used.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
         raise ValidationError("quantile argument outside [0, 1]")
     t = np.clip(t, 0.0, 1.0)
-    arcsine = params.alpha == -0.5 and params.beta == -0.5
-    uniform = params.alpha == 0.0 and params.beta == 0.0
-    if method not in ("auto", "closed", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and not (arcsine or uniform):
-        raise ValueError("closed form only available for alpha = beta = -1/2 or 0")
-    if method != "numeric" and arcsine:
+    if params.alpha == params.beta == -0.5:
         return arcsine_quantile(t)
-    if method != "numeric" and uniform:
+    if params.alpha == params.beta == 0.0:
         return t
     from scipy.special import betaincinv   # loaded only where no closed form applies
     return betaincinv(*_beta_shapes(params), t)

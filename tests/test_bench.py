@@ -456,13 +456,10 @@ def no_child_left():
 
 class TestForkedCells:
     """Every table deals its cells between the calling process and forked
-    children: all but the first on a cell function's first sweep in the
-    process, and every one after it."""
+    children, the same way on every sweep."""
 
     @pytest.fixture
-    def cold(self, monkeypatch):
-        """Two usable CPUs, and no cell function warm yet."""
-        monkeypatch.setattr(bench, "_warm", set())
+    def two_cpus(self, monkeypatch):
         cpus(monkeypatch, 2)
 
     @pytest.mark.parametrize("runner, keys", [
@@ -481,35 +478,24 @@ class TestForkedCells:
             runner(ExperimentConfig(**keys))
         no_child_left()
 
-    def test_a_cold_sweep_runs_its_first_cell_here(self, cold):
+    def test_a_warm_sweep_runs_a_share_here(self, two_cpus, monkeypatch):
+        # a cell function's first and second sweeps in this process are dealt
+        # alike: two CPUs run shares [0, 2] here and [1] in a child
         me = os.getpid()
-        pids = sweep_pids([0, 1, 2])
-        assert pids[:2] == [me, me]
-        assert pids[2] != me
-        no_child_left()
-
-    def test_a_warm_sweep_runs_a_share_here(self, cold, monkeypatch):
-        me = os.getpid()
-        sweep_pids([0, 1, 2])
-        pids = sweep_pids([0, 1, 2])
-        assert pids[0] == pids[2] == me
-        assert pids[1] != me
+        for _ in range(2):
+            pids = sweep_pids([0, 1, 2])
+            assert pids[0] == pids[2] == me
+            assert pids[1] != me
         # three CPUs: shares [0, 3], [1, 4] and [2]
         cpus(monkeypatch, 3)
-        pids = sweep_pids([0, 1, 2, 3, 4])
-        assert pids[0] == pids[3] == me
-        assert pids[1] == pids[4] != me
-        assert pids[2] not in (me, pids[1])
+        for _ in range(2):
+            pids = sweep_pids([0, 1, 2, 3, 4])
+            assert pids[0] == pids[3] == me
+            assert pids[1] == pids[4] != me
+            assert pids[2] not in (me, pids[1])
         no_child_left()
 
-    def test_a_first_cell_that_raises_leaves_the_sweep_cold(self, cold):
-        with pytest.raises(ValueError, match="cell -1 refused"):
-            sweep_pids([-1, 1, 2])
-        assert pid_cell not in bench._warm
-        assert sweep_pids([0, 1, 2])[0] == os.getpid()
-        no_child_left()
-
-    def test_an_error_here_kills_the_children(self, cold):
+    def test_an_error_here_kills_the_children(self, two_cpus):
         parent = os.getpid()
 
         def refused_here(config, cell):
@@ -517,7 +503,6 @@ class TestForkedCells:
                 time.sleep(60)      # killed long before
             raise ValueError(f"cell {cell} refused here")
 
-        bench._warm.add(refused_here)
         start = time.monotonic()
         with pytest.raises(ValueError, match="cell 0 refused here"):
             bench._sweep(ExperimentConfig(experiment="table1"), refused_here, [0, 1])
@@ -559,6 +544,26 @@ class TestForkedCells:
         assert re.fullmatch(r"sweep worker \d+ died without a result", doc["message"])
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_child_that_loads_scipy_writes_the_serial_bytes(self, tmp_path):
+        # at alpha = 1/2 every table3 cell loads scipy (betaincinv and
+        # roots_jacobi); a fresh process on 2 CPUs forks before any cell, so
+        # the child loads its own scipy
+        script = (
+            "import os, sys\n"
+            "from pinvreg.cli import main\n"
+            "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+            "sys.exit(main(['table3', '--alpha', '0.5', '--n', '40', '--trials', '1',\n"
+            "               '--out', sys.argv[2]]))\n"
+        )
+        src = str(Path(pinvreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        for count in (2, 1):
+            subprocess.run([sys.executable, "-c", script, str(count), f"{count}.csv"],
+                           cwd=tmp_path, env=env, capture_output=True, timeout=120,
+                           check=True)
+        assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("runner, keys", [
         (run_table2, {"experiment": "table2", "trials": 2}),
@@ -566,9 +571,9 @@ class TestForkedCells:
         (run_table4, {"experiment": "table4", "trials": 1}),
         (run_table1, {"experiment": "table1", "trials": 2}),
     ])
-    def test_serial_rows_equal_the_pooled_ones(self, cold, monkeypatch, runner, keys,
+    def test_serial_rows_equal_the_pooled_ones(self, two_cpus, monkeypatch, runner, keys,
                                                seed):
-        # a cold split sweep, a warm one, then every cell in the calling process
+        # two split sweeps, then every cell in the calling process
         cfg = ExperimentConfig(**keys, seed=seed)
         pooled = runner(cfg).to_json_text()
         assert runner(cfg).to_json_text() == pooled
@@ -717,8 +722,8 @@ class TestTimingComparison:
 
 
 def openblas_counts() -> list:
-    """The thread count of each loaded OpenBLAS."""
-    return [get() for get, _ in bench._openblas_threads().values()]
+    """The thread count of each OpenBLAS that the sweep sets."""
+    return [get() for get, _ in bench._openblas_threads()]
 
 
 def thread_cell(config, cell):
@@ -730,23 +735,20 @@ def thread_cell(config, cell):
 
 
 class TestSweepThreads:
-    """A forked sweep runs each loaded OpenBLAS on one thread per process, and
-    gives the caller its counts back however the sweep ends; a serial sweep
-    leaves them alone."""
+    """A forked sweep runs numpy's OpenBLAS on one thread per process, and
+    gives the caller its count back however the sweep ends; a serial sweep
+    leaves it alone."""
 
     @pytest.fixture
     def threads(self, monkeypatch):
-        """Each loaded OpenBLAS (numpy's and scipy's) at 2 threads, two usable
-        CPUs and no cell function warm; yields the counts as they read, and
-        puts the earlier ones back afterwards."""
-        import scipy.linalg    # noqa: F401  (loads scipy's OpenBLAS)
-        found = bench._openblas_threads().values()
+        """numpy's OpenBLAS at 2 threads and two usable CPUs; yields the
+        counts as they read, and puts the earlier ones back afterwards."""
+        found = bench._openblas_threads()
         if not found:
             pytest.skip("no OpenBLAS with a thread setter is loaded")
         saved = [(put, get()) for get, put in found]
         for put, _ in saved:
             put(2)
-        monkeypatch.setattr(bench, "_warm", set())
         cpus(monkeypatch, 2)
         yield openblas_counts()
         for put, count in saved:
@@ -754,7 +756,7 @@ class TestSweepThreads:
 
     def test_children_run_one_thread_and_the_caller_gets_its_counts_back(self, threads):
         config = ExperimentConfig(experiment="table1", seed=os.getpid())
-        for _ in range(2):      # a cold sweep, then a warm one
+        for _ in range(2):      # two sweeps in one process
             rows = bench._sweep(config, thread_cell, [0, 1, 2, 3]).rows
             assert [row["cell"] for row in rows] == [0, 1, 2, 3]
             assert [row["threads"] for row in rows] == [[1] * len(threads)] * 4
@@ -763,7 +765,7 @@ class TestSweepThreads:
 
     def test_a_sweep_that_raises_gives_the_counts_back(self, threads):
         config = ExperimentConfig(experiment="table1", seed=os.getpid())
-        bench._warm.add(thread_cell)    # cell -1 is in the caller's share
+        # cell -1 is in the caller's share
         with pytest.raises(ValueError, match="cell -1 refused here"):
             bench._sweep(config, thread_cell, [-1, 1, 2])
         assert openblas_counts() == threads
@@ -776,15 +778,16 @@ class TestSweepThreads:
         assert [row["threads"] for row in rows] == [threads] * 3
 
     def test_a_setter_that_cannot_be_found_changes_nothing(self, threads, monkeypatch):
-        # a symbol suffix that no library has, and a package without a .libs
-        # directory
-        monkeypatch.setattr(bench, "_OPENBLAS", (("numpy", "_none"), ("pinvreg", "")))
-        assert bench._openblas_threads() == {}
-        bench._warm.add(thread_cell)
-        rows = bench._sweep(ExperimentConfig(experiment="table1"), thread_cell,
-                            [0, 1, 2]).rows
-        assert [row["cell"] for row in rows] == [0, 1, 2]
-        monkeypatch.setattr(bench, "_OPENBLAS", (("numpy", "64_"), ("scipy", "")))
+        # a symbol that the library does not have, and a pattern that finds
+        # no library
+        pattern, symbol = found = bench._OPENBLAS
+        for missing in ((pattern, symbol + "_none"), ("pinvreg.libs/*.so*", symbol)):
+            monkeypatch.setattr(bench, "_OPENBLAS", missing)
+            assert bench._openblas_threads() == []
+            rows = bench._sweep(ExperimentConfig(experiment="table1"), thread_cell,
+                                [0, 1, 2]).rows
+            assert [row["cell"] for row in rows] == [0, 1, 2]
+        monkeypatch.setattr(bench, "_OPENBLAS", found)
         assert openblas_counts() == threads
         no_child_left()
 
@@ -792,8 +795,8 @@ class TestSweepThreads:
     def test_rows_at_a_threaded_size(self, threads, monkeypatch, seed):
         # n = 220 gives a 220x220 kernel, whose eigh numpy's OpenBLAS threads
         # and so rounds mse_krr by its thread count (n = 200, a multiple of 8,
-        # did not): a cold split sweep, a warm one and a serial one at one
-        # thread give equal rows, and a serial one at two threads moves
+        # did not): two split sweeps and a serial one at one thread give
+        # equal rows, and a serial one at two threads moves
         # mse_krr within its lock
         cfg = ExperimentConfig(experiment="table3", trials=1, n=220, seed=seed)
         pooled = run_table3(cfg).rows
@@ -805,7 +808,7 @@ class TestSweepThreads:
                 assert mine["value"] == pytest.approx(theirs["value"], rel=1e-6, abs=0)
                 mine, theirs = dict(mine, value=0), dict(theirs, value=0)
             assert mine == theirs
-        for _, put in bench._openblas_threads().values():
+        for _, put in bench._openblas_threads():
             put(1)
         assert run_table3(cfg).rows == pooled
         no_child_left()

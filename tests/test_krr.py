@@ -171,6 +171,24 @@ class TestCrossValidate:
         res = cross_validate(x, y, grid=(1e-6, 1e-3), seed=2)
         assert set(res.cv_errors) == {1e-6, 1e-3}
 
+    def test_a_repeated_ridge_is_solved_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1, 1, 40)
+        y = np.sin(3 * x) + 0.1 * rng.standard_normal(40)
+        once = cross_validate(x, y, grid=(1e-3, 1e-6, 1e-1), seed=1)
+        stacks, solve = [], np.linalg.solve
+
+        def counting(a, b):
+            stacks.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        twice = cross_validate(x, y, grid=(1e-3, 1e-6, 1e-3, 1e-1, 1e-6), seed=1)
+        assert stacks == [3] * 5      # each fold stacks each distinct ridge once
+        assert list(twice.cv_errors.items()) == list(once.cv_errors.items())
+        assert twice.ridge == once.ridge
+        np.testing.assert_array_equal(twice.model.weights, once.model.weights)
+
     def test_matches_per_fold_krr_fit_loop(self):
         # reference: one krr_fit per (ridge, fold) pair, each rebuilding its kernel
         rng = np.random.default_rng(21)

@@ -130,18 +130,18 @@ class TestQuantiles:
                         atol=1e-15)
 
     def test_closed_matches_numeric(self):
-        params = JacobiParams(-0.5, -0.5)
+        # the arcsine closed form against scipy's Beta(1/2, 1/2) inverse
         t = np.linspace(0.01, 0.99, 31)
-        closed = inverse_beta_cdf(params, t, method="closed")
-        numeric = inverse_beta_cdf(params, t, method="numeric")
-        assert np.max(np.abs(closed - numeric)) < 1e-10
+        closed = inverse_beta_cdf(JacobiParams(-0.5, -0.5), t)
+        assert np.max(np.abs(closed - betaincinv(0.5, 0.5, t))) < 1e-10
 
     def test_numeric_round_trips_through_cdf(self):
-        # the quantile inverts the regularized incomplete Beta function
+        # the quantile, closed form or not, inverts the regularized incomplete
+        # Beta function
         t = np.linspace(0.01, 0.99, 49)
         for a, b in [(0.0, 0.0), (0.5, -0.5), (-0.5, 0.5), (0.3, 0.4), (-0.5, -0.5),
                      (3.0, 1.5)]:
-            x = inverse_beta_cdf(JacobiParams(a, b), t, method="numeric")
+            x = inverse_beta_cdf(JacobiParams(a, b), t)
             assert np.all((x > 0.0) & (x < 1.0)) and np.all(np.diff(x) > 0)
             # the law of the basis weight x^b (1-x)^a on [0, 1]
             assert_allclose(betainc(b + 1.0, a + 1.0, x), t, rtol=0, atol=1e-12)
@@ -154,24 +154,13 @@ class TestQuantiles:
         with pytest.raises(ValidationError, match="quantile"):
             inverse_beta_cdf(JacobiParams(0.0, 0.0), [1.2])
 
-    def test_closed_unavailable_off_arcsine(self):
-        with pytest.raises(ValueError, match="closed"):
-            inverse_beta_cdf(JacobiParams(0.5, 0.0), [0.5], method="closed")
-
-    @pytest.mark.parametrize("method", ["auto", "closed"])
-    def test_uniform_closed_form_is_betaincinv_bit_for_bit(self, method):
+    def test_uniform_closed_form_is_betaincinv_bit_for_bit(self):
         # the Beta(1, 1) quantile is t itself, which betaincinv returns exactly
         t = np.concatenate([np.random.default_rng(3).random(20_000),
                             np.linspace(0.0, 1.0, 5_001), [5e-324, 1e-300, 1.0 - 2**-53]])
-        x = inverse_beta_cdf(JacobiParams(0, 0), t, method=method)
+        x = inverse_beta_cdf(JacobiParams(0, 0), t)
         np.testing.assert_array_equal(x, t)
         np.testing.assert_array_equal(x, betaincinv(1.0, 1.0, t))
-        np.testing.assert_array_equal(x, inverse_beta_cdf(JacobiParams(0.0, 0.0), t,
-                                                          method="numeric"))
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            inverse_beta_cdf(JacobiParams(0.0, 0.0), [0.5], method="magic")
 
 
 class TestNormalCdf:

@@ -28,7 +28,7 @@ def main():
             samples = sample_beta_on_I(params, n, derive_seed(SEED, "x", t))
             y = weierstrass(s, samples) + make_noise(
                 n, sigma, seed=derive_seed(SEED, "e", t))
-            model = fit(build_design(basis, samples), y)
+            model = fit(build_design(basis, samples), y, basis)
             mse_poly.append(
                 omega_norm(f_nodes - basis.table(rule.nodes) @ model.coeffs, rule) ** 2)
             cv = cross_validate(samples, y, bandwidth=float(N),

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import (DesignMatrix, _kappas, _mean, _trials, build_design,
-                     mc_condition_number, spectral_report, theory_bounds)
+from .design import (_kappas, _mean, _trials, build_design, mc_condition_number,
+                     spectral_report, theory_bounds)
 from .errors import SingularBlockError, StabilityError, ValidationError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
 from .krr import DEFAULT_LAMBDA_GRID, cross_validate, krr_fit
@@ -560,13 +560,13 @@ def _table3_cell(config: ExperimentConfig, cell) -> list:
     xs = np.stack([sample_beta_on_I(params, n, derive_seed(master, *labels, t, "x"))
                    for t in range(trials)])
     f_xs = f(xs)      # one target evaluation over all trials' points
-    designs = build_design(basis, xs).matrix
+    designs = build_design(basis, xs)
 
     def trial(t):
         y = f_xs[t] + make_noise(n, sigma, seed=derive_seed(master, *labels, t, "e"))
         if not np.all(np.isfinite(y)):
             raise ValueError(f"sigma={sigma} puts a response past the float range")
-        model = fit(DesignMatrix(designs[t], basis), y)
+        model = fit(designs[t], y, basis)
         cv = cross_validate(
             xs[t], y, grid=grid, bandwidth=c,
             seed=derive_seed(master, *labels, t, "cv"),
@@ -649,7 +649,8 @@ def run_diagnose(config: ExperimentConfig) -> ExperimentResult:
     params = JacobiParams(alpha, beta)
     basis = JacobiBasis(params, N)      # refuses an unrepresentable basis first
     samples = sample_beta_on_I(params, n, config.seed)
-    report = spectral_report(build_design(basis, samples).gram())
+    A = build_design(basis, samples)
+    report = spectral_report(A.T @ A)
     # condition1_satisfied is preset so that an N < 2 row keeps its column
     row = {"alpha": alpha, "beta": beta, "N": N, "n": n, "seed": config.seed,
            "lambda_min": report.lambda_min, "lambda_max": report.lambda_max,
@@ -696,7 +697,7 @@ def run_timeseries(config: ExperimentConfig) -> ExperimentResult:
             "ransac_failures": result.ransac.n_failed,
         },
     }
-    return ExperimentResult(echo, rows, ("day", "observed", "fitted"), result.model)
+    return ExperimentResult(echo, rows, ("day", "observed", "fitted"), result.ransac.model)
 
 
 def timing_comparison(
@@ -712,6 +713,8 @@ def timing_comparison(
     The polynomial path factors an n x (N+1) matrix; the kernel path
     eigendecomposes an n x n matrix, so its time grows much faster with n.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     params = JacobiParams(-0.5, -0.5)
     basis = JacobiBasis(params, degree_max)
     samples = sample_beta_on_I(params, n, seed)
@@ -719,11 +722,11 @@ def timing_comparison(
         n, 0.1, seed=derive_seed(seed, "timing")
     )
     design = build_design(basis, samples)
-    fit(design, y)                                   # warm both paths
+    fit(design, y, basis)                            # warm both paths
     krr_fit(samples, y, ridge, bandwidth)
     t0 = time.perf_counter()
     for _ in range(repeats):
-        fit(design, y)
+        fit(design, y, basis)
     npreg_seconds = (time.perf_counter() - t0) / repeats
     t0 = time.perf_counter()
     for _ in range(repeats):

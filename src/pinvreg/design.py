@@ -10,7 +10,6 @@ from .sampling import (cdf_transform, derive_rng, derive_seed, normal_cdf,
                        sample_beta_on_I)
 
 __all__ = [
-    "DesignMatrix",
     "SpectralReport",
     "TheoryBounds",
     "McSummary",
@@ -24,25 +23,10 @@ __all__ = [
 CHEBYSHEV_SHARP_M_SQ = 2.0 / math.pi  # sup of the normalized family squared
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """n x (N+1) matrix with entry (j, k) = wJ_k(X_j) / sqrt(n), or a stack of
-    them, shape (trials, n, N+1)."""
-
-    matrix: np.ndarray
-    basis: JacobiBasis
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[-2]
-
-    def gram(self) -> np.ndarray:
-        return self.matrix.swapaxes(-1, -2) @ self.matrix
-
-
-def build_design(basis: JacobiBasis, samples) -> DesignMatrix:
-    """The design of n samples, or the stack of designs of (trials, n)
-    samples, from one basis table over all points."""
+def build_design(basis: JacobiBasis, samples) -> np.ndarray:
+    """The n x (N+1) design of n samples, entry (j, k) = wJ_k(X_j) / sqrt(n),
+    or the (trials, n, N+1) stack of designs of (trials, n) samples, from one
+    basis table over all points."""
     points = np.asarray(samples, dtype=float)
     n = points.shape[-1]
     if n < basis.size:
@@ -51,7 +35,7 @@ def build_design(basis: JacobiBasis, samples) -> DesignMatrix:
         )
     matrix = basis.table(points.ravel()).reshape(*points.shape, basis.size)
     matrix /= math.sqrt(n)    # in place: the table is the largest array here
-    return DesignMatrix(matrix=matrix, basis=basis)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -248,6 +232,7 @@ def mc_condition_number(
     else:
         z = np.concatenate([derive_rng(seed).standard_normal(n) for seed in seeds])
         samples = cdf_transform(z, normal_cdf, params)
-    kappas = _kappas(build_design(basis, samples.reshape(trials, n)).gram())
+    A = build_design(basis, samples.reshape(trials, n))
+    kappas = _kappas(A.swapaxes(1, 2) @ A)
     kappas = kappas[kappas != math.inf]
     return McSummary(kappas=np.sort(kappas), n_singular=trials - len(kappas))

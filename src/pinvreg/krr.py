@@ -47,7 +47,6 @@ class KrrModel:
     anchors: np.ndarray      # training points
     weights: np.ndarray      # representer coefficients
     bandwidth: float
-    ridge: float
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -91,7 +90,7 @@ def krr_fit(x, y, ridge: float, bandwidth: float = 10.0) -> KrrModel:
         raise ValueError(f"ridge must be finite and > 0, got {ridge}")
     e, V = np.linalg.eigh(sinc_kernel(x[:, None], x[None, :], bandwidth))
     weights = _ridge_solve(e, V, y, ridge)
-    return KrrModel(anchors=x, weights=weights, bandwidth=bandwidth, ridge=ridge)
+    return KrrModel(anchors=x, weights=weights, bandwidth=bandwidth)
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,8 @@ def cross_validate(
     n = len(x)
     if not 2 <= folds <= n:
         raise ValueError(f"folds must be in [2, {n}], got {folds}")
+    if not len(grid):
+        raise ValueError("grid must hold at least one ridge")
     for ridge in grid:
         if not 0 < ridge < math.inf:
             raise ValueError(f"ridge must be finite and > 0, got {ridge}")
@@ -149,5 +150,5 @@ def cross_validate(
     # minimal error; among ties prefer the strongest regularization
     best = max(sorted(errors), key=lambda r: (-errors[r], r))
     weights = _ridge_solve(e, V, y, best)
-    model = KrrModel(anchors=x, weights=weights, bandwidth=bandwidth, ridge=best)
+    model = KrrModel(anchors=x, weights=weights, bandwidth=bandwidth)
     return CvResult(ridge=best, cv_errors=errors, model=model)

@@ -9,7 +9,6 @@ when the xi_j decay quickly.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -194,15 +193,8 @@ def block_gram(problem: LfrProblem, block_index: int):
 @dataclass(frozen=True)
 class LfrModel:
     partition: DyadicPartition
-    block_coeffs: tuple
+    coeffs: np.ndarray            # every block's solution in its slice
     block_reports: tuple
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        out = np.empty(self.partition.size)
-        for sl, c in zip(self.partition.slices(), self.block_coeffs):
-            out[sl] = c
-        return out
 
     @property
     def cumulative_kappa(self) -> float:
@@ -212,11 +204,11 @@ class LfrModel:
 def lfr_fit(problem: LfrProblem) -> LfrModel:
     """Per-block least squares F_k c_k ~ Y^k / sqrt(n), one LAPACK gelsd call
     per block; SingularBlockError when a block Gram F_k' F_k is near singular."""
-    coeffs = []
+    coeffs = np.empty(problem.size)
     reports = []
-    for k in range(problem.partition.K):
+    for k, sl in enumerate(problem.partition.slices()):
         F = block_factor(problem, k)
-        c, report = least_squares(F, problem.y_blocks[k] / math.sqrt(problem.n))
+        coeffs[sl], report = least_squares(F, problem.y_blocks[k] / math.sqrt(problem.n))
         if report.near_singular:
             raise SingularBlockError(
                 f"dyadic block {k} has a numerically singular Gram matrix",
@@ -224,12 +216,7 @@ def lfr_fit(problem: LfrProblem) -> LfrModel:
                 report=report,
             )
         reports.append(report)
-        coeffs.append(c)
-    return LfrModel(
-        partition=problem.partition,
-        block_coeffs=tuple(coeffs),
-        block_reports=tuple(reports),
-    )
+    return LfrModel(problem.partition, coeffs, tuple(reports))
 
 
 @dataclass(frozen=True)

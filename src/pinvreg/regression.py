@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (DesignMatrix, _eigenvalues, _mean, _near_singular, _report,
-                     _trials, build_design, least_squares, theory_bounds)
+from .design import (_eigenvalues, _mean, _near_singular, _report, _trials,
+                     build_design, least_squares, theory_bounds)
 from .errors import RobustFitError, StabilityError
 from .jacobi import JacobiBasis, JacobiParams, omega_norm
 from .sampling import derive_rng, derive_seed, make_noise, sample_beta_on_I
@@ -48,23 +48,25 @@ class NpregModel:
         return vals
 
 
-def fit(design: DesignMatrix, y) -> NpregModel:
-    """Least squares B c = y/sqrt(n) by one LAPACK least-squares (gelsd) call.
+def fit(design: np.ndarray, y, basis: JacobiBasis) -> NpregModel:
+    """Least squares B c = y/sqrt(n) over the n x (N+1) design B of basis, by
+    one LAPACK least-squares (gelsd) call.
 
     Mathematically equal to the normal-equation pseudo-inverse; raises
     StabilityError carrying the spectral report (same SVD) when the Gram is
-    near singular."""
+    near singular, and a ValueError where y is not finite."""
+    n = len(design)
     y = np.asarray(y, dtype=float)
-    if y.shape != (design.n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({design.n},)")
-    coeffs, report = least_squares(design.matrix, y / math.sqrt(design.n))
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    coeffs, report = least_squares(design, y / math.sqrt(n))
     if report.near_singular:
         raise StabilityError(
             f"near-singular Gram (lambda_min={report.lambda_min:.3e})", report=report
         )
-    return NpregModel(
-        coeffs=coeffs, basis=design.basis, fit_report=report, n_samples=design.n
-    )
+    return NpregModel(coeffs=coeffs, basis=basis, fit_report=report, n_samples=n)
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,7 @@ def l2_risk_mc(
     def trial(t):
         samples = sample_beta_on_I(params, n, derive_seed(seed, "risk-x", t))
         eps = make_noise(n, sigma, family=noise_family, seed=derive_seed(seed, "risk-e", t))
-        model = fit(build_design(basis, samples), true_f(samples) + eps)
+        model = fit(build_design(basis, samples), true_f(samples) + eps, basis)
         raw_grid = grid_table @ model.coeffs
         clamped_grid = np.clip(raw_grid, -M, M)
         clamped_nodes = np.clip(node_table @ model.coeffs, -M, M)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignMatrix, spectral_report
+from .design import spectral_report
 from .errors import DataError, ValidationError
 from .jacobi import UNIT, JacobiBasis, JacobiParams
-from .regression import NpregModel, RansacResult, ransac_fit
+from .regression import RansacResult, ransac_fit
 from .sampling import sample_beta_unit
 
 __all__ = [
@@ -228,9 +228,7 @@ def load_series_csv(
 
 @dataclass(frozen=True)
 class SeriesFit:
-    dataset: TimeSeriesDataset
-    model: NpregModel
-    ransac: RansacResult
+    ransac: RansacResult         # its model is the fit
     design_report: object        # SpectralReport of the full sampled design
     fitted: np.ndarray           # model evaluated on the full day grid
 
@@ -275,14 +273,9 @@ def fit_series(
         truncation_level=truncation,
     )
     # the full design and the day-grid predictions reuse ransac_fit's tables
-    report = spectral_report(DesignMatrix(result.table / math.sqrt(n), basis).gram())
+    A = result.table / math.sqrt(n)
+    report = spectral_report(A.T @ A)
     fitted = result.score_table @ result.model.coeffs
     if truncation is not None:
         fitted = np.clip(fitted, -truncation, truncation)
-    return SeriesFit(
-        dataset=dataset,
-        model=result.model,
-        ransac=result,
-        design_report=report,
-        fitted=fitted,
-    )
+    return SeriesFit(ransac=result, design_report=report, fitted=fitted)

@@ -564,6 +564,40 @@ class TestForkedCells:
                            check=True)
         assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
 
+    def test_table1_children_that_load_scipy_write_the_serial_bytes(self, tmp_path):
+        # at alpha = beta = 1/2, inverse_beta_cdf loads scipy; a fresh process
+        # on 2 CPUs forks before any cell, so the child loads its own. Each
+        # process checks that its first cell is the one that loads scipy, and
+        # a child leaves a file named after its pid
+        script = (
+            "import os, sys\n"
+            "from pinvreg import bench\n"
+            "count, parent, fresh = int(sys.argv[1]), os.getpid(), []\n"
+            "os.sched_getaffinity = lambda pid: set(range(count))\n"
+            "def cell(config, c):\n"
+            "    fresh.append('scipy' not in sys.modules)\n"
+            "    rows = bench._table1_cell(config, c)\n"
+            "    assert fresh[0] and 'scipy.special' in sys.modules, fresh\n"
+            "    if os.getpid() != parent:\n"
+            "        open(f'child-{count}-{os.getpid()}', 'w').close()\n"
+            "    return rows\n"
+            "assert 'scipy' not in sys.modules\n"
+            "cells = [(0.5, 0.5, 5, 25), (0.5, 0.5, 10, 40), (0.5, 0.5, 15, 60)]\n"
+            "config = bench.ExperimentConfig(experiment='table1', trials=3, seed=7)\n"
+            "text = bench._sweep(config, cell, cells).to_json_text()\n"
+            "open(sys.argv[2], 'w').write(text)\n"
+        )
+        src = str(Path(pinvreg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        for count in (2, 1):
+            subprocess.run([sys.executable, "-c", script, str(count), f"{count}.json"],
+                           cwd=tmp_path, env=env, capture_output=True, timeout=120,
+                           check=True)
+        children = sorted(p.name.rsplit("-", 1)[0] for p in tmp_path.glob("child-*"))
+        assert children == ["child-2"]      # one forked child, and only on 2 CPUs
+        assert (tmp_path / "2.json").read_bytes() == (tmp_path / "1.json").read_bytes()
+
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("runner, keys", [
         (run_table2, {"experiment": "table2", "trials": 2}),
@@ -670,7 +704,8 @@ class TestRunDiagnose:
         res = run_diagnose(ExperimentConfig(experiment="diagnose", seed=7))
         params = JacobiParams(-0.5, -0.5)
         samples = sample_beta_on_I(params, 25, 7)
-        report = spectral_report(build_design(JacobiBasis(params, 5), samples).gram())
+        A = build_design(JacobiBasis(params, 5), samples)
+        report = spectral_report(A.T @ A)
         tb = theory_bounds(params, 25, 5)
         assert res.rows == [{
             "alpha": -0.5, "beta": -0.5, "N": 5, "n": 25, "seed": 7,
@@ -719,6 +754,11 @@ class TestTimingComparison:
         t = timing_comparison(n=100, repeats=2)
         assert set(t) == {"npreg_seconds", "krr_seconds"}
         assert t["npreg_seconds"] > 0 and t["krr_seconds"] > 0
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_rejects_fewer_than_one_repeat(self, repeats):
+        with pytest.raises(ValueError, match=f"^repeats must be >= 1, got {repeats}$"):
+            timing_comparison(n=100, repeats=repeats)
 
 
 def openblas_counts() -> list:

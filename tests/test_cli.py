@@ -220,7 +220,8 @@ class TestDiagnose:
         lines = rows[0]
         params = JacobiParams(-0.5, -0.5)
         samples = sample_beta_on_I(params, 25, 7)
-        report = spectral_report(build_design(JacobiBasis(params, 5), samples).gram())
+        A = build_design(JacobiBasis(params, 5), samples)
+        report = spectral_report(A.T @ A)
         assert float(lines["kappa2"]) == pytest.approx(report.kappa2)
         assert float(lines["lambda_min"]) == pytest.approx(report.lambda_min)
         assert lines["condition1_satisfied"] in ("True", "False")

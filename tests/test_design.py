@@ -30,19 +30,23 @@ class TestBuildDesign:
         basis = JacobiBasis(JacobiParams(0.0, 0.0), 2)
         pts = np.linspace(-0.8, 0.8, 7)
         d = build_design(basis, pts)
-        assert_allclose(d.matrix, basis.table(pts) / math.sqrt(7), rtol=1e-15)
-        assert d.n == 7 and d.matrix.shape == (7, 3)
+        assert_allclose(d, basis.table(pts) / math.sqrt(7), rtol=1e-15)
+        assert type(d) is np.ndarray and d.shape == (7, 3)
 
     def test_accepts_sample_set(self):
         basis = JacobiBasis(JacobiParams(-0.5, -0.5), 3)
         s = sample_beta_on_I(JacobiParams(-0.5, -0.5), 20, seed=1)
         d = build_design(basis, s)
-        assert_allclose(d.matrix, basis.table(s) / np.sqrt(20), rtol=0)
+        assert_allclose(d, basis.table(s) / np.sqrt(20), rtol=0)
 
     def test_gram_is_mtm(self):
+        # the Gram A'A is the mean over the samples of each table row's outer product
         basis = JacobiBasis(JacobiParams(0.5, 0.0), 2)
-        d = build_design(basis, np.linspace(-0.5, 0.5, 9))
-        assert_allclose(d.gram(), d.matrix.T @ d.matrix, rtol=1e-15)
+        pts = np.linspace(-0.5, 0.5, 9)
+        d = build_design(basis, pts)
+        rows = basis.table(pts)
+        assert_allclose(d.T @ d, np.mean(rows[:, :, None] * rows[:, None, :], axis=0),
+                        rtol=1e-14)
 
     @pytest.mark.parametrize("alpha, beta, N, n", [
         (-0.5, -0.5, 5, 25), (0.5, 0.0, 10, 40), (2.0, -0.3, 30, 100)])
@@ -51,12 +55,12 @@ class TestBuildDesign:
         basis = JacobiBasis(params, N)
         xs = np.stack([sample_beta_on_I(params, n, seed=t) for t in range(7)])
         stack = build_design(basis, xs)
-        assert stack.n == n and stack.matrix.shape == (7, n, N + 1)
-        grams = stack.gram()
+        assert stack.shape == (7, n, N + 1)
+        grams = stack.swapaxes(1, 2) @ stack
         for t in range(7):
             single = build_design(basis, xs[t])
-            np.testing.assert_array_equal(stack.matrix[t], single.matrix)
-            np.testing.assert_array_equal(grams[t], single.gram())
+            np.testing.assert_array_equal(stack[t], single)
+            np.testing.assert_array_equal(grams[t], single.T @ single)
 
     def test_gram_expectation_is_identity_over_gamma(self):
         # the population Gram of the omega-orthonormal system under the
@@ -64,7 +68,8 @@ class TestBuildDesign:
         params = JacobiParams(0.0, 0.0)
         basis = JacobiBasis(params, 4)
         s = sample_beta_on_I(params, 200_000, seed=20240817)
-        G = build_design(basis, s).gram()
+        A = build_design(basis, s)
+        G = A.T @ A
         assert np.max(np.abs(G - np.eye(5) / params.gamma_ab)) < 0.01
 
 
@@ -297,7 +302,8 @@ class TestMcConditionNumber:
             else:
                 z = np.random.default_rng(seed).standard_normal(40)
                 samples = cdf_transform(z, normal_cdf, params)
-            kappas.append(spectral_report(build_design(basis, samples).gram()).kappa2)
+            A = build_design(basis, samples)
+            kappas.append(spectral_report(A.T @ A).kappa2)
         assert mc.n_singular == 0
         np.testing.assert_array_equal(mc.kappas, np.sort(kappas))
 
@@ -327,12 +333,12 @@ class TestLeastSquares:
         x = sample_beta_on_I(params, 50, seed=4)
         design = build_design(basis, x)
         y = np.cos(x)
-        coeffs, report = least_squares(design.matrix, y)
-        direct = spectral_report(design.gram())
+        coeffs, report = least_squares(design, y)
+        direct = spectral_report(design.T @ design)
         assert_allclose(report.eigenvalues, direct.eigenvalues, rtol=1e-12)
         assert_allclose(report.kappa2, direct.kappa2, rtol=1e-12)
         assert not report.near_singular
-        assert_allclose(coeffs, np.linalg.pinv(design.matrix) @ y, rtol=1e-12, atol=1e-13)
+        assert_allclose(coeffs, np.linalg.pinv(design) @ y, rtol=1e-12, atol=1e-13)
 
     def test_wide_matrix_is_near_singular(self):
         # two rows cannot determine three columns: the missing singular

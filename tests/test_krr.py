@@ -294,6 +294,13 @@ class TestCrossValidate:
             with pytest.raises(ValueError, match="ridge"):
                 cross_validate(x, np.sin(x), grid=(1e-3, bad))
 
+    @pytest.mark.parametrize("grid", [[], (), np.array([])], ids=["list", "tuple", "array"])
+    def test_rejects_an_empty_grid(self, grid):
+        # refused by name before any fold is solved
+        x = np.linspace(-1, 1, 20)
+        with pytest.raises(ValueError, match="^grid must hold at least one ridge$"):
+            cross_validate(x, np.sin(x), grid=grid)
+
     @pytest.mark.parametrize("where", ["x", "y"])
     @pytest.mark.parametrize("fn", [
         lambda x, y: cross_validate(x, y, seed=0),

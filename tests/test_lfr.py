@@ -209,7 +209,7 @@ class TestLfrFit:
         for k, sl in enumerate(p.partition.slices()):
             F, G = block_gram(p, k)
             oracle = np.linalg.solve(G, F.T @ (p.y_blocks[k] / math.sqrt(60)))
-            assert_allclose(model.block_coeffs[k], oracle, rtol=1e-8, atol=1e-12)
+            assert_allclose(model.coeffs[sl], oracle, rtol=1e-8, atol=1e-12)
             report = spectral_report(G)
             assert_allclose(model.block_reports[k].eigenvalues, report.eigenvalues,
                             rtol=1e-10)
@@ -252,11 +252,11 @@ class TestLfrErrors:
         p = simulate_problem(80, 16, 2.0, 0.0, seed=11)
         fitted = lfr_fit(p)
         delta = 0.1
-        last = np.array(fitted.block_coeffs[-1], copy=True)
-        last[-1] += delta
+        coeffs = fitted.coeffs.copy()
+        coeffs[-1] += delta
         crafted = LfrModel(
             partition=fitted.partition,
-            block_coeffs=fitted.block_coeffs[:-1] + (last,),
+            coeffs=coeffs,
             block_reports=fitted.block_reports,
         )
         errs = lfr_errors(crafted, p)
@@ -267,11 +267,11 @@ class TestLfrErrors:
         # at j = 1 the weight j^(-s) is 1, so both norms see the same delta
         p = simulate_problem(80, 16, 2.0, 0.0, seed=11)
         fitted = lfr_fit(p)
-        first = np.array(fitted.block_coeffs[0], copy=True)
-        first[0] += 0.2
+        coeffs = fitted.coeffs.copy()
+        coeffs[0] += 0.2
         crafted = LfrModel(
             partition=fitted.partition,
-            block_coeffs=(first,) + fitted.block_coeffs[1:],
+            coeffs=coeffs,
             block_reports=fitted.block_reports,
         )
         errs = lfr_errors(crafted, p)

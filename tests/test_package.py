@@ -22,7 +22,7 @@ ROOT_NAMES = """
 __version__ JacobiParams JacobiBasis QuadratureRule gauss_jacobi_rule norm_constant
 omega_weight omega_norm uniform_bound derive_seed derive_rng
 sample_beta_on_I sample_beta_unit make_noise arcsine_quantile inverse_beta_cdf
-cdf_transform DesignMatrix build_design SpectralReport spectral_report TheoryBounds
+cdf_transform build_design SpectralReport spectral_report TheoryBounds
 theory_bounds McSummary mc_condition_number NpregModel RansacResult
 RiskSummary fit ransac_fit l2_risk_mc weierstrass save_model load_model
 KrrModel sinc_kernel krr_fit cross_validate DyadicPartition LfrProblem LfrModel
@@ -54,7 +54,7 @@ def test_each_public_name_has_one_module():
 
 
 def test_every_earlier_root_name_still_imports():
-    assert len(ROOT_NAMES) == 58
+    assert len(ROOT_NAMES) == 57
     for name in ROOT_NAMES:
         assert name in pinvreg.__all__ and hasattr(pinvreg, name), name
 

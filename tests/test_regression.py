@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import pinvreg
 from pinvreg import regression
-from pinvreg.design import DesignMatrix, _mean, build_design, spectral_report
+from pinvreg.design import _mean, build_design, spectral_report
 from pinvreg.errors import RobustFitError, StabilityError
 from pinvreg.jacobi import JacobiBasis, JacobiParams, omega_norm
 from pinvreg.regression import (
@@ -41,9 +41,8 @@ class TestFit:
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 80, seed=1)
         y = np.sin(2 * s)
-        design = build_design(basis, s)
-        model = fit(design, y)
-        B = design.matrix
+        B = build_design(basis, s)
+        model = fit(B, y, basis)
         oracle = np.linalg.solve(B.T @ B, B.T @ (y / math.sqrt(80)))
         assert_allclose(model.coeffs, oracle, rtol=1e-10, atol=1e-12)
 
@@ -51,7 +50,7 @@ class TestFit:
         # a degree-2 target lies in the span: zero residual up to roundoff
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 50, seed=2)
-        model = fit(build_design(basis, s), poly(s))
+        model = fit(build_design(basis, s), poly(s), basis)
         grid = np.linspace(-1, 1, 101)
         assert np.max(np.abs(model.predict(grid) - poly(grid))) < 1e-12
 
@@ -59,18 +58,28 @@ class TestFit:
         basis = JacobiBasis(PARAMS, 2)
         design = build_design(basis, np.linspace(-0.9, 0.9, 10))
         with pytest.raises(ValueError, match="shape"):
-            fit(design, np.zeros(9))
+            fit(design, np.zeros(9), basis)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_response_raises(self, bad):
+        # gelsd would return all-NaN coefficients under a clean fit_report
+        basis = JacobiBasis(PARAMS, 3)
+        design = build_design(basis, sample_beta_on_I(PARAMS, 20, seed=3))
+        y = np.ones(20)
+        y[3] = bad
+        with pytest.raises(ValueError, match="y must be finite"):
+            fit(design, y, basis)
 
     def test_singular_design_raises(self):
         basis = JacobiBasis(PARAMS, 2)
         design = build_design(basis, np.full(5, 0.3))
         with pytest.raises(StabilityError):
-            fit(design, np.zeros(5))
+            fit(design, np.zeros(5), basis)
 
     def test_healthy_design_passes(self):
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 60, seed=4)
-        model = fit(build_design(basis, s), np.cos(s))
+        model = fit(build_design(basis, s), np.cos(s), basis)
         assert not model.fit_report.near_singular
         assert model.fit_report.kappa2 < 50
 
@@ -79,7 +88,7 @@ class TestFit:
         basis = JacobiBasis(JacobiParams(0.0, 0.0), 2)
         design = build_design(basis, np.array([0.1, 0.1, 0.1]))
         with pytest.raises(StabilityError, match="near-singular") as exc:
-            fit(design, np.zeros(3))
+            fit(design, np.zeros(3), basis)
         assert exc.value.report.near_singular
         assert exc.value.report.kappa2 == math.inf
 
@@ -91,9 +100,8 @@ class TestFit:
         V, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         B = U @ np.diag(np.logspace(0, -5, 5)) @ V.T
         basis = JacobiBasis(PARAMS, 4)
-        design = DesignMatrix(matrix=B, basis=basis)
         y = B @ rng.standard_normal(5) * math.sqrt(40) + 1e-3 * rng.standard_normal(40)
-        model = fit(design, y)
+        model = fit(B, y, basis)
         assert not model.fit_report.near_singular
         assert model.fit_report.kappa2 == pytest.approx(1e10, rel=1e-6)
         oracle = np.linalg.solve(B.T @ B, B.T @ (y / math.sqrt(40)))
@@ -102,7 +110,7 @@ class TestFit:
     def test_predict_clamps_at_truncation_level(self):
         basis = JacobiBasis(PARAMS, 4)
         s = sample_beta_on_I(PARAMS, 50, seed=2)
-        model = replace(fit(build_design(basis, s), 3.0 * s), truncation_level=0.5)
+        model = replace(fit(build_design(basis, s), 3.0 * s, basis), truncation_level=0.5)
         vals = model.predict(np.linspace(-1, 1, 201))
         assert np.max(np.abs(vals)) <= 0.5
         model.truncation_level = None
@@ -111,7 +119,7 @@ class TestFit:
     def test_omega_norm_is_coefficient_norm(self):
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 40, seed=3)
-        model = fit(build_design(basis, s), np.cos(s))
+        model = fit(build_design(basis, s), np.cos(s), basis)
         # Parseval: the exact rule of order 4 integrates the squared cubic
         norm = omega_norm(model.predict, basis.quadrature(4))
         assert norm == pytest.approx(float(np.linalg.norm(model.coeffs)), rel=1e-12)
@@ -119,8 +127,9 @@ class TestFit:
     def test_fit_report_attached(self):
         basis = JacobiBasis(PARAMS, 3)
         s = sample_beta_on_I(PARAMS, 40, seed=3)
-        model = fit(build_design(basis, s), np.cos(s))
-        direct = spectral_report(build_design(basis, s).gram())
+        A = build_design(basis, s)
+        model = fit(A, np.cos(s), basis)
+        direct = spectral_report(A.T @ A)
         assert model.fit_report.kappa2 == pytest.approx(direct.kappa2)
 
 
@@ -128,7 +137,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         basis = JacobiBasis(JacobiParams(0.0, 0.5), 3)
         s = sample_beta_on_I(JacobiParams(0.0, 0.5), 40, seed=5)
-        model = replace(fit(build_design(basis, s), np.exp(s)), truncation_level=4.0)
+        model = replace(fit(build_design(basis, s), np.exp(s), basis), truncation_level=4.0)
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
@@ -144,7 +153,7 @@ class TestSerialization:
         basis = JacobiBasis(PARAMS, 1)
         s = sample_beta_on_I(PARAMS, 20, seed=6)
         path = tmp_path / "model.json"
-        save_model(fit(build_design(basis, s), s), path)
+        save_model(fit(build_design(basis, s), s, basis), path)
         d = json.loads(path.read_text())
         d.pop("truncation_level")
         d.pop("n_samples")
@@ -172,7 +181,7 @@ class TestSerialization:
         basis = JacobiBasis(PARAMS, 2)
         s = sample_beta_on_I(PARAMS, 20, seed=6)
         path = tmp_path / "model.json"
-        save_model(fit(build_design(basis, s), s), path)
+        save_model(fit(build_design(basis, s), s, basis), path)
         d = json.loads(path.read_text())
         if key == "object":
             path.write_text("[1, 2]")
@@ -195,7 +204,7 @@ class TestSerialization:
     def test_save_is_strict_json(self, tmp_path):
         basis = JacobiBasis(PARAMS, 2)
         s = sample_beta_on_I(PARAMS, 20, seed=6)
-        model = replace(fit(build_design(basis, s), s), truncation_level=math.inf)
+        model = replace(fit(build_design(basis, s), s, basis), truncation_level=math.inf)
         path = tmp_path / "model.json"
         with pytest.raises(ValueError):
             save_model(model, path)
@@ -210,7 +219,7 @@ class TestRansac:
         s = sample_beta_on_I(PARAMS, 60, seed=7)
         y_dirty = poly(s)
         y_dirty[:2] += 25.0
-        direct = fit(build_design(basis, s), y_dirty)
+        direct = fit(build_design(basis, s), y_dirty, basis)
         xs = np.linspace(-0.95, 0.95, 300)
         robust = ransac_fit(s, y_dirty, basis, iterations=30, seed=11,
                             scoring=(xs, poly(xs)))
@@ -311,7 +320,7 @@ class TestRansac:
             rng = derive_rng(seed, "ransac", it)
             idx = np.sort(rng.choice(len(x), size=size, replace=False))
             try:
-                model = fit(build_design(basis, x[idx]), y[idx])
+                model = fit(build_design(basis, x[idx]), y[idx], basis)
             except StabilityError:
                 failed += 1
                 continue
